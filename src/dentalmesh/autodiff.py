@@ -456,33 +456,6 @@ def batch_norm(
 
 
 # ---------------------------------------------------------------------------
-# graph neighborhood op
-
-def neighbor_max(features, graph, edge_fn) -> Tensor:
-    """EdgeConv-style aggregation: max over neighbors of an edge function.
-
-    graph is a KnnGraph or an (N, k) int array whose rows list each cell's
-    neighbors (self included). edge_fn maps two (N*k, F) tensors, the
-    center-minus-neighbor difference and the center feature, to an
-    (N*k, C) tensor; the result is reduced to (N, C) by a per-cell max.
-    """
-    x = _as_tensor(features)
-    nbrs = np.asarray(getattr(graph, "neighbors", graph), dtype=np.int64)
-    if nbrs.ndim != 2 or nbrs.shape[0] != x.data.shape[0]:
-        raise ShapeError(
-            f"graph shape {nbrs.shape} does not match features {x.data.shape}"
-        )
-    n, k = nbrs.shape
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    center = gather_rows(x, src)
-    others = gather_rows(x, nbrs.reshape(-1))
-    edge_out = edge_fn(sub(center, others), center)
-    edge_out = _as_tensor(edge_out)
-    channels = edge_out.data.shape[1]
-    return max_over_axis(reshape(edge_out, (n, k, channels)), axis=1)
-
-
-# ---------------------------------------------------------------------------
 # optimizer
 
 class AmsGrad:

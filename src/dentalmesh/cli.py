@@ -5,9 +5,20 @@ then the --config file, then --set key=value overrides, in that order.
 Each run stamps its resolved config and package version into the run
 directory so a finished run can be reproduced from its artifacts alone.
 
-Exit codes: 0 success, 1 usage or configuration problems (including a
-missed evaluation threshold), 2 data errors (unreadable meshes, schema
-violations, missing or incompatible checkpoints), 3 training divergence.
+Exit codes:
+  0  success;
+  1  usage or configuration problems: unknown keys, unparsable values, and
+     values out of range (e.g. val_every below 1 or a negative patience),
+     each named in the message; also a missed evaluation threshold;
+  2  data errors: unreadable meshes, schema violations (including an
+     `infer --probs` matrix that is not (cells, 15), finite and
+     non-negative), missing or incompatible checkpoints;
+  3  training divergence; the diverged net's last good state is saved as
+     checkpoints/<name>_lastgood.ckpt first.
+
+Scans that `preprocess` has decimated are reused by every later command
+whose target_cells could have produced them; otherwise each command
+decimates a scan once and reuses it for training and test inference.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from .evaluation import (
     write_csv_rows,
     write_json_report,
 )
-from .geometry import extract_roi
+from .geometry import extract_roi, nearest_rows
 from .mesh_io import (
     Annotation,
     load_annotation,
@@ -59,17 +70,17 @@ from .networks import (
     make_graph_heatmap_net,
 )
 from .pipeline import (
+    PreprocessedScan,
     heatmap_position_types,
     infer_two_stage,
     infer_with_oracle_labels,
     locate_landmarks,
     position_type,
     preprocess,
+    refine_and_upsample,
     segment_scan,
     single_stage_landmarks,
 )
-from .postprocess import build_energy, refine_labels
-from .svm import LabelUpsampler
 from .synth import default_specs, generate
 from .training import (
     HeatmapSample,
@@ -121,17 +132,35 @@ def _load_scan(mesh_path: Path, ann_path: Path):
     return mesh, ann
 
 
-def _load_coarse(mesh_path: Path, ann_path: Path, target_cells: int) -> SegSample:
-    """Decimated scan with labels; reuses preprocess artifacts when present."""
-    coarse_path = mesh_path.with_name(mesh_path.stem + "_coarse.off")
-    coarse_ann_path = mesh_path.with_name(mesh_path.stem + "_coarse.json")
+def _coarse_paths(mesh_path: Path) -> tuple[Path, Path]:
+    """Where preprocess keeps a scan's decimated mesh and its labels."""
+    return (mesh_path.with_name(mesh_path.stem + "_coarse.off"),
+            mesh_path.with_name(mesh_path.stem + "_coarse.json"))
+
+
+def _load_preprocessed(mesh_path: Path, ann_path: Path,
+                       target_cells: int) -> tuple[PreprocessedScan, Annotation]:
+    """A scan decimated to target_cells, with its full-resolution annotation.
+
+    Preprocess artifacts are reused when decimate could have produced their
+    cell count for this target: within 2 cells below it, or the unchanged
+    mesh when that is already at or below it. The OFF round trip is
+    bit-exact, so the origin map rebuilt the way decimate builds it (nearest
+    coarse barycenter) is the one decimate returned.
+    """
+    mesh, ann = _load_scan(mesh_path, ann_path)
+    coarse_path, coarse_ann_path = _coarse_paths(mesh_path)
     if coarse_path.exists() and coarse_ann_path.exists():
         coarse = load_mesh(coarse_path)
-        ann = load_annotation(coarse_ann_path, coarse.num_cells)
-        return SegSample(coarse, ann.labels)
-    mesh, ann = _load_scan(mesh_path, ann_path)
-    scan = preprocess(mesh, ann, target_cells)
-    return SegSample(scan.coarse, scan.coarse_labels)
+        n = coarse.num_cells
+        if (n == mesh.num_cells if mesh.num_cells <= target_cells
+                else target_cells - 2 <= n <= target_cells):
+            labels = load_annotation(coarse_ann_path, n).labels
+            origin_map = nearest_rows(mesh.cell_barycenters, coarse.cell_barycenters)
+            return PreprocessedScan(mesh, coarse, origin_map, labels), ann
+        log.info("ignoring %s: %d cells do not fit target_cells=%d",
+                 coarse_path.name, n, target_cells)
+    return preprocess(mesh, ann, target_cells), ann
 
 
 def _train_val_split(n: int, val_count: int, seed: int):
@@ -215,9 +244,9 @@ def _save_diverged(run: Path, name: str, net, err: TrainingDivergenceError) -> N
             err.last_good_state,
             {"diverged": True, "epochs_completed": len(err.loss_curve)},
         )
-        log.error("training diverged: %s (last good state saved to %s)", err, path)
+        log.error("%s diverged; last good state saved to %s", name, path)
     else:
-        log.error("training diverged before the first epoch finished: %s", err)
+        log.error("%s diverged before the first epoch finished", name)
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +263,45 @@ def _seg_meta(config: RunConfig) -> dict:
     }
 
 
-def _train_stage1(config: RunConfig, samples: list, train_idx, val_idx,
+def _fit(fit, net, config: RunConfig, run: Path, tag: str, samples: list,
+         val_samples: list, **kwargs):
+    """One training call with the run's shared optimizer and schedule.
+
+    A divergence saves the net's last good state as <tag>_lastgood.ckpt
+    before it propagates; main() turns it into exit code 3.
+    """
+    try:
+        return fit(
+            net,
+            samples,
+            lr=config.lr,
+            augment_count=config.augment_count,
+            k_small=config.k_small,
+            k_large=config.k_large,
+            betas=(config.beta1, config.beta2),
+            adam_eps=config.adam_eps,
+            val_samples=val_samples or None,
+            val_every=config.val_every,
+            patience=config.patience or None,
+            on_epoch=_progress(tag),
+            **kwargs,
+        )
+    except TrainingDivergenceError as err:
+        _save_diverged(run, tag, net, err)
+        raise
+
+
+def _train_stage1(config: RunConfig, run: Path, scans: list, train_idx, val_idx,
                   adjacency: str | None = None, tag: str = "seg"):
+    """ToothSegNet on the decimated scans of (PreprocessedScan, Annotation) pairs."""
+    def samples(indices):
+        return [SegSample(scans[i][0].coarse, scans[i][0].coarse_labels)
+                for i in indices]
+
     net = ToothSegNet(seed=config.seed, adjacency=adjacency or config.adjacency)
-    result = train_segmentation(
-        net,
-        [samples[i] for i in train_idx],
-        epochs=config.seg_epochs,
-        seed=config.seed,
-        lr=config.lr,
-        subsample=config.seg_subsample,
-        augment_count=config.augment_count,
-        k_small=config.k_small,
-        k_large=config.k_large,
-        betas=(config.beta1, config.beta2),
-        adam_eps=config.adam_eps,
-        val_samples=[samples[i] for i in val_idx] or None,
-        val_every=config.val_every,
-        patience=config.patience or None,
-        on_epoch=_progress(tag),
-    )
+    result = _fit(train_segmentation, net, config, run, tag, samples(train_idx),
+                  samples(val_idx), epochs=config.seg_epochs, seed=config.seed,
+                  subsample=config.seg_subsample)
     return net, result
 
 
@@ -278,35 +326,22 @@ def _roi_samples(scans: list, indices) -> dict:
     return out
 
 
-def _train_heatmap_net(config: RunConfig, net, samples, val_samples, tag: str):
-    return train_heatmap(
-        net,
-        samples,
-        epochs=config.lmk_epochs,
-        seed=config.seed + 1000,
-        lr=config.lr,
-        subsample=config.roi_subsample,
-        augment_count=config.augment_count,
-        sigma=config.sigma,
-        peak=config.peak,
-        k_small=config.k_small,
-        k_large=config.k_large,
-        betas=(config.beta1, config.beta2),
-        adam_eps=config.adam_eps,
-        val_samples=val_samples or None,
-        val_every=config.val_every,
-        patience=config.patience or None,
-        on_epoch=_progress(tag),
-    )
+def _train_heatmap_net(config: RunConfig, run: Path, net, samples, val_samples,
+                       subsample: int, tag: str):
+    return _fit(train_heatmap, net, config, run, tag, samples, val_samples,
+                epochs=config.lmk_epochs, seed=config.seed + 1000,
+                subsample=subsample, sigma=config.sigma, peak=config.peak)
 
 
-def _train_stage2(config: RunConfig, scans: list, train_idx, val_idx,
+def _train_stage2(config: RunConfig, run: Path, scans: list, train_idx, val_idx,
                   graph_trunk: bool = False, tag: str = "lmk"):
-    """One regressor per landmark-bearing position type."""
+    """One regressor per landmark-bearing position type.
+
+    scans holds (full-resolution mesh, Annotation) pairs. Yields
+    (position type, net, TrainResult) as soon as each net is trained.
+    """
     train_rois = _roi_samples(scans, train_idx)
     val_rois = _roi_samples(scans, val_idx)
-    nets: dict = {}
-    results: dict = {}
     for t in heatmap_position_types():
         if not train_rois[t]:
             log.warning("no training ROIs for position type %d; skipping its net", t)
@@ -318,11 +353,11 @@ def _train_stage2(config: RunConfig, scans: list, train_idx, val_idx,
         else:
             net = PointHeatmapNet(seed=config.seed + 100 + t,
                                   out_channels=out_channels)
-        results[t] = _train_heatmap_net(
-            config, net, train_rois[t], val_rois[t], f"{tag}-pos{t}"
-        )
-        nets[t] = net
-    return nets, results
+        result = _train_heatmap_net(config, run, net, train_rois[t], val_rois[t],
+                                    config.roi_subsample, f"{tag}_pos{t}")
+        log.info("position type %d trained on %d ROIs (%d epochs)",
+                 t, len(train_rois[t]), result.epochs_run)
+        yield t, net, result
 
 
 def _pooled_mae(per_scan: list):
@@ -381,12 +416,13 @@ def cmd_preprocess(args, config: RunConfig) -> int:
     _ensure_run_dir(config)
     count = 0
     for mesh_path, ann_path in _discover_scans(config.data_dir):
+        # always decimates afresh: the artifacts are what this command refreshes
         mesh, ann = _load_scan(mesh_path, ann_path)
         scan = preprocess(mesh, ann, config.target_cells)
-        coarse_ann = Annotation(scan.coarse_labels, dict(ann.landmarks))
-        save_mesh(scan.coarse, mesh_path.with_name(mesh_path.stem + "_coarse.off"))
-        save_annotation(coarse_ann,
-                        mesh_path.with_name(mesh_path.stem + "_coarse.json"))
+        coarse_path, coarse_ann_path = _coarse_paths(mesh_path)
+        save_mesh(scan.coarse, coarse_path)
+        save_annotation(Annotation(scan.coarse_labels, dict(ann.landmarks)),
+                        coarse_ann_path)
         log.info("decimated %s: %d -> %d cells",
                  mesh_path.name, mesh.num_cells, scan.coarse.num_cells)
         count += 1
@@ -396,34 +432,13 @@ def cmd_preprocess(args, config: RunConfig) -> int:
 
 def cmd_train_seg(args, config: RunConfig) -> int:
     run = _ensure_run_dir(config)
-    pairs = _discover_scans(config.data_dir)
-    samples = [_load_coarse(m, a, config.target_cells) for m, a in pairs]
-    train_idx, val_idx = _train_val_split(len(samples), config.val_count,
+    scans = [_load_preprocessed(m, a, config.target_cells)
+             for m, a in _discover_scans(config.data_dir)]
+    train_idx, val_idx = _train_val_split(len(scans), config.val_count,
                                           config.seed)
     log.info("training segmentation on %d scans (%d validation)",
              len(train_idx), len(val_idx))
-    net = ToothSegNet(seed=config.seed, adjacency=config.adjacency)
-    try:
-        result = train_segmentation(
-            net,
-            [samples[i] for i in train_idx],
-            epochs=config.seg_epochs,
-            seed=config.seed,
-            lr=config.lr,
-            subsample=config.seg_subsample,
-            augment_count=config.augment_count,
-            k_small=config.k_small,
-            k_large=config.k_large,
-            betas=(config.beta1, config.beta2),
-            adam_eps=config.adam_eps,
-            val_samples=[samples[i] for i in val_idx] or None,
-            val_every=config.val_every,
-            patience=config.patience or None,
-            on_epoch=_progress("seg"),
-        )
-    except TrainingDivergenceError as err:
-        _save_diverged(run, "seg", net, err)
-        return 3
+    net, result = _train_stage1(config, run, scans, train_idx, val_idx)
     meta = _seg_meta(config)
     meta.update(epochs_run=result.epochs_run, best_epoch=result.best_epoch,
                 best_val=result.best_val)
@@ -438,25 +453,11 @@ def cmd_train_seg(args, config: RunConfig) -> int:
 
 def cmd_train_lmk(args, config: RunConfig) -> int:
     run = _ensure_run_dir(config)
-    pairs = _discover_scans(config.data_dir)
-    scans = [_load_scan(m, a) for m, a in pairs]
+    scans = [_load_scan(m, a) for m, a in _discover_scans(config.data_dir)]
     train_idx, val_idx = _train_val_split(len(scans), config.val_count,
                                           config.seed)
-    train_rois = _roi_samples(scans, train_idx)
-    val_rois = _roi_samples(scans, val_idx)
     report: dict = {}
-    for t in heatmap_position_types():
-        if not train_rois[t]:
-            log.warning("no ROIs for position type %d; skipping its net", t)
-            continue
-        net = PointHeatmapNet(seed=config.seed + 100 + t,
-                              out_channels=len(lm.landmark_names(t)))
-        try:
-            result = _train_heatmap_net(config, net, train_rois[t], val_rois[t],
-                                        f"lmk-pos{t}")
-        except TrainingDivergenceError as err:
-            _save_diverged(run, f"lmk_pos{t}", net, err)
-            return 3
+    for t, net, result in _train_stage2(config, run, scans, train_idx, val_idx):
         meta = {
             "in_dim": 15,
             "out_channels": len(lm.landmark_names(t)),
@@ -468,8 +469,6 @@ def cmd_train_lmk(args, config: RunConfig) -> int:
         save_checkpoint(run / "checkpoints" / f"lmk_pos{t}.ckpt",
                         net.arch_tag(), net.state_arrays(), meta)
         report[f"pos{t}"] = _result_payload(result)
-        log.info("position type %d trained on %d ROIs (%d epochs)",
-                 t, len(train_rois[t]), result.epochs_run)
     if not report:
         raise SchemaError("no landmark-bearing teeth found in the training data")
     write_json_report(run / "reports" / "train_lmk.json", report)
@@ -507,34 +506,31 @@ def cmd_infer(args, config: RunConfig) -> int:
     if args.probs:
         # standalone refinement: caller supplies the coarse probability matrix
         probs = load_matrix(args.probs)
-        if probs.shape[0] != scan.coarse.num_cells:
+        expected = (scan.coarse.num_cells, NUM_CLASSES)
+        if probs.shape != expected:
             raise SchemaError(
-                f"probability matrix has {probs.shape[0]} rows, decimated scan "
-                f"has {scan.coarse.num_cells} cells"
+                f"probability matrix has shape {probs.shape}, decimated scan "
+                f"needs {expected}"
             )
-        model = build_energy(scan.coarse, probs, config.lam)
-        refined = refine_labels(model)
-        upsampler = LabelUpsampler(c=config.svm_c)
-        upsampler.fit(scan.coarse.cell_barycenters, refined)
-        fine_labels = upsampler.predict(scan.fine.cell_barycenters)
-        landmarks, skipped = locate_landmarks(
-            heatmap_nets, scan.fine, fine_labels,
-            k_small=config.k_small, k_large=config.k_large,
-        )
+        if not np.isfinite(probs).all() or (probs < 0.0).any():
+            raise SchemaError("probability matrix must be finite and non-negative")
+        seg = refine_and_upsample(scan.coarse, probs, scan.fine,
+                                  lam=config.lam, svm_c=config.svm_c)
     else:
         seg_net, _ = _net_from_checkpoint(run / "checkpoints" / "seg.ckpt",
                                           "segmentation")
-        result = infer_two_stage(seg_net, heatmap_nets, scan,
-                                 lam=config.lam, svm_c=config.svm_c,
-                                 k_small=config.k_small, k_large=config.k_large)
-        fine_labels = result.labels
-        landmarks, skipped = result.landmarks, result.skipped_teeth
-        save_matrix(run / "reports" / f"{stem}_probs.mat",
-                    result.segmentation.probabilities)
+        seg = segment_scan(seg_net, scan.coarse, scan.fine,
+                           lam=config.lam, svm_c=config.svm_c,
+                           k_small=config.k_small, k_large=config.k_large)
+        save_matrix(run / "reports" / f"{stem}_probs.mat", seg.probabilities)
+    landmarks, skipped = locate_landmarks(
+        heatmap_nets, scan.fine, seg.fine_labels,
+        k_small=config.k_small, k_large=config.k_large,
+    )
 
     positions = {key: value[0] for key, value in landmarks.items()}
     save_mesh(scan.fine, run / "meshes" / f"{stem}_labeled.off")
-    save_annotation(Annotation(fine_labels, positions),
+    save_annotation(Annotation(seg.fine_labels, positions),
                     run / "meshes" / f"{stem}_labeled.json")
     report_path = _write_landmark_report(run, stem, landmarks, skipped)
     if skipped:
@@ -572,14 +568,13 @@ def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
     full_pairs = []
     oracle_pairs = []
     for i in test_idx:
-        mesh, ann = _load_scan(*pairs[i])
-        scan = preprocess(mesh, None, config.target_cells)
+        scan, ann = _load_preprocessed(*pairs[i], config.target_cells)
         result = infer_two_stage(seg_net, heatmap_nets, scan,
                                  lam=config.lam, svm_c=config.svm_c,
                                  k_small=config.k_small, k_large=config.k_large)
         full_pairs.append((result.landmarks, ann.landmarks))
         oracle_marks, _ = infer_with_oracle_labels(
-            heatmap_nets, mesh, ann.labels,
+            heatmap_nets, scan.fine, ann.labels,
             k_small=config.k_small, k_large=config.k_large,
         )
         oracle_pairs.append((oracle_marks, ann.landmarks))
@@ -600,23 +595,22 @@ def cmd_eval(args, config: RunConfig) -> int:
     if args.ceiling:
         return _eval_ceiling(args, config, run, pairs)
 
-    scans = [_load_scan(m, a) for m, a in pairs]
-    coarse_samples = [_load_coarse(m, a, config.target_cells) for m, a in pairs]
+    scans = [_load_preprocessed(m, a, config.target_cells) for m, a in pairs]
+    fine = [(scan.fine, ann) for scan, ann in scans]
     per_tooth_seg: list = []
     landmark_pairs: list = []
 
     def runner(fold, train_idx, val_idx, test_idx):
         log.info("fold %d: train %d, val %d, test %d",
                  fold, len(train_idx), len(val_idx), len(test_idx))
-        seg_net, _ = _train_stage1(config, coarse_samples, train_idx, val_idx,
+        seg_net, _ = _train_stage1(config, run, scans, train_idx, val_idx,
                                    tag=f"fold{fold}-seg")
-        nets, _ = _train_stage2(config, scans, train_idx, val_idx,
-                                tag=f"fold{fold}-lmk")
+        nets = {t: net for t, net, _ in _train_stage2(
+            config, run, fine, train_idx, val_idx, tag=f"fold{fold}-lmk")}
         dscs, sens, ppvs = [], [], []
         fold_landmarks = []
         for i in test_idx:
-            mesh, ann = scans[i]
-            scan = preprocess(mesh, None, config.target_cells)
+            scan, ann = scans[i]
             result = infer_two_stage(seg_net, nets, scan,
                                      lam=config.lam, svm_c=config.svm_c,
                                      k_small=config.k_small,
@@ -659,114 +653,89 @@ def cmd_eval(args, config: RunConfig) -> int:
     return 0
 
 
-def _ablate_table(args, config: RunConfig, run: Path, pairs: list) -> int:
+def _ablate_table(config: RunConfig, run: Path, scans: list) -> int:
     """Landmark strategy comparison: one vs two stages, point vs graph trunk."""
-    scans = [_load_scan(m, a) for m, a in pairs]
-    coarse_samples = [_load_coarse(m, a, config.target_cells) for m, a in pairs]
     split = fold_splits(len(scans), config.folds, config.val_count,
                         config.seed)[0]
     train_idx = [int(i) for i in split.train]
     val_idx = [int(i) for i in split.val]
     test_idx = [int(i) for i in split.test]
-
-    # whole-scan samples for the single-stage heads; trained and evaluated
-    # on the decimated meshes so both strategies see the same resolution
-    def whole_scan(indices):
-        return [
-            HeatmapSample(coarse_samples[i].mesh, None, dict(scans[i][1].landmarks))
-            for i in indices
-        ]
-
-    layout_size = len(lm.all_landmark_keys())
     rows = []
 
-    def evaluate_single(net, name):
-        scan_pairs = []
-        for i in test_idx:
-            marks = single_stage_landmarks(net, coarse_samples[i].mesh,
-                                           k_small=config.k_small,
-                                           k_large=config.k_large)
-            scan_pairs.append((marks, scans[i][1].landmarks))
+    def add_row(name, scan_pairs):
         metrics = _pooled_mae(scan_pairs)
         rows.append({"method": name, "mae": metrics.mean, "std": metrics.std,
                      "count": metrics.count, "excluded": len(metrics.excluded)})
         log.info("%s: mae %.4f mm", name, metrics.mean)
 
+    # whole-scan samples for the single-stage heads; trained and evaluated
+    # on the decimated meshes so both strategies see the same resolution
+    def whole_scan(indices):
+        return [
+            HeatmapSample(scans[i][0].coarse, None, dict(scans[i][1].landmarks))
+            for i in indices
+        ]
+
+    layout_size = len(lm.all_landmark_keys())
     for name, net in (
         ("single-stage-pointnet",
          PointHeatmapNet(seed=config.seed + 50, out_channels=layout_size)),
         ("single-stage-graphnet",
          make_graph_heatmap_net(config.seed + 51, layout_size, config.adjacency)),
     ):
-        train_heatmap(
-            net,
-            whole_scan(train_idx),
-            epochs=config.lmk_epochs,
-            seed=config.seed + 1000,
-            lr=config.lr,
-            subsample=config.seg_subsample,
-            augment_count=config.augment_count,
-            sigma=config.sigma,
-            peak=config.peak,
-            k_small=config.k_small,
-            k_large=config.k_large,
-            betas=(config.beta1, config.beta2),
-            adam_eps=config.adam_eps,
-            val_samples=whole_scan(val_idx) or None,
-            val_every=config.val_every,
-            patience=config.patience or None,
-            on_epoch=_progress(name),
-        )
-        evaluate_single(net, name)
+        _train_heatmap_net(config, run, net, whole_scan(train_idx),
+                           whole_scan(val_idx), config.seg_subsample, name)
+        add_row(name, [
+            (single_stage_landmarks(net, scans[i][0].coarse,
+                                    k_small=config.k_small,
+                                    k_large=config.k_large),
+             scans[i][1].landmarks)
+            for i in test_idx
+        ])
 
     # the two-stage variants share one stage-1 net and its predicted labels
-    seg_net, _ = _train_stage1(config, coarse_samples, train_idx, val_idx,
+    seg_net, _ = _train_stage1(config, run, scans, train_idx, val_idx,
                                tag="ablate-seg")
-    test_scans = {}
+    fine_labels = {}
     for i in test_idx:
-        scan = preprocess(scans[i][0], None, config.target_cells)
-        seg = segment_scan(seg_net, scan.coarse, scan.fine,
-                           lam=config.lam, svm_c=config.svm_c,
-                           k_small=config.k_small, k_large=config.k_large)
-        test_scans[i] = (scan, seg.fine_labels)
+        scan = scans[i][0]
+        fine_labels[i] = segment_scan(seg_net, scan.coarse, scan.fine,
+                                      lam=config.lam, svm_c=config.svm_c,
+                                      k_small=config.k_small,
+                                      k_large=config.k_large).fine_labels
 
+    fine = [(scan.fine, ann) for scan, ann in scans]
     for name, graph_trunk in (("two-stage-pointnet", False),
                               ("two-stage-graphnet", True)):
-        nets, _ = _train_stage2(config, scans, train_idx, val_idx,
-                                graph_trunk=graph_trunk, tag=name)
-        scan_pairs = []
-        for i in test_idx:
-            scan, fine_labels = test_scans[i]
-            marks, _ = locate_landmarks(nets, scan.fine, fine_labels,
-                                        k_small=config.k_small,
-                                        k_large=config.k_large)
-            scan_pairs.append((marks, scans[i][1].landmarks))
-        metrics = _pooled_mae(scan_pairs)
-        rows.append({"method": name, "mae": metrics.mean, "std": metrics.std,
-                     "count": metrics.count, "excluded": len(metrics.excluded)})
-        log.info("%s: mae %.4f mm", name, metrics.mean)
+        nets = {t: net for t, net, _ in _train_stage2(
+            config, run, fine, train_idx, val_idx, graph_trunk=graph_trunk,
+            tag=name)}
+        add_row(name, [
+            (locate_landmarks(nets, scans[i][0].fine, fine_labels[i],
+                              k_small=config.k_small,
+                              k_large=config.k_large)[0],
+             scans[i][1].landmarks)
+            for i in test_idx
+        ])
 
     write_json_report(run / "reports" / "ablate_methods.json", {"rows": rows})
     return 0
 
 
-def _ablate_adjacency(args, config: RunConfig, run: Path, pairs: list) -> int:
+def _ablate_adjacency(config: RunConfig, run: Path, scans: list) -> int:
     """Static barycenter graphs vs graphs rebuilt in feature space."""
-    scans = [_load_scan(m, a) for m, a in pairs]
-    coarse_samples = [_load_coarse(m, a, config.target_cells) for m, a in pairs]
     split = fold_splits(len(scans), config.folds, config.val_count,
                         config.seed)[0]
     rows = []
     for mode in ("static", "dynamic"):
         net, result = _train_stage1(
-            config, coarse_samples,
+            config, run, scans,
             [int(i) for i in split.train], [int(i) for i in split.val],
             adjacency=mode, tag=f"adjacency-{mode}",
         )
         dscs = []
         for i in split.test:
-            mesh, ann = scans[int(i)]
-            scan = preprocess(mesh, None, config.target_cells)
+            scan, ann = scans[int(i)]
             seg = segment_scan(net, scan.coarse, scan.fine,
                                lam=config.lam, svm_c=config.svm_c,
                                k_small=config.k_small, k_large=config.k_large)
@@ -784,10 +753,11 @@ def _ablate_adjacency(args, config: RunConfig, run: Path, pairs: list) -> int:
 
 def cmd_ablate(args, config: RunConfig) -> int:
     run = _ensure_run_dir(config)
-    pairs = _discover_scans(config.data_dir)
+    scans = [_load_preprocessed(m, a, config.target_cells)
+             for m, a in _discover_scans(config.data_dir)]
     if args.methods == "adjacency":
-        return _ablate_adjacency(args, config, run, pairs)
-    return _ablate_table(args, config, run, pairs)
+        return _ablate_adjacency(config, run, scans)
+    return _ablate_table(config, run, scans)
 
 
 # ---------------------------------------------------------------------------

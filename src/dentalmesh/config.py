@@ -1,9 +1,11 @@
 """Run configuration: one flat key = value file, overridable from the CLI.
 
-Defaults reproduce the pipeline's fixed constants (neighbor counts, heatmap
-width and peak, per-step sampling counts, augmentation factor, optimizer
-settings, graph-cut weights). Every run writes its resolved config next to
-its outputs so an experiment can be re-run from the artifact alone.
+The defaults are the one source of the pipeline's constants (neighbor
+counts, heatmap width and peak, per-step sampling counts, augmentation
+factor, optimizer settings, graph-cut weight, SVM penalty): library
+functions take their default arguments from these class attributes. Every
+run writes its resolved config next to its outputs so an experiment can be
+re-run from the artifact alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ ADJACENCY_MODES = ("static", "dynamic")
 class RunConfig:
     # graph-cut energy
     lam: float = 10.0
-    convex_multiplier: float = 30.0
     # neighbor graphs
     k_small: int = 6
     k_large: int = 12
@@ -51,7 +52,6 @@ class RunConfig:
     # evaluation; an eval run exits nonzero when pooled metrics miss these
     folds: int = 6
     val_count: int = 6
-    stages: int = 2
     min_dsc: float = 0.0
     max_mae: float = float("inf")
     # synthesis
@@ -70,15 +70,14 @@ class RunConfig:
             raise ConfigError(
                 f"adjacency must be one of {ADJACENCY_MODES}, got {self.adjacency!r}"
             )
-        if self.stages not in (1, 2):
-            raise ConfigError(f"stages must be 1 or 2, got {self.stages}")
         for name in ("k_small", "k_large", "seg_subsample", "roi_subsample",
-                     "augment_count", "seg_epochs", "lmk_epochs", "synth_count",
+                     "seg_epochs", "lmk_epochs", "val_every", "synth_count",
                      "target_cells", "synth_cells"):
-            if getattr(self, name) < 1 and name != "augment_count":
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.augment_count < 0:
-            raise ConfigError("augment_count must be nonnegative")
+        for name in ("augment_count", "patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.lr <= 0:

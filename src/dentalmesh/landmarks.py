@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import SchemaError
 
 NUM_TEETH = 14
@@ -31,8 +32,6 @@ _POSITION_SCHEMA = {
     7: (),
 }
 
-DEFAULT_PEAK = 1.0
-DEFAULT_SIGMA = 5.0
 LOW_CONFIDENCE = 0.1
 
 
@@ -109,8 +108,8 @@ def encode_heatmaps(
     barycenters: np.ndarray,
     tooth_id: int,
     positions: dict[str, np.ndarray],
-    sigma: float = DEFAULT_SIGMA,
-    peak: float = DEFAULT_PEAK,
+    sigma: float = RunConfig.sigma,
+    peak: float = RunConfig.peak,
 ) -> np.ndarray:
     """Gaussian heatmap targets for one tooth's landmarks.
 

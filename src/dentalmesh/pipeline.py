@@ -2,8 +2,11 @@
 
 Stage 1 runs the segmentation network on the decimated mesh, refines the
 probabilities with the graph cut, and carries the labels back to the full
-mesh with the RBF-SVM upsampler. Stage 2 crops one ROI per predicted tooth
-and decodes landmark positions from the per-tooth heatmap regressor.
+mesh with the RBF-SVM upsampler. The refinement and the upsampling live in
+refine_and_upsample alone, which also serves callers that bring their own
+probabilities, so how coarse labels reach the full mesh is decided in this
+module only. Stage 2 crops one ROI per predicted tooth and decodes landmark
+positions from the per-tooth heatmap regressor.
 
 Heatmap nets are shared between mirrored tooth pairs: UR4 and UL4 carry the
 same landmark schema, so nets are keyed by position type 1..7 and trained on
@@ -16,21 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import landmarks as lm
-from .geometry import (
-    decimate,
-    extract_features,
-    extract_roi,
-    knn_graph,
-    transfer_labels,
-)
+from .config import RunConfig
+from .geometry import decimate, extract_roi, transfer_labels
 from .mesh_io import Annotation, TriMesh
-from .postprocess import DEFAULT_LAMBDA, build_energy, refine_labels
+from .postprocess import build_energy, refine_labels
 from .svm import LabelUpsampler
-from .training import segmentation_probabilities
-
-COARSE_CELLS = 4500
+from .training import network_output, segmentation_probabilities
 
 
 def position_type(tooth_id: int) -> int:
@@ -60,7 +55,7 @@ class PreprocessedScan:
 
 
 def preprocess(mesh: TriMesh, ann: Annotation | None = None,
-               target_cells: int = COARSE_CELLS) -> PreprocessedScan:
+               target_cells: int = RunConfig.target_cells) -> PreprocessedScan:
     coarse, origin_map = decimate(mesh, target_cells)
     labels = None
     if ann is not None:
@@ -76,14 +71,13 @@ class SegmentationResult:
     energy_trace: list = field(default_factory=list)
 
 
-def segment_scan(seg_net, coarse_mesh: TriMesh, fine_mesh: TriMesh | None = None,
-                 lam: float = DEFAULT_LAMBDA, svm_c: float = 10.0,
-                 k_small: int = 6, k_large: int = 12) -> SegmentationResult:
-    """Stage 1: network probabilities, graph-cut refinement, SVM upsampling.
+def refine_and_upsample(coarse_mesh: TriMesh, probs: np.ndarray,
+                        fine_mesh: TriMesh | None = None, lam: float = RunConfig.lam,
+                        svm_c: float = RunConfig.svm_c) -> SegmentationResult:
+    """Graph-cut refinement of coarse probabilities, then SVM upsampling.
 
     With no fine mesh the refined coarse labels double as the final labels.
     """
-    probs = segmentation_probabilities(seg_net, coarse_mesh, k_small, k_large)
     model = build_energy(coarse_mesh, probs, lam)
     refined = refine_labels(model)
     if fine_mesh is None:
@@ -95,20 +89,18 @@ def segment_scan(seg_net, coarse_mesh: TriMesh, fine_mesh: TriMesh | None = None
     return SegmentationResult(probs, refined, fine_labels, model.energy_trace)
 
 
-def _heatmap_forward(net, mesh: TriMesh, k_small: int, k_large: int):
-    feats = extract_features(mesh)
-    x = ad.Tensor(feats.matrix)
-    with ad.no_grad():
-        if getattr(net, "uses_graphs", False):
-            g_small = knn_graph(mesh, k_small)
-            g_large = knn_graph(mesh, k_large)
-            return net.forward(x, g_small, g_large, training=False)
-        return net.forward(x, training=False)
+def segment_scan(seg_net, coarse_mesh: TriMesh, fine_mesh: TriMesh | None = None,
+                 lam: float = RunConfig.lam, svm_c: float = RunConfig.svm_c,
+                 k_small: int = RunConfig.k_small,
+                 k_large: int = RunConfig.k_large) -> SegmentationResult:
+    """Stage 1: network probabilities, then refine_and_upsample."""
+    probs = segmentation_probabilities(seg_net, coarse_mesh, k_small, k_large)
+    return refine_and_upsample(coarse_mesh, probs, fine_mesh, lam=lam, svm_c=svm_c)
 
 
 def locate_landmarks(heatmap_nets: dict, mesh: TriMesh, labels: np.ndarray,
-                     min_roi_cells: int = 4, k_small: int = 6,
-                     k_large: int = 12) -> tuple[dict, list]:
+                     min_roi_cells: int = 4, k_small: int = RunConfig.k_small,
+                     k_large: int = RunConfig.k_large) -> tuple[dict, list]:
     """Stage 2: per-tooth ROI crop, heatmap regression, argmax decode.
 
     heatmap_nets maps position type -> regressor. Returns (landmarks,
@@ -130,8 +122,8 @@ def locate_landmarks(heatmap_nets: dict, mesh: TriMesh, labels: np.ndarray,
         if net is None:
             skipped.append(tooth)
             continue
-        heat = _heatmap_forward(net, roi.mesh, k_small, k_large)
-        decoded = lm.decode_heatmaps(roi.mesh.cell_barycenters, tooth, heat.data)
+        heat = network_output(net, roi.mesh, k_small, k_large)
+        decoded = lm.decode_heatmaps(roi.mesh.cell_barycenters, tooth, heat)
         for name, estimate in decoded.items():
             landmarks[(tooth, name)] = estimate
     return landmarks, skipped
@@ -146,8 +138,9 @@ class InferenceResult:
 
 
 def infer_two_stage(seg_net, heatmap_nets: dict, scan: PreprocessedScan,
-                    lam: float = DEFAULT_LAMBDA, svm_c: float = 10.0,
-                    k_small: int = 6, k_large: int = 12) -> InferenceResult:
+                    lam: float = RunConfig.lam, svm_c: float = RunConfig.svm_c,
+                    k_small: int = RunConfig.k_small,
+                    k_large: int = RunConfig.k_large) -> InferenceResult:
     """Full pipeline on one preprocessed scan."""
     seg = segment_scan(seg_net, scan.coarse, scan.fine, lam=lam, svm_c=svm_c,
                        k_small=k_small, k_large=k_large)
@@ -157,8 +150,9 @@ def infer_two_stage(seg_net, heatmap_nets: dict, scan: PreprocessedScan,
 
 
 def infer_with_oracle_labels(heatmap_nets: dict, mesh: TriMesh,
-                             true_labels: np.ndarray, k_small: int = 6,
-                             k_large: int = 12) -> tuple[dict, list]:
+                             true_labels: np.ndarray,
+                             k_small: int = RunConfig.k_small,
+                             k_large: int = RunConfig.k_large) -> tuple[dict, list]:
     """Stage 2 fed ground-truth segmentation; the landmark ceiling."""
     return locate_landmarks(heatmap_nets, mesh, true_labels,
                             k_small=k_small, k_large=k_large)
@@ -166,27 +160,23 @@ def infer_with_oracle_labels(heatmap_nets: dict, mesh: TriMesh,
 
 def single_stage_layout() -> list:
     """Column order of the whole-scan regressor: every landmark of every tooth."""
-    out = []
-    for tooth in range(1, lm.NUM_TEETH + 1):
-        for name in lm.landmark_names(tooth):
-            out.append((tooth, name))
-    return out
+    return lm.all_landmark_keys()
 
 
-def single_stage_landmarks(net, mesh: TriMesh, k_small: int = 6,
-                           k_large: int = 12) -> dict:
+def single_stage_landmarks(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
+                           k_large: int = RunConfig.k_large) -> dict:
     """Whole-scan heatmap regression; no ROI cropping, one argmax per column."""
     layout = single_stage_layout()
-    heat = _heatmap_forward(net, mesh, k_small, k_large)
-    if heat.data.shape[1] != len(layout):
+    heat = network_output(net, mesh, k_small, k_large)
+    if heat.shape[1] != len(layout):
         raise ValueError(
-            f"single-stage net emits {heat.data.shape[1]} columns, "
+            f"single-stage net emits {heat.shape[1]} columns, "
             f"schema needs {len(layout)}"
         )
     bary = mesh.cell_barycenters
     result = {}
     for col, key in enumerate(layout):
-        idx = int(np.argmax(heat.data[:, col]))
-        conf = float(heat.data[idx, col])
+        idx = int(np.argmax(heat[:, col]))
+        conf = float(heat[idx, col])
         result[key] = (bary[idx].copy(), conf, conf < lm.LOW_CONFIDENCE)
     return result

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
+from .config import RunConfig
 from .mesh_io import TriMesh
 
 DATA_EPS = 1e-4
-DEFAULT_LAMBDA = 10.0
 CONVEX_BETA = 30.0
 THETA_FLOOR = 1e-3
 FLAT_TOLERANCE = 1e-9
@@ -40,7 +40,7 @@ class CutEnergyModel:
     probs: np.ndarray
     pairs: np.ndarray
     pair_cost: np.ndarray
-    lam: float = DEFAULT_LAMBDA
+    lam: float = RunConfig.lam
     eps: float = DATA_EPS
     energy_trace: list = field(default_factory=list)
 
@@ -81,7 +81,7 @@ def edge_cost(mesh: TriMesh, i: int, j: int) -> float:
 
 
 def build_energy(
-    mesh: TriMesh, probs: np.ndarray, lam: float = DEFAULT_LAMBDA
+    mesh: TriMesh, probs: np.ndarray, lam: float = RunConfig.lam
 ) -> CutEnergyModel:
     """Vectorized energy model over the mesh's edge-sharing cell pairs."""
     probs = np.asarray(probs, dtype=np.float64)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_C = 10.0
+from .config import RunConfig
+
 KKT_TOL = 1e-3
 MIN_ALPHA_STEP = 1e-5
 PREDICT_CHUNK = 2048
@@ -135,7 +136,7 @@ class _SmoState:
 class RbfSvm:
     """Binary soft-margin SVM; labels are +1 / -1."""
 
-    c: float = DEFAULT_C
+    c: float = RunConfig.svm_c
     gamma: float = 1.0
     max_sweeps: int = 200
     support_vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
@@ -197,7 +198,7 @@ class RbfSvm:
 class MultiClassSvm:
     """One-vs-rest wrapper; predicts the class with the largest decision value."""
 
-    def __init__(self, c: float = DEFAULT_C, gamma: float | None = None):
+    def __init__(self, c: float = RunConfig.svm_c, gamma: float | None = None):
         self.c = c
         self.gamma = gamma
         self.classes_: np.ndarray = np.zeros(0, dtype=np.int64)
@@ -265,7 +266,7 @@ class LabelUpsampler:
     width comes from the coarse sampling density (see spacing_gamma).
     """
 
-    def __init__(self, c: float = DEFAULT_C, gamma: float | None = None):
+    def __init__(self, c: float = RunConfig.svm_c, gamma: float | None = None):
         self.c = c
         self.gamma = gamma
         self.model = MultiClassSvm(c=c, gamma=gamma)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import landmarks as lm
+from .config import RunConfig
 from .errors import NonFiniteGradientError, TrainingDivergenceError
 from .geometry import (
     apply_augmentation,
@@ -30,10 +31,6 @@ from .geometry import (
 )
 from .mesh_io import TriMesh
 from .networks import generalized_dice_loss, mse_loss, one_hot
-
-SEG_SUBSAMPLE = 9000
-ROI_SUBSAMPLE = 1000
-DEFAULT_AUGMENT_COUNT = 20
 
 
 @dataclass
@@ -96,8 +93,8 @@ def _heatmap_target(tooth_id: int | None, barycenters: np.ndarray,
     return lm.encode_heatmaps(barycenters, tooth_id, positions, sigma=sigma, peak=peak)
 
 
-def _heatmap_forward(net, features: np.ndarray, points: np.ndarray,
-                     k_small: int, k_large: int, training: bool):
+def _forward(net, features: np.ndarray, points: np.ndarray,
+             k_small: int, k_large: int, training: bool):
     """Dispatch on trunk type: graph trunks need the two kNN graphs."""
     x = ad.Tensor(features)
     if getattr(net, "uses_graphs", False):
@@ -107,12 +104,22 @@ def _heatmap_forward(net, features: np.ndarray, points: np.ndarray,
     return net.forward(x, training=training)
 
 
+def network_output(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
+                   k_large: int = RunConfig.k_large) -> np.ndarray:
+    """Per-cell output of a frozen network on one whole mesh."""
+    feats = extract_features(mesh)
+    with ad.no_grad():
+        out = _forward(net, feats.matrix, mesh.cell_barycenters, k_small, k_large,
+                       training=False)
+    return out.data
+
+
 class _Loop:
     """Shared epoch driver: divergence guard, curves, best-state tracking."""
 
     def __init__(self, net, lr: float, patience: int | None, target_val: float | None,
                  val_larger_is_better: bool,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+                 betas: tuple[float, float], eps: float):
         self.net = net
         self.opt = ad.AmsGrad(net.parameters(), lr=lr, beta1=betas[0],
                               beta2=betas[1], eps=eps)
@@ -175,24 +182,17 @@ class _Loop:
         return self.result
 
 
-def predict_labels(net, mesh: TriMesh, k_small: int = 6, k_large: int = 12) -> np.ndarray:
+def segmentation_probabilities(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
+                               k_large: int = RunConfig.k_large) -> np.ndarray:
+    """(N, classes) probabilities of one mesh under the frozen network."""
+    return network_output(net, mesh, k_small, k_large)
+
+
+def predict_labels(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
+                   k_large: int = RunConfig.k_large) -> np.ndarray:
     """Argmax segmentation of one mesh under the frozen network."""
-    feats = extract_features(mesh)
-    g_small = knn_graph(mesh, k_small)
-    g_large = knn_graph(mesh, k_large)
-    with ad.no_grad():
-        probs = net.forward(ad.Tensor(feats.matrix), g_small, g_large, training=False)
-    return np.argmax(probs.data, axis=1).astype(np.int64)
-
-
-def segmentation_probabilities(net, mesh: TriMesh, k_small: int = 6,
-                               k_large: int = 12) -> np.ndarray:
-    feats = extract_features(mesh)
-    g_small = knn_graph(mesh, k_small)
-    g_large = knn_graph(mesh, k_large)
-    with ad.no_grad():
-        probs = net.forward(ad.Tensor(feats.matrix), g_small, g_large, training=False)
-    return probs.data
+    probs = segmentation_probabilities(net, mesh, k_small, k_large)
+    return np.argmax(probs, axis=1).astype(np.int64)
 
 
 def _mean_dice(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -214,13 +214,13 @@ def train_segmentation(
     *,
     epochs: int,
     seed: int,
-    lr: float = 1e-3,
-    subsample: int = SEG_SUBSAMPLE,
-    augment_count: int = DEFAULT_AUGMENT_COUNT,
-    k_small: int = 6,
-    k_large: int = 12,
-    betas: tuple[float, float] = (0.9, 0.999),
-    adam_eps: float = 1e-8,
+    lr: float = RunConfig.lr,
+    subsample: int = RunConfig.seg_subsample,
+    augment_count: int = RunConfig.augment_count,
+    k_small: int = RunConfig.k_small,
+    k_large: int = RunConfig.k_large,
+    betas: tuple[float, float] = (RunConfig.beta1, RunConfig.beta2),
+    adam_eps: float = RunConfig.adam_eps,
     val_samples: list[SegSample] | None = None,
     val_every: int = 1,
     patience: int | None = None,
@@ -253,12 +253,8 @@ def train_segmentation(
                 mesh, _ = apply_augmentation(sample.mesh, None, augs[s][variant - 1])
             feats = extract_features(mesh)
             idx = _subsample_indices(rng, mesh.num_cells, subsample)
-            points = mesh.cell_barycenters[idx]
-            g_small = knn_graph(points, k_small)
-            g_large = knn_graph(points, k_large)
-            probs = net.forward(
-                ad.Tensor(feats.matrix[idx]), g_small, g_large, training=True
-            )
+            probs = _forward(net, feats.matrix[idx], mesh.cell_barycenters[idx],
+                             k_small, k_large, training=True)
             loss = generalized_dice_loss(probs, one_hot(sample.labels[idx]))
             losses.append(loop.step(loss))
         val = None
@@ -287,15 +283,15 @@ def train_heatmap(
     *,
     epochs: int,
     seed: int,
-    lr: float = 1e-3,
-    subsample: int = ROI_SUBSAMPLE,
-    augment_count: int = DEFAULT_AUGMENT_COUNT,
-    sigma: float = lm.DEFAULT_SIGMA,
-    peak: float = lm.DEFAULT_PEAK,
-    k_small: int = 6,
-    k_large: int = 12,
-    betas: tuple[float, float] = (0.9, 0.999),
-    adam_eps: float = 1e-8,
+    lr: float = RunConfig.lr,
+    subsample: int = RunConfig.roi_subsample,
+    augment_count: int = RunConfig.augment_count,
+    sigma: float = RunConfig.sigma,
+    peak: float = RunConfig.peak,
+    k_small: int = RunConfig.k_small,
+    k_large: int = RunConfig.k_large,
+    betas: tuple[float, float] = (RunConfig.beta1, RunConfig.beta2),
+    adam_eps: float = RunConfig.adam_eps,
     val_samples: list[HeatmapSample] | None = None,
     val_every: int = 1,
     patience: int | None = None,
@@ -335,10 +331,8 @@ def train_heatmap(
             target = _heatmap_target(
                 sample.tooth_id, mesh.cell_barycenters[idx], positions, sigma, peak
             )
-            pred = _heatmap_forward(
-                net, feats.matrix[idx], mesh.cell_barycenters[idx],
-                k_small, k_large, training=True
-            )
+            pred = _forward(net, feats.matrix[idx], mesh.cell_barycenters[idx],
+                            k_small, k_large, training=True)
             losses.append(loop.step(mse_loss(pred, target)))
         val = None
         if val_samples and (epoch + 1) % val_every == 0:
@@ -353,20 +347,16 @@ def train_heatmap(
 
 
 def heatmap_validation_mse(net, samples: list[HeatmapSample], *,
-                           sigma: float = lm.DEFAULT_SIGMA,
-                           peak: float = lm.DEFAULT_PEAK,
-                           k_small: int = 6, k_large: int = 12) -> float:
+                           sigma: float = RunConfig.sigma,
+                           peak: float = RunConfig.peak,
+                           k_small: int = RunConfig.k_small,
+                           k_large: int = RunConfig.k_large) -> float:
     total = 0.0
     for sample in samples:
-        feats = extract_features(sample.mesh)
-        with ad.no_grad():
-            pred = _heatmap_forward(
-                net, feats.matrix, sample.mesh.cell_barycenters,
-                k_small, k_large, training=False
-            )
+        pred = network_output(net, sample.mesh, k_small, k_large)
         target = _heatmap_target(
             sample.tooth_id, sample.mesh.cell_barycenters, sample.positions,
             sigma, peak
         )
-        total += float(np.mean((pred.data - target) ** 2))
+        total += float(np.mean((pred - target) ** 2))
     return total / len(samples)

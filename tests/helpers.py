@@ -6,7 +6,11 @@ import itertools
 
 import numpy as np
 
+from dentalmesh import autodiff as ad
 from dentalmesh.mesh_io import TriMesh
+
+FD_STEP = 1e-6
+FD_TOL = 1e-6
 
 
 def grid_mesh(nx: int, ny: int, spacing: float = 1.0,
@@ -126,6 +130,21 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def check_grads(build_loss, arrays):
+    """build_loss() -> (loss Tensor, params); FD over every element.
+
+    arrays[i] must be the storage params[i] reads, so perturbing it in
+    place changes the next build_loss().
+    """
+    loss, params = build_loss()
+    ad.backward(loss)
+    for p, arr in zip(params, arrays):
+        coords = list(range(arr.size))
+        numeric = numeric_grad(lambda: float(build_loss()[0].data), arr, coords, FD_STEP)
+        analytic = p.gradient().ravel()[coords]
+        assert relative_error(analytic, numeric) < FD_TOL, p.name
 
 
 def sample_coords(rng: np.random.Generator, size: int, count: int):

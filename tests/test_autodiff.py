@@ -8,21 +8,7 @@ from hypothesis import strategies as st
 from dentalmesh import autodiff as ad
 from dentalmesh.errors import NonFiniteGradientError, ShapeError
 
-from helpers import numeric_grad, relative_error
-
-H = 1e-6
-TOL = 1e-6
-
-
-def check_grads(build_loss, arrays):
-    """build_loss() -> (loss Tensor, params); FD over every element."""
-    loss, params = build_loss()
-    ad.backward(loss)
-    for p, arr in zip(params, arrays):
-        coords = list(range(arr.size))
-        numeric = numeric_grad(lambda: float(build_loss()[0].data), arr, coords, H)
-        analytic = p.gradient().ravel()[coords]
-        assert relative_error(analytic, numeric) < TOL, p.name
+from helpers import check_grads, numeric_grad, relative_error
 
 
 def test_matmul_relu_chain_gradients(rng):
@@ -100,25 +86,6 @@ def test_batch_norm_gradients(rng):
 
     check_grads(build(True), [x, gamma, beta])
     check_grads(build(False), [x, gamma, beta])
-
-
-def test_neighbor_max_gradients(rng):
-    x = rng.normal(size=(5, 3))
-    w = rng.normal(size=(6, 2))
-    nbrs = np.array([[0, 1, 2], [1, 0, 3], [2, 4, 0], [3, 1, 4], [4, 2, 3]])
-
-    def build():
-        xp = ad.Parameter(x, name="x")
-        wp = ad.Parameter(w, name="w")
-
-        def edge_fn(diff, center):
-            return ad.concat([diff, center], axis=1) @ wp
-
-        out = ad.neighbor_max(xp, nbrs, edge_fn)
-        weights = np.cos(np.arange(out.data.size)).reshape(out.shape)
-        return ad.reduce_sum(out * weights), [xp, wp]
-
-    check_grads(build, [x, w])
 
 
 def test_batch_norm_running_stats(rng):

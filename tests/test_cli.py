@@ -8,8 +8,16 @@ import pytest
 from dentalmesh import __version__, cli
 from dentalmesh.config import RunConfig, load_config
 from dentalmesh.errors import ConfigError, SchemaError, TrainingDivergenceError
-from dentalmesh.mesh_io import load_checkpoint, load_mesh, save_annotation, save_mesh
+from dentalmesh.geometry import nearest_rows
+from dentalmesh.mesh_io import (
+    load_checkpoint,
+    load_mesh,
+    save_annotation,
+    save_matrix,
+    save_mesh,
+)
 from dentalmesh.mesh_io import Annotation
+from dentalmesh.pipeline import preprocess
 
 from helpers import bump_scene
 
@@ -197,3 +205,149 @@ def test_resolved_config_precedence(tiny_dataset, tmp_path):
     assert resolved.lam == 4.0  # from the file
     assert resolved.seg_epochs == 2  # --set wins over the file
     assert resolved.data_dir == str(tmp_path / "d")  # --data wins over both
+
+
+def test_out_of_range_schedule_values_exit_1(tiny_dataset, tmp_path, caplog):
+    base = ["train-seg", "--data", str(tiny_dataset), "--run", str(tmp_path / "r")]
+    for override, key in (("val_every=0", "val_every"), ("patience=-1", "patience")):
+        caplog.clear()
+        assert cli.main(base + ["--set", override]) == 1
+        assert key in caplog.text
+
+
+def test_stale_preprocess_artifacts_are_ignored(tiny_dataset, tmp_path):
+    rc = cli.main([
+        "preprocess", "--data", str(tiny_dataset), "--run", str(tmp_path / "run"),
+        "--set", "target_cells=1200",
+    ])
+    assert rc == 0
+    mesh_path, ann_path = cli._discover_scans(tiny_dataset)[0]
+    # the artifact fits its own target: reused, and identical to decimating
+    scan, ann = cli._load_preprocessed(mesh_path, ann_path, 1200)
+    fresh = preprocess(scan.fine, ann, 1200)
+    assert np.array_equal(scan.coarse.vertices, fresh.coarse.vertices)
+    assert np.array_equal(scan.coarse.cells, fresh.coarse.cells)
+    assert np.array_equal(scan.origin_map, fresh.origin_map)
+    assert np.array_equal(scan.coarse_labels, fresh.coarse_labels)
+    # a 1,200-cell artifact cannot come from target 2000: decimated afresh
+    scan, _ = cli._load_preprocessed(mesh_path, ann_path, 2000)
+    assert 1998 <= scan.coarse.num_cells <= 2000
+    assert np.array_equal(
+        scan.origin_map,
+        nearest_rows(scan.fine.cell_barycenters, scan.coarse.cell_barycenters),
+    )
+
+
+# ---------------------------------------------------------------------------
+# success paths end to end, on a tiny config
+
+TINY = [
+    "--set", "target_cells=300", "--set", "seg_subsample=200",
+    "--set", "roi_subsample=200", "--set", "seg_epochs=1",
+    "--set", "lmk_epochs=1", "--set", "augment_count=1",
+    "--set", "folds=2", "--set", "val_count=1",
+]
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """Four 4,500-cell arches with both stages trained for one epoch."""
+    root = tmp_path_factory.mktemp("e2e")
+    data = root / "data"
+    rc = cli.main([
+        "synth", "--data", str(data), "--run", str(root / "synth"),
+        "--set", "synth_count=4", "--set", "synth_cells=4500",
+    ])
+    assert rc == 0
+    args = ["--data", str(data), "--run", str(root / "run")] + TINY
+    assert cli.main(["train-seg"] + args) == 0
+    assert cli.main(["train-lmk"] + args) == 0
+    return root, args
+
+
+def test_train_commands_write_checkpoints(trained_run):
+    root, _ = trained_run
+    run = root / "run"
+    assert (run / "checkpoints" / "seg.ckpt").exists()
+    for t in (1, 2, 3, 4, 6):
+        arch, _, meta = load_checkpoint(run / "checkpoints" / f"lmk_pos{t}.ckpt")
+        assert arch.startswith("point-heatmap-net/") and meta["position_type"] == t
+    report = json.loads((run / "reports" / "train_lmk.json").read_text())
+    assert sorted(report) == ["pos1", "pos2", "pos3", "pos4", "pos6"]
+    assert (run / "reports" / "train_seg.json").exists()
+
+
+def test_infer_with_and_without_probs(trained_run):
+    root, args = trained_run
+    run, mesh = root / "run", str(root / "data" / "arch_000.off")
+    labeled = run / "meshes" / "arch_000_labeled.json"
+    landmarks = run / "reports" / "arch_000_landmarks.json"
+    assert cli.main(["infer", "--mesh", mesh] + args) == 0
+    plain = (labeled.read_bytes(), landmarks.read_bytes())
+    probs = run / "reports" / "arch_000_probs.mat"
+    assert (run / "meshes" / "arch_000_labeled.off").exists() and probs.exists()
+    # refining the network's own probabilities reproduces the plain run
+    assert cli.main(["infer", "--mesh", mesh, "--probs", str(probs)] + args) == 0
+    assert (labeled.read_bytes(), landmarks.read_bytes()) == plain
+
+
+def test_infer_rejects_bad_probs_with_exit_2(trained_run, tmp_path, caplog):
+    _, args = trained_run
+    # a mesh below target_cells is not decimated, so its probs have one row per cell
+    mesh, _, _ = bump_scene(12, 0)
+    save_mesh(mesh, tmp_path / "small.off")
+    good = np.full((mesh.num_cells, 15), 1.0 / 15)
+    nan, negative = good.copy(), good.copy()
+    nan[0, 0] = np.nan
+    negative[1, 2] = -0.5
+    for name, matrix in (("nan", nan), ("negative", negative),
+                         ("columns", good[:, :-1])):
+        path = tmp_path / f"{name}.mat"
+        save_matrix(path, matrix)
+        caplog.clear()
+        rc = cli.main(["infer", "--mesh", str(tmp_path / "small.off"),
+                       "--probs", str(path)] + args)
+        assert rc == 2 and "probability matrix" in caplog.text
+    save_matrix(tmp_path / "good.mat", good)
+    assert cli.main(["infer", "--mesh", str(tmp_path / "small.off"),
+                     "--probs", str(tmp_path / "good.mat")] + args) == 0
+
+
+def test_eval_reruns_byte_identical(trained_run, tmp_path):
+    root, args = trained_run
+    assert cli.main(["eval"] + args) == 0
+    reports = root / "run" / "reports"
+    for name in ("eval.json", "per_tooth_dsc.csv", "per_tooth_mae.csv"):
+        assert (reports / name).exists()
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((reports / "eval.json").read_text(), parse_constant=reject)
+    assert summary["n_total"] == 4
+    rerun = ["--data", str(root / "data"), "--run", str(tmp_path / "run2")] + TINY
+    assert cli.main(["eval"] + rerun) == 0
+    assert ((tmp_path / "run2" / "reports" / "eval.json").read_bytes()
+            == (reports / "eval.json").read_bytes())
+
+
+def test_eval_ceiling(trained_run):
+    root, args = trained_run
+    assert cli.main(["eval", "--ceiling", "--indices", "1"] + args) == 0
+    report = json.loads((root / "run" / "reports" / "ceiling.json").read_text())
+    assert [r["row"] for r in report["rows"]] == ["overall", "stage1", "improvement"]
+    assert report["test_scans"] == [1]
+
+
+def test_ablate_table_and_adjacency(trained_run):
+    root, args = trained_run
+    reports = root / "run" / "reports"
+    assert cli.main(["ablate", "--methods", "table"] + args) == 0
+    rows = json.loads((reports / "ablate_methods.json").read_text())["rows"]
+    assert [r["method"] for r in rows] == [
+        "single-stage-pointnet", "single-stage-graphnet",
+        "two-stage-pointnet", "two-stage-graphnet",
+    ]
+    assert cli.main(["ablate", "--methods", "adjacency"] + args) == 0
+    rows = json.loads((reports / "ablate_adjacency.json").read_text())["rows"]
+    assert [r["adjacency"] for r in rows] == ["static", "dynamic"]

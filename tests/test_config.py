@@ -1,9 +1,12 @@
 """Config file parsing, overrides, and validation."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+import dentalmesh
 from dentalmesh import config as cfg
 from dentalmesh.config import RunConfig
 from dentalmesh.errors import ConfigError
@@ -86,8 +89,9 @@ def test_apply_overrides_errors():
     [
         ("lam", -1.0, "nonnegative"),
         ("adjacency", "mesh", "adjacency"),
-        ("stages", 3, "stages"),
         ("k_small", 0, "positive"),
+        ("val_every", 0, "val_every must be positive"),
+        ("patience", -1, "patience must be nonnegative"),
         ("seg_epochs", 0, "positive"),
         ("augment_count", -1, "nonnegative"),
         ("sigma", 0.0, "positive"),
@@ -108,3 +112,13 @@ def test_format_config_lists_every_field():
     text = cfg.format_config(RunConfig())
     for f in dataclasses.fields(RunConfig):
         assert any(line.startswith(f"{f.name} = ") for line in text.splitlines())
+
+
+def test_every_field_is_read_outside_config():
+    """A key that no module reads is parsed, validated and stamped for nothing."""
+    package = Path(dentalmesh.__file__).parent
+    source = "\n".join(p.read_text() for p in sorted(package.glob("*.py"))
+                       if p.name != "config.py")
+    unread = [f.name for f in dataclasses.fields(RunConfig)
+              if not re.search(rf"\b(?:config|RunConfig)\.{f.name}\b", source)]
+    assert unread == []

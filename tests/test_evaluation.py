@@ -218,3 +218,16 @@ def test_write_json_report(tmp_path):
     doc = json.loads(path.read_text())
     assert doc == {"b": 1, "a": [1, 2]}
     assert path.read_text().endswith("\n")
+
+
+def test_write_json_report_writes_non_finite_as_null(tmp_path):
+    import json
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    path = tmp_path / "r.json"
+    ev.write_json_report(path, {"mae": float("nan"), "n": np.float64("nan"),
+                                "rows": [{"x": float("inf")}, (1.5, -np.inf)]})
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc == {"mae": None, "n": None, "rows": [{"x": None}, [1.5, None]]}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dentalmesh import landmarks as lm
+from dentalmesh.config import RunConfig
 from dentalmesh.errors import SchemaError
 
 
@@ -64,14 +65,14 @@ def test_encode_peak_and_sigma_point():
     bary = np.array(
         [
             [0.0, 0.0, 0.0],  # at the landmark
-            [lm.DEFAULT_SIGMA, 0.0, 0.0],  # exactly one sigma out
+            [RunConfig.sigma, 0.0, 0.0],  # exactly one sigma out
             [100.0, 0.0, 0.0],  # far away
         ]
     )
     heat = lm.encode_heatmaps(bary, 3, {"CCT": np.zeros(3)})
     assert heat.shape == (3, 3)
     col = list(lm.landmark_names(3)).index("CCT")
-    assert heat[0, col] == pytest.approx(lm.DEFAULT_PEAK, abs=1e-15)
+    assert heat[0, col] == pytest.approx(RunConfig.peak, abs=1e-15)
     assert heat[1, col] == pytest.approx(math.exp(-0.5), abs=1e-12)
     assert heat[2, col] < 1e-80
     # names missing from positions give all-zero columns

@@ -9,6 +9,8 @@ from dentalmesh import networks as nets
 from dentalmesh.autodiff import Tensor
 from dentalmesh.errors import CheckpointError
 
+from helpers import check_grads
+
 
 def _features_and_graphs(n=24, seed=0, dim=15):
     rng = np.random.default_rng(seed)
@@ -213,3 +215,42 @@ def test_training_flag_changes_batch_norm_path():
     # training passes update the running stats
     state = net.state_arrays()
     assert state["mlp1.0.bn.state.steps"][0] == 1.0
+
+
+def test_edge_conv_gradients_in_training_mode():
+    """Finite differences through gather, subtract, BN, ReLU and max."""
+    rng = np.random.default_rng(4)
+    conv = nets.EdgeConv(rng, cin=3, cout=4, k=3, name="ec")
+    conv.bias.data[:] = rng.normal(size=4)
+    conv.bn.gamma.data[:] = [1.3, -0.7, 0.4, -1.1]  # both signs of the max
+    conv.bn.beta.data[:] = rng.normal(size=4)
+    x = rng.normal(size=(6, 3))
+    graph = geo.knn_graph(rng.normal(size=(6, 3)), 3)
+    params = [conv.weight, conv.bias, conv.bn.gamma, conv.bn.beta]
+    weights = np.cos(np.arange(6 * 4)).reshape(6, 4)
+
+    def build():
+        xp = ad.Parameter(x, name="x")
+        out = conv(xp, graph, training=True)
+        return ad.reduce_sum(out * weights), [xp] + params
+
+    check_grads(build, [x] + [p.data for p in params])
+
+
+def test_edge_conv_inference_path_matches_autodiff():
+    """The chunked no-grad path equals the autodiff path in eval mode."""
+    rng = np.random.default_rng(5)
+    n, k, cout = 1100, 16, 256  # n * k * cout > 2**22: two inference chunks
+    conv = nets.EdgeConv(rng, cin=8, cout=cout, k=k)
+    conv.bias.data[:] = rng.normal(size=cout)
+    conv.bn.gamma.data[:] = rng.uniform(-1.5, 1.5, size=cout)
+    conv.bn.beta.data[:] = rng.normal(size=cout)
+    conv.bn.state.mean[:] = rng.normal(size=cout)
+    conv.bn.state.var[:] = rng.uniform(0.5, 2.0, size=cout)
+    x = Tensor(rng.normal(size=(n, 8)))
+    graph = geo.knn_graph(rng.normal(size=(n, 3)), k)
+    reference = conv(x, graph, training=False).data
+    with ad.no_grad():
+        fast = conv(x, graph, training=False).data
+    scale = float(np.abs(reference).max())
+    np.testing.assert_allclose(fast, reference, rtol=1e-12, atol=1e-12 * scale)

@@ -74,17 +74,17 @@ def test_locate_landmarks_with_oracle_heatmaps():
         bary = roi_mesh.cell_barycenters
         positions = {n: p for (t, n), p in landmarks.items() if t == tooth}
         calls.append(tooth)
-        return ad.Tensor(lm.encode_heatmaps(bary, tooth, positions))
+        return lm.encode_heatmaps(bary, tooth, positions)
 
-    original = pl._heatmap_forward
-    pl._heatmap_forward = fake_forward
+    original = pl.network_output
+    pl.network_output = fake_forward
     try:
         # one shared net per position type; 3 and 10 both map to type 3
         nets = {pl.position_type(3): object()}
         assert pl.position_type(10) in nets
         found, skipped = pl.locate_landmarks(nets, mesh, labels)
     finally:
-        pl._heatmap_forward = original
+        pl.network_output = original
 
     assert sorted(calls) == [3, 10]
     # teeth 3 and 10 exist; every other landmark tooth is absent
@@ -231,16 +231,16 @@ def test_infer_with_oracle_labels_uses_truth_directly():
     def fake_forward(net, roi_mesh, k_small, k_large):
         tooth = _tooth_from_roi(roi_mesh, mesh, labels)
         positions = {n: p for (t, n), p in landmarks.items() if t == tooth}
-        return ad.Tensor(lm.encode_heatmaps(roi_mesh.cell_barycenters, tooth, positions))
+        return lm.encode_heatmaps(roi_mesh.cell_barycenters, tooth, positions)
 
-    original = pl._heatmap_forward
-    pl._heatmap_forward = fake_forward
+    original = pl.network_output
+    pl.network_output = fake_forward
     try:
         found, skipped = pl.infer_with_oracle_labels(
             {pl.position_type(3): object()}, mesh, labels
         )
     finally:
-        pl._heatmap_forward = original
+        pl.network_output = original
     assert set(found) == set(landmarks)
     for (tooth, name), (pos, _, _) in found.items():
         roi_bary = mesh.cell_barycenters[labels == tooth]

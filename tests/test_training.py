@@ -6,6 +6,7 @@ import pytest
 from dentalmesh import autodiff as ad
 from dentalmesh import landmarks as lm
 from dentalmesh import training as tr
+from dentalmesh.config import RunConfig
 from dentalmesh.errors import TrainingDivergenceError
 from dentalmesh.mesh_io import TriMesh
 from dentalmesh.networks import PointHeatmapNet, ToothSegNet
@@ -224,7 +225,7 @@ def test_whole_scan_target_uses_full_schema():
     bary = rng.normal(size=(17, 3))
     point = rng.normal(size=3)
     target = tr._heatmap_target(None, bary, {(6, "MLA"): point},
-                                lm.DEFAULT_SIGMA, lm.DEFAULT_PEAK)
+                                RunConfig.sigma, RunConfig.peak)
     keys = lm.all_landmark_keys()
     assert target.shape == (17, len(keys))
     col = keys.index((6, "MLA"))
