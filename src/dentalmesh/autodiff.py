@@ -60,9 +60,6 @@ class Tensor:
             return np.zeros_like(self.data)
         return self.grad
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
@@ -247,16 +244,6 @@ def sigmoid(x) -> Tensor:
 
     def grad_fn(g):
         _accumulate(x, g * data * (1.0 - data))
-
-    return _make(data, (x,), grad_fn)
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.log(x.data)
-
-    def grad_fn(g):
-        _accumulate(x, g / x.data)
 
     return _make(data, (x,), grad_fn)
 

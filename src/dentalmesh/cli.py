@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from . import landmarks as lm
-from .config import RunConfig, apply_overrides, format_config, load_config
+from .config import RunConfig, apply_overrides, load_config, write_config
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -73,7 +73,6 @@ from .pipeline import (
     PreprocessedScan,
     heatmap_position_types,
     infer_two_stage,
-    infer_with_oracle_labels,
     locate_landmarks,
     position_type,
     preprocess,
@@ -103,7 +102,7 @@ def _ensure_run_dir(config: RunConfig) -> Path:
     run = Path(config.run_dir)
     for sub in RUN_SUBDIRS:
         (run / sub).mkdir(parents=True, exist_ok=True)
-    (run / "config" / "resolved.cfg").write_text(format_config(config))
+    write_config(config, run / "config" / "resolved.cfg")
     (run / "config" / "version.txt").write_text(f"dentalmesh {__version__}\n")
     return run
 
@@ -185,31 +184,45 @@ def _progress(stage: str):
 # model construction and checkpoints
 
 
-def _net_from_checkpoint(path: Path, stage: str):
+SEG_ARCH = "tooth-seg-net"
+LMK_ARCH = "point-heatmap-net"
+
+
+def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int):
+    """The net saved at path, checked before any compute runs on it.
+
+    It must be a `family` net with out_channels outputs, and a segmentation
+    net must end in a softmax; anything else is a CheckpointError.
+    """
     if not Path(path).exists():
         raise CheckpointError(
             f"{stage} checkpoint missing: {path} (run the matching train "
             f"command first)"
         )
     arch, arrays, meta = load_checkpoint(path)
-    if arch.startswith("tooth-seg-net/"):
-        net = ToothSegNet(
-            seed=0,
-            in_dim=int(meta.get("in_dim", 15)),
-            out_channels=int(meta.get("out_channels", NUM_CLASSES)),
-            head=meta.get("head", "softmax"),
-            adjacency=meta.get("adjacency", "static"),
+    if not arch.startswith(family + "/"):
+        raise CheckpointError(f"{path}: {stage} needs a {family}, found {arch!r}")
+    head = meta.get("head", "softmax")
+    if family == SEG_ARCH and head != "softmax":
+        raise CheckpointError(f"{path}: {stage} needs a softmax head, found {head!r}")
+    width = int(meta.get("out_channels", NUM_CLASSES if family == SEG_ARCH else 1))
+    if width != out_channels:
+        raise CheckpointError(
+            f"{path}: {width} output channels, {stage} needs {out_channels}"
         )
-    elif arch.startswith("point-heatmap-net/"):
-        net = PointHeatmapNet(
-            seed=0,
-            in_dim=int(meta.get("in_dim", 15)),
-            out_channels=int(meta.get("out_channels", 1)),
-        )
+    in_dim = int(meta.get("in_dim", 15))
+    if family == SEG_ARCH:
+        net = ToothSegNet(seed=0, in_dim=in_dim, out_channels=width,
+                          adjacency=meta.get("adjacency", "static"))
     else:
-        raise CheckpointError(f"{path}: unknown architecture {arch!r}")
+        net = PointHeatmapNet(seed=0, in_dim=in_dim, out_channels=width)
     net.load_state_arrays(arrays)
-    return net, meta
+    return net
+
+
+def _load_seg_net(run: Path):
+    return _net_from_checkpoint(run / "checkpoints" / "seg.ckpt", "segmentation",
+                                SEG_ARCH, NUM_CLASSES)
 
 
 def _load_heatmap_nets(run: Path, config: RunConfig) -> dict:
@@ -219,7 +232,8 @@ def _load_heatmap_nets(run: Path, config: RunConfig) -> dict:
     for t in heatmap_position_types():
         path = run / "checkpoints" / f"lmk_pos{t}.ckpt"
         if path.exists():
-            nets[t], _ = _net_from_checkpoint(path, f"landmark type {t}")
+            nets[t] = _net_from_checkpoint(path, f"landmark type {t}", LMK_ARCH,
+                                           len(lm.landmark_names(t)))
         else:
             missing.append(t)
     if not nets:
@@ -282,7 +296,7 @@ def _fit(fit, net, config: RunConfig, run: Path, tag: str, samples: list,
             adam_eps=config.adam_eps,
             val_samples=val_samples or None,
             val_every=config.val_every,
-            patience=config.patience or None,
+            patience=config.patience,
             on_epoch=_progress(tag),
             **kwargs,
         )
@@ -501,6 +515,7 @@ def cmd_infer(args, config: RunConfig) -> int:
     mesh = load_mesh(args.mesh)
     stem = Path(args.mesh).stem
     heatmap_nets = _load_heatmap_nets(run, config)
+    seg_net = None if args.probs else _load_seg_net(run)
     scan = preprocess(mesh, None, config.target_cells)
 
     if args.probs:
@@ -517,8 +532,6 @@ def cmd_infer(args, config: RunConfig) -> int:
         seg = refine_and_upsample(scan.coarse, probs, scan.fine,
                                   lam=config.lam, svm_c=config.svm_c)
     else:
-        seg_net, _ = _net_from_checkpoint(run / "checkpoints" / "seg.ckpt",
-                                          "segmentation")
         seg = segment_scan(seg_net, scan.coarse, scan.fine,
                            lam=config.lam, svm_c=config.svm_c,
                            k_small=config.k_small, k_large=config.k_large)
@@ -556,8 +569,7 @@ def _parse_indices(text: str, n: int) -> list[int]:
 
 def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
     """Landmark error with predicted vs ground-truth segmentation."""
-    seg_net, _ = _net_from_checkpoint(run / "checkpoints" / "seg.ckpt",
-                                      "segmentation")
+    seg_net = _load_seg_net(run)
     heatmap_nets = _load_heatmap_nets(run, config)
     if args.indices:
         test_idx = _parse_indices(args.indices, len(pairs))
@@ -573,7 +585,8 @@ def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
                                  lam=config.lam, svm_c=config.svm_c,
                                  k_small=config.k_small, k_large=config.k_large)
         full_pairs.append((result.landmarks, ann.landmarks))
-        oracle_marks, _ = infer_with_oracle_labels(
+        # stage 2 fed the ground-truth segmentation: the landmark ceiling
+        oracle_marks, _ = locate_landmarks(
             heatmap_nets, scan.fine, ann.labels,
             k_small=config.k_small, k_large=config.k_large,
         )

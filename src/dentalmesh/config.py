@@ -46,6 +46,8 @@ class RunConfig:
     seg_epochs: int = 30
     lmk_epochs: int = 30
     val_every: int = 2
+    # validations in a row without improvement before training stops; 0 never
+    # stops early
     patience: int = 5
     # SVM upsampler
     svm_c: float = 10.0

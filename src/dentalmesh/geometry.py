@@ -2,8 +2,8 @@
 
 Covers quadric edge-collapse decimation with a fine-to-coarse cell map,
 15-column per-cell feature extraction, kNN graph construction, dihedral
-angle classification, per-tooth ROI extraction, and the rigid augmentation
-and mirroring used to expand training data.
+angle classification, per-tooth ROI extraction, and the random rigid
+augmentation the training loops draw from.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class KnnGraph:
 
     k: int
     neighbors: np.ndarray  # (N, k) int64
-    space: str = "euclidean-barycenter"
 
     @property
     def num_cells(self) -> int:
@@ -124,24 +123,14 @@ def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def knn_graph(
-    mesh_or_points,
-    k: int,
-    space: str = "euclidean-barycenter",
-    features: np.ndarray | None = None,
-) -> KnnGraph:
+def knn_graph(mesh_or_points, k: int) -> KnnGraph:
     """k nearest neighbors with a self-loop, ties broken by lower index.
 
-    space 'euclidean-barycenter' (the default, used by the static network
-    graphs) measures distances between cell barycenters; 'feature-space'
-    measures them between rows of `features` (or of the input array) and is
-    meant for the dynamic-adjacency ablation only.
+    A mesh is measured between its cell barycenters; an (N, D) array between
+    its rows, which is how the dynamic-adjacency ablation builds graphs in
+    feature space.
     """
-    if space not in ("euclidean-barycenter", "feature-space"):
-        raise ValueError(f"unknown kNN space {space!r}")
-    if space == "feature-space" and features is not None:
-        points = np.asarray(features, dtype=np.float64)
-    elif isinstance(mesh_or_points, TriMesh):
+    if isinstance(mesh_or_points, TriMesh):
         points = mesh_or_points.cell_barycenters
     else:
         points = np.asarray(mesh_or_points, dtype=np.float64)
@@ -153,7 +142,7 @@ def knn_graph(
     if k > n:
         warnings.warn(f"k={k} exceeds {n} cells, clamping", stacklevel=2)
         k = n
-    return KnnGraph(k=k, neighbors=_knn_indices(points, k), space=space)
+    return KnnGraph(k=k, neighbors=_knn_indices(points, k))
 
 
 def nearest_rows(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -371,11 +360,6 @@ def transfer_labels(
     return np.argmax(votes, axis=1).astype(np.int64)
 
 
-def project_labels(origin_map: np.ndarray, coarse_labels: np.ndarray) -> np.ndarray:
-    """Coarse labels pulled back onto fine cells through the origin map."""
-    return coarse_labels[origin_map]
-
-
 # ---------------------------------------------------------------------------
 # region of interest
 
@@ -412,6 +396,10 @@ class RigidAugmentation:
     translation: np.ndarray  # (3,) mm
     rotation: np.ndarray  # (3,) radians about x, y, z
     scale: np.ndarray  # (3,)
+
+    def linear(self) -> np.ndarray:
+        """The map applied before translation: scale in the object frame, rotate."""
+        return rotation_matrix(self.rotation) * self.scale[None, :]
 
 
 def sample_augmentation(rng: np.random.Generator) -> RigidAugmentation:
@@ -454,7 +442,7 @@ def apply_augmentation(
 
     All scale factors are positive, so winding and outward normals survive.
     """
-    linear = rotation_matrix(aug.rotation) * aug.scale[None, :]
+    linear = aug.linear()
     vertices = mesh.vertices @ linear.T + aug.translation
     out_mesh = TriMesh(vertices, mesh.cells.copy())
     if ann is None:
@@ -463,36 +451,3 @@ def apply_augmentation(
         key: linear @ pos + aug.translation for key, pos in ann.landmarks.items()
     }
     return out_mesh, Annotation(ann.labels.copy(), landmarks)
-
-
-def augment(
-    mesh: TriMesh, ann: Annotation | None, seed
-) -> tuple[TriMesh, Annotation | None, RigidAugmentation]:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    aug = sample_augmentation(rng)
-    out_mesh, out_ann = apply_augmentation(mesh, ann, aug)
-    return out_mesh, out_ann, aug
-
-
-def mirror(mesh: TriMesh, ann: Annotation | None) -> tuple[TriMesh, Annotation | None]:
-    """Reflect across the sagittal plane (x = mean vertex x).
-
-    Cell winding is reversed so normals stay outward; labels and landmark
-    keys swap UR and UL tooth ids. Applying mirror twice reproduces the
-    input up to float rounding of the plane location.
-    """
-    x0 = float(mesh.vertices[:, 0].mean())
-    vertices = mesh.vertices.copy()
-    vertices[:, 0] = 2.0 * x0 - vertices[:, 0]
-    out_mesh = TriMesh(vertices, mesh.cells[:, ::-1].copy())
-    if ann is None:
-        return out_mesh, None
-    swap = np.array(
-        [lm.mirror_tooth_id(t) for t in range(lm.NUM_TEETH + 1)], dtype=np.int64
-    )
-    landmarks = {}
-    for (tooth, name), pos in ann.landmarks.items():
-        mirrored = pos.copy()
-        mirrored[0] = 2.0 * x0 - mirrored[0]
-        landmarks[(lm.mirror_tooth_id(tooth), name)] = mirrored
-    return out_mesh, Annotation(swap[ann.labels], landmarks)

@@ -56,15 +56,6 @@ def tooth_id_from_name(name: str) -> int:
     raise SchemaError(f"unknown tooth name {name!r}")
 
 
-def mirror_tooth_id(tooth_id: int) -> int:
-    """UR<->UL counterpart under a sagittal mirror; gingiva maps to itself."""
-    if tooth_id == GINGIVA:
-        return GINGIVA
-    if not 1 <= tooth_id <= NUM_TEETH:
-        raise SchemaError(f"tooth id {tooth_id} outside 1..{NUM_TEETH}")
-    return tooth_id + 7 if tooth_id <= 7 else tooth_id - 7
-
-
 def landmark_names(tooth_id: int) -> tuple[str, ...]:
     """Landmark names for one tooth, in heatmap column order."""
     if not 1 <= tooth_id <= NUM_TEETH:

@@ -154,9 +154,8 @@ class EdgeConv(Module):
     chunked path keeps peak memory flat on large meshes.
     """
 
-    def __init__(self, rng, cin: int, cout: int, k: int, name: str = "edgeconv"):
+    def __init__(self, rng, cin: int, cout: int, name: str = "edgeconv"):
         self.cin = cin
-        self.k = k
         # rows 0..cin-1 act on the difference, rows cin..2cin-1 on the center
         self.weight = Parameter(_glorot(rng, 2 * cin, cout), f"{name}.weight")
         self.bias = Parameter(np.zeros(cout), f"{name}.bias")
@@ -238,10 +237,11 @@ class ToothSegNet(Module):
     """Stage-1 segmentation network; head selects softmax or sigmoid.
 
     forward() consumes the (N, 15) feature tensor plus the two kNN graphs
-    (k=6 and k=12) and returns (N, out_channels). With the softmax head the
-    rows are probability distributions over gingiva + 14 teeth. adjacency
-    'dynamic' rebuilds the graphs in feature space per forward pass instead
-    (ablation only) and ignores the supplied graphs.
+    (k_small and k_large, 6 and 12 by default) and returns (N, out_channels).
+    With the softmax head the rows are probability distributions over
+    gingiva + 14 teeth. adjacency 'dynamic' (ablation only) rebuilds graphs
+    of the same two widths in feature space per forward pass and uses the
+    supplied graphs only for their k.
     """
 
     uses_graphs = True
@@ -261,12 +261,12 @@ class ToothSegNet(Module):
         self.mlp1 = [ConvBlock(rng, in_dim, 64, "mlp1.0"),
                      ConvBlock(rng, 64, 64, "mlp1.1")]
         self.ftm = FeatureTransform(rng, 64)
-        self.glm1 = EdgeConv(rng, 64, 64, k=6, name="glm1")
+        self.glm1 = EdgeConv(rng, 64, 64, name="glm1")
         self.mlp2 = [ConvBlock(rng, 64, 64, "mlp2.0"),
                      ConvBlock(rng, 64, 128, "mlp2.1"),
                      ConvBlock(rng, 128, 512, "mlp2.2")]
-        self.glm2_k6 = EdgeConv(rng, 512, 512, k=6, name="glm2.k6")
-        self.glm2_k12 = EdgeConv(rng, 512, 512, k=12, name="glm2.k12")
+        self.glm2_k6 = EdgeConv(rng, 512, 512, name="glm2.k6")
+        self.glm2_k12 = EdgeConv(rng, 512, 512, name="glm2.k12")
         self.glm2_fuse = ConvBlock(rng, 1024, 512, "glm2.fuse")
         self.mlp3 = [ConvBlock(rng, 1152, 256, "mlp3.0"),
                      ConvBlock(rng, 256, 128, "mlp3.1")]
@@ -280,21 +280,21 @@ class ToothSegNet(Module):
                 training: bool = False) -> Tensor:
         x = features if isinstance(features, Tensor) else Tensor(features)
         n = x.data.shape[0]
-        if self.adjacency == "static" and (graph6 is None or graph12 is None):
-            raise ValueError("static adjacency requires both kNN graphs")
+        if graph6 is None or graph12 is None:
+            raise ValueError("ToothSegNet requires both kNN graphs")
         for block in self.mlp1:
             x = block(x, training)
         transform = self.ftm(x, training)
         x = ad.matmul(x, transform)
         if self.adjacency == "dynamic":
-            graph6 = geometry.knn_graph(x.data, 6, space="feature-space")
+            graph6 = geometry.knn_graph(x.data, graph6.k)
         g1 = self.glm1(x, graph6, training)
         h = g1
         for block in self.mlp2:
             h = block(h, training)
         if self.adjacency == "dynamic":
-            graph6 = geometry.knn_graph(h.data, 6, space="feature-space")
-            graph12 = geometry.knn_graph(h.data, 12, space="feature-space")
+            graph6 = geometry.knn_graph(h.data, graph6.k)
+            graph12 = geometry.knn_graph(h.data, graph12.k)
         e6 = self.glm2_k6(h, graph6, training)
         e12 = self.glm2_k12(h, graph12, training)
         g2 = self.glm2_fuse(ad.concat([e6, e12], axis=1), training)

@@ -149,24 +149,13 @@ def infer_two_stage(seg_net, heatmap_nets: dict, scan: PreprocessedScan,
     return InferenceResult(seg, seg.fine_labels, landmarks, skipped)
 
 
-def infer_with_oracle_labels(heatmap_nets: dict, mesh: TriMesh,
-                             true_labels: np.ndarray,
-                             k_small: int = RunConfig.k_small,
-                             k_large: int = RunConfig.k_large) -> tuple[dict, list]:
-    """Stage 2 fed ground-truth segmentation; the landmark ceiling."""
-    return locate_landmarks(heatmap_nets, mesh, true_labels,
-                            k_small=k_small, k_large=k_large)
-
-
-def single_stage_layout() -> list:
-    """Column order of the whole-scan regressor: every landmark of every tooth."""
-    return lm.all_landmark_keys()
-
-
 def single_stage_landmarks(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
                            k_large: int = RunConfig.k_large) -> dict:
-    """Whole-scan heatmap regression; no ROI cropping, one argmax per column."""
-    layout = single_stage_layout()
+    """Whole-scan heatmap regression; no ROI cropping, one argmax per column.
+
+    Columns follow lm.all_landmark_keys(): every landmark of every tooth.
+    """
+    layout = lm.all_landmark_keys()
     heat = network_output(net, mesh, k_small, k_large)
     if heat.shape[1] != len(layout):
         raise ValueError(

@@ -1,10 +1,11 @@
 """Training loops for the two pipeline stages.
 
-Both loops follow the same shape: one mesh per optimization step, a fresh
+Both stages run one epoch driver: one mesh per optimization step, a fresh
 cell subsample each step with neighbor graphs rebuilt on the subset, and a
-per-epoch mean loss appended to the curve. Every random draw comes from a
-single seeded generator, so a config plus a seed reproduces the loss curve
-bit for bit.
+per-epoch mean loss appended to the curve. train_segmentation and
+train_heatmap bind only what differs, the per-step loss and the validation
+score. Every random draw comes from a single seeded generator, so a config
+plus a seed reproduces the loss curve bit for bit.
 
 A non-finite loss or gradient aborts the run; the raised error carries the
 parameter state captured at the end of the last completed epoch so callers
@@ -26,9 +27,9 @@ from .geometry import (
     apply_augmentation,
     extract_features,
     knn_graph,
-    rotation_matrix,
     sample_augmentation,
 )
+from .evaluation import seg_metrics
 from .mesh_io import TriMesh
 from .networks import generalized_dice_loss, mse_loss, one_hot
 
@@ -114,74 +115,6 @@ def network_output(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
     return out.data
 
 
-class _Loop:
-    """Shared epoch driver: divergence guard, curves, best-state tracking."""
-
-    def __init__(self, net, lr: float, patience: int | None, target_val: float | None,
-                 val_larger_is_better: bool,
-                 betas: tuple[float, float], eps: float):
-        self.net = net
-        self.opt = ad.AmsGrad(net.parameters(), lr=lr, beta1=betas[0],
-                              beta2=betas[1], eps=eps)
-        self.patience = patience
-        self.target_val = target_val
-        self.sign = 1.0 if val_larger_is_better else -1.0
-        self.result = TrainResult()
-        self.last_good = _snapshot(net)
-        self.best_state = None
-        self.stall = 0
-
-    def step(self, loss_tensor) -> float:
-        value = float(loss_tensor.data)
-        if not np.isfinite(value):
-            raise TrainingDivergenceError(
-                f"non-finite loss at epoch {self.result.epochs_run}",
-                last_good_state=self.last_good,
-                loss_curve=self.result.loss_curve,
-            )
-        ad.backward(loss_tensor)
-        try:
-            self.opt.step()
-        except NonFiniteGradientError as err:
-            raise TrainingDivergenceError(
-                str(err),
-                last_good_state=self.last_good,
-                loss_curve=self.result.loss_curve,
-            ) from err
-        self.opt.zero_grad()
-        return value
-
-    def end_epoch(self, losses: list, val: float | None) -> bool:
-        """Records the epoch; returns True when training should stop."""
-        res = self.result
-        res.loss_curve.append(float(np.mean(losses)))
-        res.epochs_run += 1
-        self.last_good = _snapshot(self.net)
-        if val is None:
-            return False
-        res.val_curve.append(val)
-        better = (
-            res.best_epoch < 0 or self.sign * val > self.sign * res.best_val + 1e-12
-        )
-        if better:
-            res.best_val = val
-            res.best_epoch = res.epochs_run - 1
-            self.best_state = self.last_good
-            self.stall = 0
-        else:
-            self.stall += 1
-        if self.target_val is not None and self.sign * val >= self.sign * self.target_val:
-            return True
-        if self.patience is not None and self.stall >= self.patience:
-            return True
-        return False
-
-    def finish(self, restore_best: bool) -> TrainResult:
-        if restore_best and self.best_state is not None:
-            self.net.load_state_arrays(self.best_state)
-        return self.result
-
-
 def segmentation_probabilities(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
                                k_large: int = RunConfig.k_large) -> np.ndarray:
     """(N, classes) probabilities of one mesh under the frozen network."""
@@ -195,17 +128,83 @@ def predict_labels(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
     return np.argmax(probs, axis=1).astype(np.int64)
 
 
-def _mean_dice(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean per-tooth Dice; teeth absent from both sides are skipped."""
-    scores = []
-    for tooth in range(1, lm.NUM_TEETH + 1):
-        p = pred == tooth
-        t = truth == tooth
-        denom = int(p.sum()) + int(t.sum())
-        if denom == 0:
-            continue
-        scores.append(2.0 * int((p & t).sum()) / denom)
-    return float(np.mean(scores)) if scores else 1.0
+def _train(net, samples: list, step_loss, val_score, larger_is_better: bool, *,
+           epochs: int, seed: int, lr: float, subsample: int, augment_count: int,
+           k_small: int, k_large: int, betas: tuple[float, float], adam_eps: float,
+           val_samples: list | None, val_every: int, patience: int,
+           on_epoch: Callable[[int, float], None] | None) -> TrainResult:
+    """The epoch loop of both stages.
+
+    Each step draws one of the sample's augmented variants (index 0 is the
+    untransformed sample), recomputes features on the transformed geometry,
+    subsamples cells and runs the training-mode forward on the subset;
+    step_loss(out, sample, idx, mesh, aug) turns that output into the loss,
+    with aug None for the untransformed variant. Every val_every epochs
+    val_score(val_samples) scores the net; patience > 0 stops training after
+    that many validations in a row without improvement, 0 never stops early.
+    The best-scoring state is restored at the end.
+    """
+    if not samples:
+        raise ValueError("no training samples")
+    rng = np.random.default_rng(seed)
+    augs = _make_augmentations(rng, len(samples), augment_count)
+    opt = ad.AmsGrad(net.parameters(), lr=lr, beta1=betas[0], beta2=betas[1],
+                     eps=adam_eps)
+    sign = 1.0 if larger_is_better else -1.0
+    result = TrainResult()
+    last_good = _snapshot(net)
+    best_state = None
+    stall = 0
+    for epoch in range(epochs):
+        losses = []
+        for s in rng.permutation(len(samples)):
+            sample = samples[s]
+            variant = int(rng.integers(augment_count + 1))
+            aug = augs[s][variant - 1] if variant else None
+            mesh = sample.mesh
+            if aug is not None:
+                mesh, _ = apply_augmentation(mesh, None, aug)
+            feats = extract_features(mesh)
+            idx = _subsample_indices(rng, mesh.num_cells, subsample)
+            out = _forward(net, feats.matrix[idx], mesh.cell_barycenters[idx],
+                           k_small, k_large, training=True)
+            loss = step_loss(out, sample, idx, mesh, aug)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingDivergenceError(
+                    f"non-finite loss at epoch {epoch}",
+                    last_good_state=last_good, loss_curve=result.loss_curve,
+                )
+            ad.backward(loss)
+            try:
+                opt.step()
+            except NonFiniteGradientError as err:
+                raise TrainingDivergenceError(
+                    str(err), last_good_state=last_good, loss_curve=result.loss_curve,
+                ) from err
+            opt.zero_grad()
+            losses.append(value)
+        result.loss_curve.append(float(np.mean(losses)))
+        result.epochs_run += 1
+        last_good = _snapshot(net)
+        stop = False
+        if val_samples and (epoch + 1) % val_every == 0:
+            val = val_score(val_samples)
+            result.val_curve.append(val)
+            if result.best_epoch < 0 or sign * val > sign * result.best_val + 1e-12:
+                result.best_val, result.best_epoch = val, epoch
+                best_state = last_good
+                stall = 0
+            else:
+                stall += 1
+            stop = 0 < patience <= stall
+        if on_epoch is not None:
+            on_epoch(epoch, result.loss_curve[-1])
+        if stop:
+            break
+    if best_state is not None:
+        net.load_state_arrays(best_state)
+    return result
 
 
 def train_segmentation(
@@ -223,58 +222,33 @@ def train_segmentation(
     adam_eps: float = RunConfig.adam_eps,
     val_samples: list[SegSample] | None = None,
     val_every: int = 1,
-    patience: int | None = None,
-    target_val: float | None = None,
+    patience: int = 0,
     on_epoch: Callable[[int, float], None] | None = None,
 ) -> TrainResult:
     """Fits the segmentation network on whole (decimated) scans.
 
-    Each step draws one of the scan's augmented variants (index 0 is the
-    untransformed scan), recomputes features on the transformed geometry,
-    subsamples cells, and rebuilds both kNN graphs on the subset. Validation
-    runs every val_every epochs on full un-augmented meshes; the best state
-    by mean Dice is restored at the end.
+    Generalized Dice loss on each step's subsample. Validation predicts
+    full un-augmented meshes and scores the mean per-tooth Dice; the best
+    state by that score is restored at the end.
     """
-    if not samples:
-        raise ValueError("no training samples")
-    rng = np.random.default_rng(seed)
-    augs = _make_augmentations(rng, len(samples), augment_count)
-    loop = _Loop(net, lr, patience, target_val, val_larger_is_better=True,
-                 betas=betas, eps=adam_eps)
-    for epoch in range(epochs):
-        order = rng.permutation(len(samples))
-        losses = []
-        for s in order:
-            sample = samples[s]
-            variant = int(rng.integers(augment_count + 1))
-            if variant == 0:
-                mesh = sample.mesh
-            else:
-                mesh, _ = apply_augmentation(sample.mesh, None, augs[s][variant - 1])
-            feats = extract_features(mesh)
-            idx = _subsample_indices(rng, mesh.num_cells, subsample)
-            probs = _forward(net, feats.matrix[idx], mesh.cell_barycenters[idx],
-                             k_small, k_large, training=True)
-            loss = generalized_dice_loss(probs, one_hot(sample.labels[idx]))
-            losses.append(loop.step(loss))
-        val = None
-        if val_samples and (epoch + 1) % val_every == 0:
-            val = float(
-                np.mean(
-                    [
-                        _mean_dice(
-                            predict_labels(net, v.mesh, k_small, k_large), v.labels
-                        )
-                        for v in val_samples
-                    ]
-                )
-            )
-        stop = loop.end_epoch(losses, val)
-        if on_epoch is not None:
-            on_epoch(epoch, loop.result.loss_curve[-1])
-        if stop:
-            break
-    return loop.finish(restore_best=val_samples is not None)
+    def step_loss(out, sample, idx, mesh, aug):
+        return generalized_dice_loss(out, one_hot(sample.labels[idx]))
+
+    def val_score(val):
+        # the plain 1-D mean of the per-tooth DSCs: SegMetrics.mean_dsc sums
+        # them in another order, which can move the last bit of the curve
+        scores = []
+        for v in val:
+            pred = predict_labels(net, v.mesh, k_small, k_large)
+            dscs = [m[0] for m in seg_metrics(pred, v.labels).per_class.values()]
+            scores.append(float(np.mean(dscs or [1.0])))
+        return float(np.mean(scores))
+
+    return _train(net, samples, step_loss, val_score, True, epochs=epochs, seed=seed,
+                  lr=lr, subsample=subsample, augment_count=augment_count,
+                  k_small=k_small, k_large=k_large, betas=betas, adam_eps=adam_eps,
+                  val_samples=val_samples, val_every=val_every, patience=patience,
+                  on_epoch=on_epoch)
 
 
 def train_heatmap(
@@ -294,56 +268,38 @@ def train_heatmap(
     adam_eps: float = RunConfig.adam_eps,
     val_samples: list[HeatmapSample] | None = None,
     val_every: int = 1,
-    patience: int | None = None,
+    patience: int = 0,
     on_epoch: Callable[[int, float], None] | None = None,
 ) -> TrainResult:
-    """Fits a heatmap regressor on single-tooth ROIs.
+    """Fits a heatmap regressor on single-tooth ROIs (or whole scans).
 
     Landmark positions ride along through each augmentation and the Gaussian
     targets are re-encoded from the transformed geometry, so the heatmap
-    width stays sigma in millimeters regardless of scaling. Regressors with
-    a graph trunk get kNN graphs rebuilt on each step's subsample.
+    width stays sigma in millimeters regardless of scaling. The loss is the
+    MSE against those targets; the best state by validation MSE is
+    restored at the end.
     """
-    if not samples:
-        raise ValueError("no training samples")
-    rng = np.random.default_rng(seed)
-    augs = _make_augmentations(rng, len(samples), augment_count)
-    loop = _Loop(net, lr, patience, None, val_larger_is_better=False,
-                 betas=betas, eps=adam_eps)
-    for epoch in range(epochs):
-        order = rng.permutation(len(samples))
-        losses = []
-        for s in order:
-            sample = samples[s]
-            variant = int(rng.integers(augment_count + 1))
-            if variant == 0:
-                mesh, positions = sample.mesh, sample.positions
-            else:
-                aug = augs[s][variant - 1]
-                mesh, _ = apply_augmentation(sample.mesh, None, aug)
-                linear = rotation_matrix(aug.rotation) * aug.scale[None, :]
-                positions = {
-                    name: linear @ np.asarray(p, dtype=np.float64) + aug.translation
-                    for name, p in sample.positions.items()
-                }
-            feats = extract_features(mesh)
-            idx = _subsample_indices(rng, mesh.num_cells, subsample)
-            target = _heatmap_target(
-                sample.tooth_id, mesh.cell_barycenters[idx], positions, sigma, peak
-            )
-            pred = _forward(net, feats.matrix[idx], mesh.cell_barycenters[idx],
-                            k_small, k_large, training=True)
-            losses.append(loop.step(mse_loss(pred, target)))
-        val = None
-        if val_samples and (epoch + 1) % val_every == 0:
-            val = heatmap_validation_mse(net, val_samples, sigma=sigma, peak=peak,
-                                         k_small=k_small, k_large=k_large)
-        stop = loop.end_epoch(losses, val)
-        if on_epoch is not None:
-            on_epoch(epoch, loop.result.loss_curve[-1])
-        if stop:
-            break
-    return loop.finish(restore_best=val_samples is not None)
+    def step_loss(out, sample, idx, mesh, aug):
+        positions = sample.positions
+        if aug is not None:
+            linear = aug.linear()
+            positions = {
+                name: linear @ np.asarray(p, dtype=np.float64) + aug.translation
+                for name, p in positions.items()
+            }
+        target = _heatmap_target(sample.tooth_id, mesh.cell_barycenters[idx],
+                                 positions, sigma, peak)
+        return mse_loss(out, target)
+
+    def val_score(val):
+        return heatmap_validation_mse(net, val, sigma=sigma, peak=peak,
+                                      k_small=k_small, k_large=k_large)
+
+    return _train(net, samples, step_loss, val_score, False, epochs=epochs, seed=seed,
+                  lr=lr, subsample=subsample, augment_count=augment_count,
+                  k_small=k_small, k_large=k_large, betas=betas, adam_eps=adam_eps,
+                  val_samples=val_samples, val_every=val_every, patience=patience,
+                  on_epoch=on_epoch)
 
 
 def heatmap_validation_mse(net, samples: list[HeatmapSample], *,

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, run-dir stamping."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from dentalmesh.mesh_io import (
     load_checkpoint,
     load_mesh,
     save_annotation,
+    save_checkpoint,
     save_matrix,
     save_mesh,
 )
 from dentalmesh.mesh_io import Annotation
+from dentalmesh.networks import PointHeatmapNet, make_graph_heatmap_net
 from dentalmesh.pipeline import preprocess
 
 from helpers import bump_scene
@@ -351,3 +354,32 @@ def test_ablate_table_and_adjacency(trained_run):
     assert cli.main(["ablate", "--methods", "adjacency"] + args) == 0
     rows = json.loads((reports / "ablate_adjacency.json").read_text())["rows"]
     assert [r["adjacency"] for r in rows] == ["static", "dynamic"]
+
+
+def test_infer_rejects_mismatched_checkpoints_before_compute(trained_run, tmp_path,
+                                                             monkeypatch, caplog):
+    root, args = trained_run
+    run = tmp_path / "run"
+    shutil.copytree(root / "run" / "checkpoints", run / "checkpoints")
+    args = args + ["--run", str(run)]
+    mesh = str(root / "data" / "arch_000.off")
+
+    def stage1(*_, **__):
+        raise AssertionError("decimation ran before the checkpoints were checked")
+
+    monkeypatch.setattr(cli, "preprocess", stage1)
+    wide = PointHeatmapNet(out_channels=7)
+    save_checkpoint(run / "checkpoints" / "lmk_pos6.ckpt", wide.arch_tag(),
+                    wide.state_arrays(), {"in_dim": 15, "out_channels": 7})
+    rc = cli.main(["infer", "--mesh", mesh, "--probs", str(tmp_path / "p.mat")] + args)
+    assert rc == 2
+    assert "lmk_pos6.ckpt: 7 output channels, landmark type 6 needs 6" in caplog.text
+
+    shutil.copy(root / "run" / "checkpoints" / "lmk_pos6.ckpt",
+                run / "checkpoints" / "lmk_pos6.ckpt")
+    sigmoid = make_graph_heatmap_net(0, 15)
+    save_checkpoint(run / "checkpoints" / "seg.ckpt", sigmoid.arch_tag(),
+                    sigmoid.state_arrays(), {"out_channels": 15, "head": "sigmoid"})
+    caplog.clear()
+    assert cli.main(["infer", "--mesh", mesh] + args) == 2
+    assert "seg.ckpt: segmentation needs a softmax head" in caplog.text

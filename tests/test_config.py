@@ -1,5 +1,6 @@
 """Config file parsing, overrides, and validation."""
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -122,3 +123,33 @@ def test_every_field_is_read_outside_config():
     unread = [f.name for f in dataclasses.fields(RunConfig)
               if not re.search(rf"\b(?:config|RunConfig)\.{f.name}\b", source)]
     assert unread == []
+
+
+# postprocess.edge_cost is the scalar reference that
+# test_build_energy_matches_scalar_edge_cost checks build_energy against
+KEPT_FOR_TESTS = {"edge_cost"}
+
+
+def test_every_public_definition_is_used():
+    """A module-level def or class that nothing names is code only tests reach.
+
+    Uses are Name or Attribute nodes anywhere in the package or in the
+    benchmark scripts; an import alone does not count.
+    """
+    package = Path(dentalmesh.__file__).parent
+    benchmark = Path(__file__).resolve().parents[1] / "benchmark"
+    used, defined = set(), []
+    for path in sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        if path.parent == package:
+            defined += [f"{path.stem}.{node.name}" for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")]
+    unused = [name for name in defined
+              if name.split(".")[1] not in used | KEPT_FOR_TESTS]
+    assert unused == []

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dentalmesh import geometry as geo
-from dentalmesh import landmarks as lm
 from dentalmesh.errors import DecimationError, InvalidPairError
 from dentalmesh.mesh_io import Annotation, TriMesh
 
@@ -48,9 +47,9 @@ def test_knn_graph_against_brute_force(rng):
 
 
 def test_knn_graph_feature_space_ignores_geometry(rng):
-    points = rng.normal(size=(12, 3))
+    # an (N, 6) feature array is measured across all six columns
     feats = rng.normal(size=(12, 6))
-    g = geo.knn_graph(points, 4, space="feature-space", features=feats)
+    g = geo.knn_graph(feats, 4)
     d2 = ((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
     for i in range(12):
         others = np.argsort(d2[i], kind="stable")
@@ -160,12 +159,6 @@ def test_transfer_labels_majority_and_ties():
     assert out[3] == 0  # nothing mapped: gingiva
 
 
-def test_project_labels_round_trip():
-    origin = np.array([2, 0, 1, 1, 2])
-    coarse = np.array([10, 11, 12])
-    assert np.array_equal(geo.project_labels(origin, coarse), [12, 10, 11, 11, 12])
-
-
 def test_extract_roi(bump_fixture):
     mesh, labels, _ = bump_fixture
     roi = geo.extract_roi(mesh, labels, 3)
@@ -223,34 +216,14 @@ def test_sample_augmentation_bounds(seed):
 def test_augment_is_deterministic(bump_fixture):
     mesh, labels, landmarks = bump_fixture
     ann = Annotation(labels, landmarks)
-    m1, a1, t1 = geo.augment(mesh, ann, seed=11)
-    m2, a2, t2 = geo.augment(mesh, ann, seed=11)
+
+    def augment(seed):
+        aug = geo.sample_augmentation(np.random.default_rng(seed))
+        return geo.apply_augmentation(mesh, ann, aug)[0], aug
+
+    m1, t1 = augment(11)
+    m2, t2 = augment(11)
     assert np.array_equal(m1.vertices, m2.vertices)
     assert np.array_equal(t1.translation, t2.translation)
-    m3, _, _ = geo.augment(mesh, ann, seed=12)
+    m3, _ = augment(12)
     assert not np.array_equal(m1.vertices, m3.vertices)
-
-
-def test_mirror_is_an_involution(bump_fixture):
-    mesh, labels, landmarks = bump_fixture
-    ann = Annotation(labels, landmarks)
-    once_mesh, once_ann = geo.mirror(mesh, ann)
-    twice_mesh, twice_ann = geo.mirror(once_mesh, once_ann)
-    assert np.allclose(twice_mesh.vertices, mesh.vertices)
-    assert np.array_equal(twice_ann.labels, labels)
-    for key, pos in landmarks.items():
-        assert np.allclose(twice_ann.landmarks[key], pos)
-    # single mirror swaps the quadrants: tooth 3 (UR) becomes tooth 10 (UL)
-    assert (3, "CCT") in landmarks
-    assert (lm.mirror_tooth_id(3), "CCT") in once_ann.landmarks
-    assert int((once_ann.labels == lm.mirror_tooth_id(3)).sum()) == int(
-        (labels == 3).sum()
-    )
-
-
-def test_mirror_keeps_normals_outward(bump_fixture):
-    mesh, _, _ = bump_fixture
-    mirrored, _ = geo.mirror(mesh, None)
-    # bumps point up in +z before and after
-    assert mesh.cell_normals[:, 2].mean() > 0.9
-    assert mirrored.cell_normals[:, 2].mean() > 0.9

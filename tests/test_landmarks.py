@@ -48,19 +48,6 @@ def test_tooth_names():
             lm.tooth_id_from_name(bad)
 
 
-def test_mirror_tooth_id():
-    assert lm.mirror_tooth_id(lm.GINGIVA) == lm.GINGIVA
-    for t in range(1, 15):
-        m = lm.mirror_tooth_id(t)
-        assert m != t
-        assert lm.mirror_tooth_id(m) == t
-        # mirroring swaps sides but keeps the position in the arch
-        assert lm.tooth_name(t)[2:] == lm.tooth_name(m)[2:]
-        assert lm.tooth_name(t)[:2] != lm.tooth_name(m)[:2]
-    with pytest.raises(SchemaError):
-        lm.mirror_tooth_id(15)
-
-
 def test_encode_peak_and_sigma_point():
     bary = np.array(
         [

@@ -50,12 +50,21 @@ def test_seg_net_ctor_validation():
         net(Tensor(np.zeros((4, 15))), None, None)
 
 
-def test_seg_net_dynamic_adjacency_runs_without_graphs():
-    feats, _, _, _ = _features_and_graphs(n=16, seed=4)
+def test_seg_net_dynamic_adjacency_takes_only_the_graph_widths():
+    feats, g6, g12, _ = _features_and_graphs(n=16, seed=4)
     net = nets.ToothSegNet(seed=5, adjacency="dynamic")
-    out = net(Tensor(feats))
+    out = net(Tensor(feats), g6, g12)
     assert out.data.shape == (16, nets.NUM_CLASSES)
     assert np.max(np.abs(out.data.sum(axis=1) - 1.0)) < 1e-9
+    # graphs of the same widths on other points: rebuilt alike, same output
+    other = np.random.default_rng(6).normal(size=(16, 3))
+    same = net(Tensor(feats), geo.knn_graph(other, 6), geo.knn_graph(other, 12))
+    assert np.array_equal(same.data, out.data)
+    # other widths rebuild other graphs
+    narrow = net(Tensor(feats), geo.knn_graph(other, 3), geo.knn_graph(other, 5))
+    assert not np.allclose(narrow.data, out.data)
+    with pytest.raises(ValueError, match="requires both"):
+        net(Tensor(feats))
 
 
 def test_heatmap_net_shapes():
@@ -220,7 +229,7 @@ def test_training_flag_changes_batch_norm_path():
 def test_edge_conv_gradients_in_training_mode():
     """Finite differences through gather, subtract, BN, ReLU and max."""
     rng = np.random.default_rng(4)
-    conv = nets.EdgeConv(rng, cin=3, cout=4, k=3, name="ec")
+    conv = nets.EdgeConv(rng, cin=3, cout=4, name="ec")
     conv.bias.data[:] = rng.normal(size=4)
     conv.bn.gamma.data[:] = [1.3, -0.7, 0.4, -1.1]  # both signs of the max
     conv.bn.beta.data[:] = rng.normal(size=4)
@@ -241,7 +250,7 @@ def test_edge_conv_inference_path_matches_autodiff():
     """The chunked no-grad path equals the autodiff path in eval mode."""
     rng = np.random.default_rng(5)
     n, k, cout = 1100, 16, 256  # n * k * cout > 2**22: two inference chunks
-    conv = nets.EdgeConv(rng, cin=8, cout=cout, k=k)
+    conv = nets.EdgeConv(rng, cin=8, cout=cout)
     conv.bias.data[:] = rng.normal(size=cout)
     conv.bn.gamma.data[:] = rng.uniform(-1.5, 1.5, size=cout)
     conv.bn.beta.data[:] = rng.normal(size=cout)

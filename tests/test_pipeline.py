@@ -14,8 +14,10 @@ from helpers import bump_scene
 def test_position_type_folds_mirrored_teeth():
     assert [pl.position_type(t) for t in range(1, 8)] == list(range(1, 8))
     assert [pl.position_type(t) for t in range(8, 15)] == list(range(1, 8))
-    for t in range(1, 15):
-        assert pl.position_type(t) == pl.position_type(lm.mirror_tooth_id(t))
+    for t in range(1, 8):
+        # UR<t> and its mirror UL<t> share one position type
+        assert lm.tooth_name(t)[2:] == lm.tooth_name(t + 7)[2:]
+        assert pl.position_type(t) == pl.position_type(t + 7)
     with pytest.raises(ValueError):
         pl.position_type(0)
     with pytest.raises(ValueError):
@@ -27,9 +29,10 @@ def test_heatmap_position_types():
 
 
 def test_single_stage_layout_covers_schema():
-    layout = pl.single_stage_layout()
-    assert layout == lm.all_landmark_keys()
-    assert len(layout) == 44
+    # the whole-scan regressor's columns: every landmark of every tooth
+    layout = lm.all_landmark_keys()
+    assert len(layout) == len(set(layout)) == 44
+    assert layout == [(t, n) for t in range(1, 15) for n in lm.landmark_names(t)]
 
 
 def test_preprocess_carries_labels(small_arch):
@@ -130,7 +133,7 @@ def test_locate_landmarks_label_length_check():
 
 def test_single_stage_landmarks_decoding():
     mesh, _, landmarks = bump_scene(12, 0)
-    layout = pl.single_stage_layout()
+    layout = lm.all_landmark_keys()
 
     class WholeScanNet:
         uses_graphs = False
@@ -223,27 +226,3 @@ def test_infer_two_stage_wires_everything(small_arch):
     assert out.skipped_teeth == []
     assert len(out.landmarks) == 44
     assert all(low for _, _, low in out.landmarks.values())
-
-
-def test_infer_with_oracle_labels_uses_truth_directly():
-    mesh, labels, landmarks = bump_scene(12, 2)
-
-    def fake_forward(net, roi_mesh, k_small, k_large):
-        tooth = _tooth_from_roi(roi_mesh, mesh, labels)
-        positions = {n: p for (t, n), p in landmarks.items() if t == tooth}
-        return lm.encode_heatmaps(roi_mesh.cell_barycenters, tooth, positions)
-
-    original = pl.network_output
-    pl.network_output = fake_forward
-    try:
-        found, skipped = pl.infer_with_oracle_labels(
-            {pl.position_type(3): object()}, mesh, labels
-        )
-    finally:
-        pl.network_output = original
-    assert set(found) == set(landmarks)
-    for (tooth, name), (pos, _, _) in found.items():
-        roi_bary = mesh.cell_barycenters[labels == tooth]
-        true = landmarks[(tooth, name)]
-        best = roi_bary[np.argmin(np.sum((roi_bary - true) ** 2, axis=1))]
-        assert np.allclose(pos, best)

@@ -1,5 +1,7 @@
 """Training loop contracts: curves, early stops, divergence, determinism."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dentalmesh import landmarks as lm
 from dentalmesh import training as tr
 from dentalmesh.config import RunConfig
 from dentalmesh.errors import TrainingDivergenceError
+from dentalmesh.evaluation import seg_metrics
 from dentalmesh.mesh_io import TriMesh
 from dentalmesh.networks import PointHeatmapNet, ToothSegNet
 from dentalmesh.training import HeatmapSample, SegSample
@@ -15,14 +18,16 @@ from dentalmesh.training import HeatmapSample, SegSample
 from helpers import bump_scene
 
 
-class _TinySoftmaxNet:
-    """Throwaway 15->15 softmax net; optionally emits NaN after n forwards."""
+class _TinyNet:
+    """Throwaway linear net on the 15 features; optionally emits NaN after n
+    forwards. 15 softmax outputs by default, or `heat` sigmoid columns."""
 
     uses_graphs = True
 
-    def __init__(self, nan_after=None, seed=0):
+    def __init__(self, nan_after=None, seed=0, heat=None):
         rng = np.random.default_rng(seed)
-        self.w = ad.Parameter(rng.normal(scale=0.2, size=(15, 15)), name="w")
+        self.w = ad.Parameter(rng.normal(scale=0.2, size=(15, heat or 15)), name="w")
+        self.heat = heat
         self.calls = 0
         self.nan_after = nan_after
 
@@ -38,8 +43,9 @@ class _TinySoftmaxNet:
     def forward(self, x, g_small=None, g_large=None, training=False):
         self.calls += 1
         if self.nan_after is not None and self.calls > self.nan_after:
-            return ad.Tensor(np.full((x.data.shape[0], 15), np.nan))
-        return ad.softmax_rows(ad.matmul(x, self.w))
+            return ad.Tensor(np.full((x.data.shape[0], self.w.data.shape[1]), np.nan))
+        logits = ad.matmul(x, self.w)
+        return ad.sigmoid(logits) if self.heat else ad.softmax_rows(logits)
 
     __call__ = forward
 
@@ -77,24 +83,32 @@ def roi_sample():
     return HeatmapSample(roi, 3, positions)
 
 
-def test_mean_dice_oracle():
-    pred = np.array([0, 1, 1, 2, 0])
-    truth = np.array([0, 1, 2, 2, 2])
-    # tooth 1: 2*1/(2+1); tooth 2: 2*1/(1+3); absent teeth skipped
-    expected = np.mean([2 / 3, 0.5])
-    assert tr._mean_dice(pred, truth) == pytest.approx(expected)
-    assert tr._mean_dice(np.zeros(3), np.zeros(3)) == 1.0
+def _seg_loop(seg_samples):
+    """(public training loop, tiny-net factory, samples) of one stage."""
+    return tr.train_segmentation, _TinyNet, seg_samples
+
+
+def _heatmap_loop(roi_sample):
+    width = len(lm.landmark_names(roi_sample.tooth_id))
+    return tr.train_heatmap, partial(_TinyNet, heat=width), [roi_sample]
+
+
+@pytest.fixture(params=["seg", "heatmap"])
+def loop(request, seg_samples, roi_sample):
+    if request.param == "seg":
+        return _seg_loop(seg_samples)
+    return _heatmap_loop(roi_sample)
 
 
 def test_empty_sample_lists_rejected():
     with pytest.raises(ValueError, match="no training samples"):
-        tr.train_segmentation(_TinySoftmaxNet(), [], epochs=1, seed=0)
+        tr.train_segmentation(_TinyNet(), [], epochs=1, seed=0)
     with pytest.raises(ValueError, match="no training samples"):
         tr.train_heatmap(PointHeatmapNet(out_channels=1), [], epochs=1, seed=0)
 
 
 def test_seg_loop_curves_and_callback(seg_samples):
-    net = _TinySoftmaxNet(seed=1)
+    net = _TinyNet(seed=1)
     seen = []
     result = tr.train_segmentation(
         net, seg_samples, epochs=3, seed=0, subsample=120, augment_count=0,
@@ -109,53 +123,50 @@ def test_seg_loop_curves_and_callback(seg_samples):
     assert all(np.isfinite(result.loss_curve))
 
 
-def test_seg_loop_reruns_bit_identical(seg_samples):
+def _assert_reruns_bit_identical(fit, make_net, samples):
     def run():
-        net = _TinySoftmaxNet(seed=2)
-        result = tr.train_segmentation(
-            net, seg_samples, epochs=3, seed=5, subsample=100, augment_count=2
-        )
-        return result.loss_curve, net.state_arrays()["w"].copy()
+        net = make_net(seed=2)
+        result = fit(net, samples, epochs=3, seed=5, subsample=100, augment_count=2,
+                     val_samples=samples, val_every=1, patience=1)
+        return result.loss_curve, result.val_curve, net.state_arrays()["w"].copy()
 
-    curve_a, w_a = run()
-    curve_b, w_b = run()
+    curve_a, val_a, w_a = run()
+    curve_b, val_b, w_b = run()
     assert curve_a == curve_b
+    assert val_a == val_b
     assert np.array_equal(w_a, w_b)
 
 
+def test_seg_loop_reruns_bit_identical(seg_samples):
+    _assert_reruns_bit_identical(*_seg_loop(seg_samples))
+
+
+def test_heatmap_loop_reruns_bit_identical(roi_sample):
+    _assert_reruns_bit_identical(*_heatmap_loop(roi_sample))
+
+
 def test_seg_loop_loss_decreases(seg_samples):
-    net = _TinySoftmaxNet(seed=3)
+    net = _TinyNet(seed=3)
     result = tr.train_segmentation(
         net, seg_samples, epochs=8, seed=1, subsample=150, augment_count=0, lr=3e-3
     )
     assert result.loss_curve[-1] < result.loss_curve[0]
 
 
-def test_seg_target_val_stops_early(seg_samples):
-    # any dice clears a target of 0, so the first validation epoch stops
-    net = _TinySoftmaxNet(seed=4)
-    result = tr.train_segmentation(
-        net, seg_samples, epochs=10, seed=0, subsample=100, augment_count=0,
-        val_samples=seg_samples, val_every=2, target_val=0.0,
-    )
-    assert result.epochs_run == 2  # the first epoch that validates
-    assert len(result.val_curve) == 1
-    assert result.best_epoch == 1
-    assert result.best_val == result.val_curve[0]
-
-
-def test_seg_patience_zero_stops_at_first_validation(seg_samples):
-    net = _TinySoftmaxNet(seed=5)
-    result = tr.train_segmentation(
-        net, seg_samples, epochs=10, seed=0, subsample=100, augment_count=0,
-        val_samples=seg_samples, val_every=1, patience=0,
-    )
-    assert result.epochs_run == 1
-    assert len(result.val_curve) == 1
+def test_patience_zero_never_stops_and_one_stops_at_first_stall(loop):
+    # lr 0 leaves the weights alone, so every validation repeats the first
+    fit, make_net, samples = loop
+    for patience, epochs_run in ((0, 4), (1, 2)):
+        result = fit(make_net(seed=5), samples, epochs=4, seed=0, lr=0.0,
+                     subsample=100, augment_count=0, val_samples=samples,
+                     val_every=1, patience=patience)
+        assert result.epochs_run == epochs_run
+        assert len(result.val_curve) == epochs_run
+        assert result.best_epoch == 0
 
 
 def test_seg_restores_best_state(seg_samples):
-    net = _TinySoftmaxNet(seed=6)
+    net = _TinyNet(seed=6)
     result = tr.train_segmentation(
         net, seg_samples, epochs=4, seed=2, subsample=150, augment_count=0,
         val_samples=seg_samples, val_every=1,
@@ -164,27 +175,33 @@ def test_seg_restores_best_state(seg_samples):
     assert result.best_val == pytest.approx(max(result.val_curve))
     assert result.best_epoch == int(np.argmax(result.val_curve))
     # the weights left on the net reproduce the best validation score
-    redo = tr._mean_dice(
+    redo = seg_metrics(
         tr.predict_labels(net, seg_samples[0].mesh), seg_samples[0].labels
-    )
+    ).mean_dsc
     assert redo == pytest.approx(result.best_val)
 
 
-def test_divergence_carries_last_good_state(seg_samples):
+def _assert_divergence_carries_last_good_state(fit, make_net, samples):
     # epoch 1 completes (one sample, one step); the second forward emits
     # NaN, so epoch 2 must abort with the post-epoch-1 snapshot attached
-    net = _TinySoftmaxNet(nan_after=1, seed=7)
+    net = make_net(nan_after=1, seed=7)
     with pytest.raises(TrainingDivergenceError) as info:
-        tr.train_segmentation(
-            net, seg_samples, epochs=5, seed=0, subsample=80, augment_count=0
-        )
+        fit(net, samples, epochs=5, seed=0, subsample=80, augment_count=0)
     err = info.value
     assert "non-finite loss" in str(err)
     assert len(err.loss_curve) == 1
     assert set(err.last_good_state) == {"w"}
     assert np.all(np.isfinite(err.last_good_state["w"]))
     # the snapshot is the trained state, not the initial one
-    assert not np.array_equal(err.last_good_state["w"], _TinySoftmaxNet(seed=7).w.data)
+    assert not np.array_equal(err.last_good_state["w"], make_net(seed=7).w.data)
+
+
+def test_divergence_carries_last_good_state(seg_samples):
+    _assert_divergence_carries_last_good_state(*_seg_loop(seg_samples))
+
+
+def test_heatmap_divergence_carries_last_good_state(roi_sample):
+    _assert_divergence_carries_last_good_state(*_heatmap_loop(roi_sample))
 
 
 def test_heatmap_loop_learns_toy_roi(roi_sample):
