@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landmarks as lm
-from .errors import DecimationError, InvalidPairError
-from .mesh_io import Annotation, TriMesh
+from .errors import DecimationError, InvalidPairError, SchemaError, ShapeError
+from .mesh_io import TriMesh
 
 MIN_DECIMATION_TARGET = 100
 FEATURE_DIM = 15
@@ -135,10 +135,10 @@ def knn_graph(mesh_or_points, k: int) -> KnnGraph:
     else:
         points = np.asarray(mesh_or_points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError(f"kNN input must be a nonempty 2-D array, got {points.shape}")
+        raise ShapeError(f"kNN input must be a nonempty 2-D array, got {points.shape}")
     n = points.shape[0]
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ShapeError(f"k must be >= 1, got {k}")
     if k > n:
         warnings.warn(f"k={k} exceeds {n} cells, clamping", stacklevel=2)
         k = n
@@ -207,14 +207,30 @@ def _face_quadrics(mesh: TriMesh) -> np.ndarray:
     )
 
 
-def _collapse_cost(pu: np.ndarray, pv: np.ndarray, quadric: np.ndarray):
-    cand = np.ones((3, 4), dtype=np.float64)
-    cand[0, :3] = 0.5 * (pu + pv)
-    cand[1, :3] = pu
-    cand[2, :3] = pv
-    costs = np.einsum("ij,jk,ik->i", cand, quadric, cand)
-    best = int(np.argmin(costs))
-    return float(costs[best]), cand[best, :3].copy()
+def _collapse_costs(positions: np.ndarray, quadrics: np.ndarray,
+                    a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QEM cost and target position of collapsing each edge (a[e], b[e]).
+
+    The candidates are the midpoint and the two endpoints; ties go to the
+    earlier one. Every cost the decimation uses, for the heap and for the
+    collapse position alike, comes from this one batched evaluation.
+    """
+    pa, pb = positions[a], positions[b]
+    cand = np.ones((a.size, 3, 4), dtype=np.float64)
+    cand[:, 0, :3] = 0.5 * (pa + pb)
+    cand[:, 1, :3] = pa
+    cand[:, 2, :3] = pb
+    costs = np.einsum("nij,njk,nik->ni", cand, quadrics[a] + quadrics[b], cand)
+    best = np.argmin(costs, axis=1)
+    rows = np.arange(a.size)
+    return costs[rows, best], cand[rows, best, :3]
+
+
+def _cross(p0, p1, p2) -> tuple[float, float, float]:
+    """(p1 - p0) x (p2 - p0) over Python floats, in np.cross's operation order."""
+    ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
+    bx, by, bz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
 def decimate(
@@ -228,6 +244,14 @@ def decimate(
     predictions projected back. Targets at or above the current cell count
     are an identity pass. The collapse stops at the first count <= target,
     which lands within 2 cells of it.
+
+    Edges are collapsed cheapest first from a lazy heap (Garland & Heckbert
+    1997). Costs are evaluated in batches: every edge up front, then the
+    edges around the surviving vertex after each collapse; a batch gives
+    each edge the same bits it would get alone. The flip test computes face
+    normals on Python floats, in np.cross's operation order, and keeps
+    np.dot for their dot products, whose BLAS summation order a Python sum
+    would not reproduce.
     """
     if target_cells < MIN_DECIMATION_TARGET:
         raise DecimationError(
@@ -237,6 +261,7 @@ def decimate(
         return mesh, np.arange(mesh.num_cells, dtype=np.int64)
 
     positions = mesh.vertices.copy()
+    coords = positions.tolist()  # the same values as Python floats, for the flip test
     faces = [list(c) for c in mesh.cells.tolist()]
     face_alive = np.ones(len(faces), dtype=bool)
     quadrics = np.zeros((mesh.num_vertices, 4, 4), dtype=np.float64)
@@ -260,23 +285,20 @@ def decimate(
         return out
 
     def push_edges(u: int, heap) -> None:
-        for w in neighbors_of(u):
-            a, b = (u, w) if u < w else (w, u)
-            cost, _ = _collapse_cost(positions[a], positions[b], quadrics[a] + quadrics[b])
-            heapq.heappush(heap, (cost, a, b, int(version[a]), int(version[b])))
+        w = np.fromiter(neighbors_of(u), dtype=np.int64)
+        a, b = np.minimum(u, w), np.maximum(u, w)
+        costs, _ = _collapse_costs(positions, quadrics, a, b)
+        for entry in zip(costs.tolist(), a.tolist(), b.tolist(),
+                         version[a].tolist(), version[b].tolist()):
+            heapq.heappush(heap, entry)
 
-    heap: list = []
-    seen = set()
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (a, c)):
-            u, v = (u, v) if u < v else (v, u)
-            if (u, v) not in seen:
-                seen.add((u, v))
-                cost, _ = _collapse_cost(
-                    positions[u], positions[v], quadrics[u] + quadrics[v]
-                )
-                heapq.heappush(heap, (cost, u, v, 0, 0))
-    del seen
+    # every (cost, u, v, version_u, version_v) entry is distinct, so the pop
+    # order depends only on the entries, not on how the heap was built
+    edges = np.unique(np.sort(mesh.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1),
+                      axis=0)
+    costs, _ = _collapse_costs(positions, quadrics, edges[:, 0], edges[:, 1])
+    heap = [(cost, u, v, 0, 0) for cost, (u, v) in zip(costs.tolist(), edges.tolist())]
+    heapq.heapify(heap)
 
     remaining = mesh.num_cells
     while remaining > target_cells and heap:
@@ -296,17 +318,16 @@ def decimate(
             opposite.update(w for w in faces[fi] if w != u and w != v)
         if common != opposite:
             continue
-        _, new_pos = _collapse_cost(
-            positions[u], positions[v], quadrics[u] + quadrics[v]
-        )
+        _, new_pos = _collapse_costs(positions, quadrics, np.array([u]), np.array([v]))
+        new_pos = new_pos[0]
+        new_coords = new_pos.tolist()
         # reject collapses that flip or squash any surviving incident face
         ok = True
         for fi in (vertex_faces[u] | vertex_faces[v]) - shared_faces:
             tri = faces[fi]
-            old = [positions[w] for w in tri]
-            new = [new_pos if w in (u, v) else positions[w] for w in tri]
-            old_n = np.cross(old[1] - old[0], old[2] - old[0])
-            new_n = np.cross(new[1] - new[0], new[2] - new[0])
+            old_n = np.array(_cross(*(coords[w] for w in tri)))
+            new_n = np.array(_cross(*(new_coords if w in (u, v) else coords[w]
+                                      for w in tri)))
             if float(np.dot(old_n, new_n)) <= 0.0 or float(
                 np.dot(new_n, new_n)
             ) < 1e-24:
@@ -316,6 +337,7 @@ def decimate(
             continue
 
         positions[u] = new_pos
+        coords[u] = new_coords
         quadrics[u] += quadrics[v]
         for fi in shared_faces:
             face_alive[fi] = False
@@ -376,7 +398,7 @@ def extract_roi(mesh: TriMesh, labels: np.ndarray, tooth_id: int) -> Roi | None:
     """Submesh of cells labeled tooth_id; None when the tooth is missing."""
     labels = np.asarray(labels)
     if labels.shape[0] != mesh.num_cells:
-        raise ValueError(
+        raise SchemaError(
             f"{labels.shape[0]} labels for a mesh with {mesh.num_cells} cells"
         )
     cell_ids = np.nonzero(labels == tooth_id)[0]
@@ -400,6 +422,12 @@ class RigidAugmentation:
     def linear(self) -> np.ndarray:
         """The map applied before translation: scale in the object frame, rotate."""
         return rotation_matrix(self.rotation) * self.scale[None, :]
+
+    def move_landmarks(self, positions: dict) -> dict:
+        """Landmark positions carried along with the vertices (see apply_augmentation)."""
+        linear = self.linear()
+        return {key: linear @ np.asarray(p, dtype=np.float64) + self.translation
+                for key, p in positions.items()}
 
 
 def sample_augmentation(rng: np.random.Generator) -> RigidAugmentation:
@@ -435,19 +463,11 @@ def rotation_matrix(rotation: np.ndarray) -> np.ndarray:
     return mz @ my @ mx
 
 
-def apply_augmentation(
-    mesh: TriMesh, ann: Annotation | None, aug: RigidAugmentation
-) -> tuple[TriMesh, Annotation | None]:
-    """Scale in the object frame, rotate, then translate; landmarks follow.
+def apply_augmentation(mesh: TriMesh, aug: RigidAugmentation) -> TriMesh:
+    """Scale in the object frame, rotate, then translate.
 
     All scale factors are positive, so winding and outward normals survive.
+    Landmarks follow through RigidAugmentation.move_landmarks.
     """
-    linear = aug.linear()
-    vertices = mesh.vertices @ linear.T + aug.translation
-    out_mesh = TriMesh(vertices, mesh.cells.copy())
-    if ann is None:
-        return out_mesh, None
-    landmarks = {
-        key: linear @ pos + aug.translation for key, pos in ann.landmarks.items()
-    }
-    return out_mesh, Annotation(ann.labels.copy(), landmarks)
+    vertices = mesh.vertices @ aug.linear().T + aug.translation
+    return TriMesh(vertices, mesh.cells.copy())

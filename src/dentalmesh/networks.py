@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .autodiff import BatchNormState, Parameter, Tensor
-from .errors import CheckpointError
+from .errors import CheckpointError, ShapeError
 
 NUM_CLASSES = 15  # gingiva + 14 teeth
 GDL_SMOOTH = 1e-5
@@ -281,7 +281,12 @@ class ToothSegNet(Module):
         x = features if isinstance(features, Tensor) else Tensor(features)
         n = x.data.shape[0]
         if graph6 is None or graph12 is None:
-            raise ValueError("ToothSegNet requires both kNN graphs")
+            raise ShapeError("ToothSegNet requires both kNN graphs")
+        for graph in (graph6, graph12):
+            if graph.num_cells != n:
+                raise ShapeError(
+                    f"k={graph.k} graph has {graph.num_cells} rows for {n} feature rows"
+                )
         for block in self.mlp1:
             x = block(x, training)
         transform = self.ftm(x, training)

@@ -2,10 +2,15 @@
 
 Training is plain SMO with deterministic pair selection: a sweep walks every
 sample index in order, and the partner is chosen by the largest error gap
-(lowest index on ties). Given the same inputs, fitting is bit-reproducible.
+(lowest index on ties). When that partner cannot make progress, the next
+ones in gap order are the fallback. The best partner and its fallbacks are
+screened in one vectorised pass that does the scalar pair rule's arithmetic
+elementwise, so the fit has the same bits as trying them one at a time.
+Given the same inputs, fitting is bit-reproducible.
 
 The upsampler fits one-vs-rest classifiers on decimated cell barycenters and
-predicts per-cell labels for the original mesh by decision-value argmax.
+predicts per-cell labels for the original mesh by decision-value argmax. The
+classifiers of one fit share a single kernel matrix.
 """
 
 from __future__ import annotations
@@ -48,15 +53,18 @@ class _SmoState:
 
     Pair selection is deterministic: the partner with the largest error gap
     wins, ties to the lowest index, and partners whose box constraint pins
-    the pair in place are masked out up front. If the best partner cannot
-    make progress (degenerate curvature or a vanishing step) the next
-    candidates are tried in descending gap order.
+    the pair in place are masked out up front. The best partner and the
+    next FALLBACK_TRIES - 1 in descending gap order, up to the first masked
+    one, are screened in one pass; the first that can make progress (a
+    nonempty box, negative curvature, a step of at least MIN_ALPHA_STEP)
+    is taken.
     """
 
     FALLBACK_TRIES = 64
 
     def __init__(self, kernel: np.ndarray, y: np.ndarray, c: float):
         self.kernel = kernel
+        self.diagonal = np.diagonal(kernel)
         self.y = y
         self.c = c
         self.alpha = np.zeros(y.shape[0])
@@ -88,34 +96,48 @@ class _SmoState:
         best = int(np.argmax(gaps))
         if gaps[best] < 0.0:
             return 0
-        if self._try_pair(i, best):
-            return 1
-        order = np.argsort(-gaps, kind="stable")
-        for j in order[1 : self.FALLBACK_TRIES]:
-            if gaps[j] < 0.0:
-                break
-            if self._try_pair(i, int(j)):
-                return 1
-        return 0
+        candidates = np.argsort(-gaps, kind="stable")[: self.FALLBACK_TRIES]
+        candidates[0] = best
+        ineligible = gaps[candidates] < 0.0
+        cut = int(np.argmax(ineligible))
+        if ineligible[cut]:
+            candidates = candidates[:cut]
+        step = self._screen(i, candidates)
+        if step is None:
+            return 0
+        self._update_pair(i, *step)
+        return 1
 
-    def _try_pair(self, i: int, j: int) -> bool:
-        alpha, y, kernel, c = self.alpha, self.y, self.kernel, self.c
-        if y[i] != y[j]:
-            low = max(0.0, alpha[j] - alpha[i])
-            high = min(c, c + alpha[j] - alpha[i])
-        else:
-            low = max(0.0, alpha[i] + alpha[j] - c)
-            high = min(c, alpha[i] + alpha[j])
-        if high - low < 1e-12:
-            return False
-        eta = 2.0 * kernel[i, j] - kernel[i, i] - kernel[j, j]
-        if eta >= 0.0:
-            return False
-        errors = self.errors
-        new_j = alpha[j] - y[j] * (errors[i] - errors[j]) / eta
-        new_j = min(high, max(low, new_j))
-        if abs(new_j - alpha[j]) < MIN_ALPHA_STEP:
-            return False
+    def _screen(self, i: int, candidates: np.ndarray):
+        """(j, new alpha_j) for the first candidate j that makes progress, or None.
+
+        Elementwise, the same IEEE operations as the scalar pair rule: the
+        box [low, high] of alpha_j, the curvature eta, the clipped step.
+        np.where reproduces Python's max/min (the first argument wins ties
+        and NaN comparisons), so the chosen partner and alpha_j are exact.
+        """
+        alpha, y, c = self.alpha, self.y, self.c
+        a_i, a_j, y_j = alpha[i], alpha[candidates], y[candidates]
+        differ = y_j != y[i]
+        low = np.where(differ, a_j - a_i, a_i + a_j - c)
+        low = np.where(low > 0.0, low, 0.0)
+        high = np.where(differ, c + a_j - a_i, a_i + a_j)
+        high = np.where(high < c, high, c)
+        eta = 2.0 * self.kernel[i, candidates] - self.kernel[i, i] - self.diagonal[candidates]
+        curved = ~(eta >= 0.0)
+        step = np.divide(y_j * (self.errors[i] - self.errors[candidates]), eta,
+                         out=np.zeros(eta.shape), where=curved)
+        new_j = a_j - step
+        new_j = np.where(new_j > low, new_j, low)
+        new_j = np.where(new_j < high, new_j, high)
+        ok = ~(high - low < 1e-12) & curved & ~(np.abs(new_j - a_j) < MIN_ALPHA_STEP)
+        first = int(np.argmax(ok))
+        if not ok[first]:
+            return None
+        return int(candidates[first]), new_j[first]
+
+    def _update_pair(self, i: int, j: int, new_j) -> None:
+        alpha, y, kernel, c, errors = self.alpha, self.y, self.kernel, self.c, self.errors
         new_i = alpha[i] + y[i] * y[j] * (alpha[j] - new_j)
         di = y[i] * (new_i - alpha[i])
         dj = y[j] * (new_j - alpha[j])
@@ -129,7 +151,6 @@ class _SmoState:
             new_b = 0.5 * (b1 + b2)
         errors += di * kernel[i] + dj * kernel[j] + (new_b - self.bias)
         alpha[i], alpha[j], self.bias = new_i, new_j, new_b
-        return True
 
 
 @dataclass
@@ -143,7 +164,9 @@ class RbfSvm:
     dual_coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
     bias: float = 0.0
 
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "RbfSvm":
+    def fit(self, x: np.ndarray, y: np.ndarray,
+            kernel: np.ndarray | None = None) -> "RbfSvm":
+        """SMO on rbf_kernel(x, x, gamma); pass that matrix as kernel to reuse it."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -151,7 +174,8 @@ class RbfSvm:
         if not np.all(np.abs(y) == 1.0):
             raise ValueError("binary labels must be +1 or -1")
         n = x.shape[0]
-        kernel = rbf_kernel(x, x, self.gamma)
+        if kernel is None:
+            kernel = rbf_kernel(x, x, self.gamma)
         self._state = _SmoState(kernel, y, self.c)
         state = self._state
         sweeps = 0
@@ -214,9 +238,10 @@ class MultiClassSvm:
         self.machines_ = []
         if self.classes_.size < 2:
             return self
+        kernel = rbf_kernel(x, x, gamma)
         for cls in self.classes_:
             target = np.where(y == cls, 1.0, -1.0)
-            self.machines_.append(RbfSvm(c=self.c, gamma=gamma).fit(x, target))
+            self.machines_.append(RbfSvm(c=self.c, gamma=gamma).fit(x, target, kernel))
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -163,7 +163,7 @@ def _train(net, samples: list, step_loss, val_score, larger_is_better: bool, *,
             aug = augs[s][variant - 1] if variant else None
             mesh = sample.mesh
             if aug is not None:
-                mesh, _ = apply_augmentation(mesh, None, aug)
+                mesh = apply_augmentation(mesh, aug)
             feats = extract_features(mesh)
             idx = _subsample_indices(rng, mesh.num_cells, subsample)
             out = _forward(net, feats.matrix[idx], mesh.cell_barycenters[idx],
@@ -282,11 +282,7 @@ def train_heatmap(
     def step_loss(out, sample, idx, mesh, aug):
         positions = sample.positions
         if aug is not None:
-            linear = aug.linear()
-            positions = {
-                name: linear @ np.asarray(p, dtype=np.float64) + aug.translation
-                for name, p in positions.items()
-            }
+            positions = aug.move_landmarks(positions)
         target = _heatmap_target(sample.tooth_id, mesh.cell_barycenters[idx],
                                  positions, sigma, peak)
         return mse_loss(out, target)

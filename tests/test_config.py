@@ -127,29 +127,73 @@ def test_every_field_is_read_outside_config():
 
 # postprocess.edge_cost is the scalar reference that
 # test_build_energy_matches_scalar_edge_cost checks build_energy against
-KEPT_FOR_TESTS = {"edge_cost"}
+KEPT_FOR_TESTS = {"postprocess.edge_cost"}
+
+
+def _bindings(tree: ast.Module, modules: set[str]):
+    """Local names a file binds to package modules and to their definitions."""
+    module_alias, name_alias = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if alias.asname and parts[0] == "dentalmesh" and parts[-1] in modules:
+                    module_alias[alias.asname] = parts[-1]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base != "dentalmesh" and not base.startswith("dentalmesh."):
+                    continue
+                base = base.removeprefix("dentalmesh").lstrip(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if not base and alias.name in modules:
+                    module_alias[local] = alias.name
+                elif base in modules:
+                    name_alias[local] = (base, alias.name)
+    return module_alias, name_alias
 
 
 def test_every_public_definition_is_used():
-    """A module-level def or class that nothing names is code only tests reach.
+    """A public def, class or method that nothing uses is code only tests reach.
 
-    Uses are Name or Attribute nodes anywhere in the package or in the
-    benchmark scripts; an import alone does not count.
+    A module-level name is used when it is loaded inside its own module, or
+    elsewhere in the package or the benchmark scripts through a binding of
+    its defining module: `from .m import name` and then `name`, or
+    `<alias of m>.name`. An import alone does not count, nor does another
+    object of the same name (a logger called `log` does not use
+    `autodiff.log`). A public method of a public class is used when some
+    attribute access, or a name in its own module, carries its name.
     """
     package = Path(dentalmesh.__file__).parent
     benchmark = Path(__file__).resolve().parents[1] / "benchmark"
-    used, defined = set(), []
-    for path in sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    paths = sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    modules = {path.stem for path in paths if path.parent == package}
+    used, attributes, defined, methods = set(), set(), [], []
+    for path, tree in trees.items():
+        module_alias, name_alias = _bindings(tree, modules)
+        own = path.stem if path.parent == package else None
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                if node.id in name_alias:
+                    used.add(name_alias[node.id])
+                if own:
+                    used.add((own, node.id))
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-        if path.parent == package:
-            defined += [f"{path.stem}.{node.name}" for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                        and not node.name.startswith("_")]
-    unused = [name for name in defined
-              if name.split(".")[1] not in used | KEPT_FOR_TESTS]
-    assert unused == []
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in module_alias:
+                    used.add((module_alias[node.value.id], node.attr))
+        if own:
+            for node in tree.body:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")):
+                    defined.append((own, node.name))
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                    methods += [(own, node.name, item.name) for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not item.name.startswith("_")]
+    unused = [f"{m}.{name}" for m, name in defined if (m, name) not in used]
+    unused += [f"{m}.{cls}.{name}" for m, cls, name in methods
+               if name not in attributes and (m, name) not in used]
+    assert sorted(set(unused) - KEPT_FOR_TESTS) == []

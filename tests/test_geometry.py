@@ -1,13 +1,21 @@
 """Geometry: features, graphs, decimation, ROIs, augmentation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dentalmesh import geometry as geo
-from dentalmesh.errors import DecimationError, InvalidPairError
-from dentalmesh.mesh_io import Annotation, TriMesh
+from dentalmesh.errors import (
+    DecimationError,
+    DentalMeshError,
+    InvalidPairError,
+    SchemaError,
+    ShapeError,
+)
+from dentalmesh.mesh_io import TriMesh
 
 from helpers import grid_mesh, sphere_mesh
 
@@ -62,8 +70,19 @@ def test_knn_graph_clamps_large_k(rng):
     with pytest.warns(UserWarning, match="clamping"):
         g = geo.knn_graph(points, 9)
     assert g.k == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         geo.knn_graph(points, 0)
+
+
+def test_knn_graph_rejects_bad_input_with_shape_error(rng):
+    # a typed package error, so the CLI exits 2 instead of printing a traceback
+    assert issubclass(ShapeError, DentalMeshError)
+    with pytest.raises(ShapeError, match="nonempty 2-D"):
+        geo.knn_graph(rng.normal(size=8), 3)
+    with pytest.raises(ShapeError, match="nonempty 2-D"):
+        geo.knn_graph(np.zeros((0, 3)), 3)
+    with pytest.raises(ShapeError, match="k must be >= 1"):
+        geo.knn_graph(rng.normal(size=(8, 3)), -2)
 
 
 def test_nearest_rows_oracle(rng):
@@ -123,6 +142,26 @@ def test_decimate_reaches_target(small_arch):
     assert origin.min() >= 0 and origin.max() < coarse.num_cells
 
 
+# outputs of the per-edge decimation that the batched one replaced, on the
+# small_arch fixture (4,500 -> 400 cells): the integer cells and origin map,
+# and the float64 coarse vertices
+DECIMATE_VERTICES_SHA256 = "d32679096724e7a55272951f4b68aae8c46cccbb43d1fd01e4f0c64d3d13fffd"
+DECIMATE_CELLS_SHA256 = "a69000991b9e44c946e6574c8610890ad4085dc5062b154583acbf2ac9512eec"
+DECIMATE_ORIGIN_SHA256 = "3df140114663a8d00143ad4acecd92b128b0bc99757b544fb17a11051a6fd1ea"
+DECIMATE_COLLAPSES = 2180
+
+
+def test_decimate_reproduces_recorded_collapse_sequence(small_arch):
+    mesh, _ = small_arch
+    coarse, origin = geo.decimate(mesh, 400)
+    assert mesh.num_vertices - coarse.num_vertices == DECIMATE_COLLAPSES
+    assert coarse.cells.dtype == np.int64 and origin.dtype == np.int64
+    assert coarse.vertices.dtype == np.float64
+    assert hashlib.sha256(coarse.cells.tobytes()).hexdigest() == DECIMATE_CELLS_SHA256
+    assert hashlib.sha256(coarse.vertices.tobytes()).hexdigest() == DECIMATE_VERTICES_SHA256
+    assert hashlib.sha256(origin.tobytes()).hexdigest() == DECIMATE_ORIGIN_SHA256
+
+
 def test_decimate_sphere_keeps_area():
     # area oracle on a smooth closed surface: 10x reduction should not
     # eat more than 5% of the total area
@@ -169,8 +208,18 @@ def test_extract_roi(bump_fixture):
     # submesh cells keep their barycenters
     assert np.allclose(roi.mesh.cell_barycenters, mesh.cell_barycenters[roi.cell_ids])
     assert geo.extract_roi(mesh, labels, 7) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         geo.extract_roi(mesh, labels[:-1], 3)
+
+
+def test_extract_roi_rejects_label_count_with_schema_error(bump_fixture):
+    # a typed package error, so the CLI exits 2 instead of printing a traceback
+    assert issubclass(SchemaError, DentalMeshError)
+    mesh, labels, _ = bump_fixture
+    extra = np.concatenate([labels, [3]])
+    with pytest.raises(SchemaError, match=f"{mesh.num_cells + 1} labels for a mesh "
+                                          f"with {mesh.num_cells} cells"):
+        geo.extract_roi(mesh, extra, 3)
 
 
 def test_rotation_matrix_properties():
@@ -185,20 +234,19 @@ def test_rotation_matrix_properties():
     assert np.allclose(r, rz @ ry @ rx)
 
 
-def test_augmentation_moves_landmarks_with_vertices(bump_fixture, rng):
+def test_augmentation_moves_landmarks_with_vertices(bump_fixture):
     mesh, labels, landmarks = bump_fixture
-    vertex_pos = mesh.vertices[5].copy()
-    ann = Annotation(labels, {(3, "CCT"): vertex_pos})
     aug = geo.RigidAugmentation(
         translation=np.array([4.0, -2.0, 1.0]),
         rotation=np.array([0.2, 0.5, -0.4]),
         scale=np.array([1.1, 0.9, 1.05]),
     )
-    out_mesh, out_ann = geo.apply_augmentation(mesh, ann, aug)
-    # the landmark that coincided with vertex 5 still does
-    assert np.allclose(out_ann.landmarks[(3, "CCT")], out_mesh.vertices[5])
+    out_mesh = geo.apply_augmentation(mesh, aug)
+    # a landmark on vertex 5 lands on the augmented vertex 5 through the
+    # transform the heatmap training step applies to its targets
+    moved = aug.move_landmarks({(3, "CCT"): mesh.vertices[5].copy()})
+    assert np.allclose(moved[(3, "CCT")], out_mesh.vertices[5])
     assert np.array_equal(out_mesh.cells, mesh.cells)
-    assert np.array_equal(out_ann.labels, labels)
     # scale happens in the object frame, before rotation
     linear = geo.rotation_matrix(aug.rotation) * aug.scale[None, :]
     assert np.allclose(out_mesh.vertices, mesh.vertices @ linear.T + aug.translation)
@@ -214,12 +262,11 @@ def test_sample_augmentation_bounds(seed):
 
 
 def test_augment_is_deterministic(bump_fixture):
-    mesh, labels, landmarks = bump_fixture
-    ann = Annotation(labels, landmarks)
+    mesh, _, _ = bump_fixture
 
     def augment(seed):
         aug = geo.sample_augmentation(np.random.default_rng(seed))
-        return geo.apply_augmentation(mesh, ann, aug)[0], aug
+        return geo.apply_augmentation(mesh, aug), aug
 
     m1, t1 = augment(11)
     m2, t2 = augment(11)

@@ -7,7 +7,7 @@ from dentalmesh import autodiff as ad
 from dentalmesh import geometry as geo
 from dentalmesh import networks as nets
 from dentalmesh.autodiff import Tensor
-from dentalmesh.errors import CheckpointError
+from dentalmesh.errors import CheckpointError, DentalMeshError, ShapeError
 
 from helpers import check_grads
 
@@ -46,8 +46,19 @@ def test_seg_net_ctor_validation():
     with pytest.raises(ValueError, match="adjacency"):
         nets.ToothSegNet(adjacency="knn")
     net = nets.ToothSegNet()
-    with pytest.raises(ValueError, match="requires both"):
+    with pytest.raises(ShapeError, match="requires both"):
         net(Tensor(np.zeros((4, 15))), None, None)
+
+
+def test_seg_net_forward_rejects_bad_inputs_with_shape_error():
+    # a typed package error, so the CLI exits 2 instead of printing a traceback
+    assert issubclass(ShapeError, DentalMeshError)
+    feats, g6, g12, _ = _features_and_graphs(n=16, seed=4)
+    net = nets.ToothSegNet(seed=5)
+    with pytest.raises(ShapeError):
+        net(Tensor(feats[:, :14]), g6, g12)
+    with pytest.raises(ShapeError, match="k=12 graph has 16 rows for 15 feature rows"):
+        net(Tensor(feats[:15]), geo.knn_graph(feats[:15], 6), g12)
 
 
 def test_seg_net_dynamic_adjacency_takes_only_the_graph_widths():
@@ -63,7 +74,7 @@ def test_seg_net_dynamic_adjacency_takes_only_the_graph_widths():
     # other widths rebuild other graphs
     narrow = net(Tensor(feats), geo.knn_graph(other, 3), geo.knn_graph(other, 5))
     assert not np.allclose(narrow.data, out.data)
-    with pytest.raises(ValueError, match="requires both"):
+    with pytest.raises(ShapeError, match="requires both"):
         net(Tensor(feats))
 
 

@@ -6,6 +6,7 @@ import pytest
 from dentalmesh import autodiff as ad
 from dentalmesh import landmarks as lm
 from dentalmesh import pipeline as pl
+from dentalmesh.errors import SchemaError
 from dentalmesh.mesh_io import Annotation
 
 from helpers import bump_scene
@@ -127,7 +128,7 @@ def test_locate_landmarks_skips_small_and_netless_rois():
 
 def test_locate_landmarks_label_length_check():
     mesh, labels, _ = bump_scene(12, 0)
-    with pytest.raises(ValueError, match="labels for a mesh"):
+    with pytest.raises(SchemaError, match="labels for a mesh"):
         pl.locate_landmarks({}, mesh, labels[:-1])
 
 

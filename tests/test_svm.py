@@ -1,12 +1,14 @@
 """SMO-trained RBF machines: KKT certificates, dual optimality, upsampling."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from dentalmesh import svm
 from dentalmesh.svm import KKT_TOL, LabelUpsampler, MultiClassSvm, RbfSvm
 
-from helpers import grid_mesh, recover_alpha, svm_dual_objective
+from helpers import grid_mesh, recover_alpha, reference_examine, svm_dual_objective
 
 
 def _two_clusters(rng, n_per=20, gap=4.0, dim=2, noise=0.6):
@@ -112,6 +114,36 @@ def test_fit_is_deterministic(rng):
     assert a.bias == b.bias
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_partner_search_matches_scalar_pair_rule(seed):
+    # overlapping classes with duplicated rows: duplicates give zero
+    # curvature, so many best-gap partners fail and the fallback runs
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(100, 2))
+    x[70:] = x[:30]
+    y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
+    c = float(rng.uniform(0.5, 5.0))
+    state = svm._SmoState(svm.rbf_kernel(x, x, 0.7), y, c)
+    fallback_taken = fallback_exhausted = 0
+    for _ in range(6):
+        state.refresh_errors()
+        for i in range(x.shape[0]):
+            twin = copy.copy(state)
+            twin.alpha, twin.errors = state.alpha.copy(), state.errors.copy()
+            partner, tried = reference_examine(twin, i, state.FALLBACK_TRIES,
+                                               svm.MIN_ALPHA_STEP, KKT_TOL)
+            before = state.alpha.copy()
+            assert state.examine(i) == (partner is not None)
+            moved = np.flatnonzero(state.alpha != before).tolist()
+            assert moved == ([] if partner is None else sorted({i, partner}))
+            assert np.array_equal(state.alpha, twin.alpha)
+            assert np.array_equal(state.errors, twin.errors)
+            assert state.bias == twin.bias
+            fallback_taken += partner is not None and tried > 1
+            fallback_exhausted += partner is None and tried > 1
+    assert fallback_taken > 0 and fallback_exhausted > 0
+
+
 def test_multiclass_predictions(rng):
     centers = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 6.0]])
     x = np.vstack([rng.normal(scale=0.5, size=(15, 2)) + c for c in centers])
@@ -121,6 +153,12 @@ def test_multiclass_predictions(rng):
     assert len(model.machines_) == 3
     assert np.array_equal(model.predict(x), y)
     assert np.array_equal(model.predict(centers), [2, 5, 9])
+    # the kernel built once per fit gives each machine the bits of a lone fit
+    for cls, machine in zip(model.classes_, model.machines_):
+        alone = RbfSvm(c=10.0, gamma=machine.gamma).fit(x, np.where(y == cls, 1.0, -1.0))
+        assert np.array_equal(alone.support_vectors, machine.support_vectors)
+        assert np.array_equal(alone.dual_coef, machine.dual_coef)
+        assert alone.bias == machine.bias
 
 
 def test_multiclass_degenerate_single_class():
