@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 Tensors form a DAG as ops run; backward(loss) walks it once in reverse
-topological order and accumulates gradients. Rank is capped at 3 (the
-networks need at most cell x neighbor x channel). Gradient tracking can be
-switched off with no_grad() for inference, which also lets intermediate
-buffers free eagerly.
+topological order and accumulates gradients. Rank is capped at 3; the
+networks only form (cells, channels) tensors, since EdgeConv is one fused
+op (edge_conv) that never builds a cell x neighbor x channel tensor.
+Gradient tracking can be switched off with no_grad() for inference, which
+also lets intermediate buffers free eagerly.
 
 The optimizer is AMSGrad: Adam moments plus a running elementwise maximum
 of the second moment in the denominator.
@@ -293,40 +294,8 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return _make(data, tuple(tensors), grad_fn)
 
 
-def gather_rows(x, idx) -> Tensor:
-    x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows index must be 1-D, got {idx.shape}")
-    data = x.data[idx]
-
-    def grad_fn(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
-
-    return _make(data, (x,), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # pooling
-
-def max_over_axis(x, axis: int) -> Tensor:
-    """Max reduction; ties route gradient to the lowest index (argmax)."""
-    x = _as_tensor(x)
-    data = x.data.max(axis=axis)
-    arg = x.data.argmax(axis=axis)
-
-    def grad_fn(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        grid = np.indices(data.shape)
-        index = list(grid)
-        index.insert(axis, arg)
-        x.grad[tuple(index)] += g
-
-    return _make(data, (x,), grad_fn)
-
 
 def global_max_pool(x) -> Tensor:
     """Column-wise max of a 2-D tensor, kept as shape (1, C)."""
@@ -440,6 +409,135 @@ def batch_norm(
             _accumulate(x, g * gamma.data * inv)
 
     return _make(data, (x, gamma, beta), grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused EdgeConv
+
+def edge_conv(
+    x,
+    weight: Tensor,
+    bias: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    state: BatchNormState,
+    neighbors: np.ndarray,
+    training: bool,
+    momentum: float = 0.1,
+    eps: float = 1e-5,
+) -> Tensor:
+    """EdgeConv, batch norm over its edges, ReLU and the max over each
+    cell's neighbors, as one op: out_i = max_j relu(bn(a_i - p_j)).
+
+    weight rows 0..C_in-1 act on the (center - neighbor) difference, the
+    rest on the center, so with p = x W[:C_in] and a = p + x W[C_in:] + bias
+    the edge i -> j carries a_i - p_j. Batch norm is affine per channel and
+    ReLU monotone, so the max is attained at the neighbor with the least
+    sign(gamma) * p_j: the least p_j where gamma > 0, the greatest where
+    gamma < 0, slot 0 where gamma == 0. Ties go to the lowest slot, which is
+    where a lowest-index argmax over the edges would send the gradient.
+
+    Training-mode statistics cover all N*k edges, with the running buffers
+    updated as batch_norm does. They come from per-cell sums of the centred
+    u = a - mean(a) and v = p - mean(p): the count cnt_j of edges into j and
+    Sv_i, the sum of v over the neighbors of i. The backward adds the
+    reverse-neighbor sum of u and one scatter of the selected edges'
+    gradient. Every array is (N, C): no edge-sized tensor is formed.
+    """
+    x = _as_tensor(x)
+    nbrs = np.asarray(neighbors, dtype=np.int64)
+    cin = x.data.shape[1] if x.data.ndim == 2 else -1
+    if weight.data.shape[0] != 2 * cin or nbrs.ndim != 2 or nbrs.shape[0] != x.data.shape[0]:
+        raise ShapeError(
+            f"edge_conv of x {x.data.shape} with weight {weight.data.shape} "
+            f"over neighbors {nbrs.shape}"
+        )
+    n, k = nbrs.shape
+    m = n * k
+    w_diff, w_center = weight.data[:cin], weight.data[cin:]
+    p = x.data @ w_diff
+    a = p + x.data @ w_center + bias.data
+    cells = _select_neighbors(p, nbrs, np.sign(gamma.data))
+    p_sel = p[cells, np.arange(p.shape[1])]
+    if training:
+        if m < 2:
+            raise ShapeError("edge_conv training mode needs at least 2 edges")
+        cnt = np.bincount(nbrs.ravel(), minlength=n).astype(np.float64)[:, None]
+        a_mean, p_mean = a.mean(axis=0), p.mean(axis=0)
+        u, v = a - a_mean, p - p_mean
+        sv = _neighbor_sum(v, nbrs)
+        d_mean = (k * u.sum(axis=0) - np.sum(cnt * v, axis=0)) / m
+        sq_sum = (k * np.sum(u * u, axis=0) - 2.0 * np.sum(u * sv, axis=0)
+                  + np.sum(cnt * v * v, axis=0))
+        mu = a_mean - p_mean + d_mean
+        var = sq_sum / m - d_mean * d_mean
+        state.mean = (1.0 - momentum) * state.mean + momentum * mu
+        state.var = (1.0 - momentum) * state.var + momentum * var * m / (m - 1)
+        state.steps += 1
+    else:
+        mu = state.mean
+        var = state.var
+    inv = 1.0 / np.sqrt(var + eps)
+    x_hat = (a - p_sel - mu) * inv
+    y = gamma.data * x_hat + beta.data
+    data = np.maximum(y, 0.0)
+
+    def grad_fn(g):
+        h = np.where(y > 0.0, g, 0.0)
+        _accumulate(gamma, np.sum(h * x_hat, axis=0))
+        _accumulate(beta, np.sum(h, axis=0))
+        g_edge = h * gamma.data * inv
+        da = g_edge
+        dp = -_scatter_columns(g_edge, cells)
+        if training:
+            mean_g = np.sum(g_edge, axis=0) / m
+            mean_gx = np.sum(g_edge * x_hat, axis=0) / m
+            # sums of x_hat over the edges out of each cell and into each cell
+            out_hat = (k * (u - d_mean) - sv) * inv
+            in_hat = (_reverse_neighbor_sum(u, nbrs) - cnt * (v + d_mean)) * inv
+            da = da - k * mean_g - mean_gx * out_hat
+            dp += cnt * mean_g + mean_gx * in_hat
+        dp += da
+        _accumulate(x, dp @ w_diff.T + da @ w_center.T)
+        _accumulate(weight, np.vstack([x.data.T @ dp, x.data.T @ da]))
+        _accumulate(bias, np.sum(da, axis=0))
+
+    return _make(data, (x, weight, bias, gamma, beta), grad_fn)
+
+
+def _select_neighbors(p: np.ndarray, nbrs: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Per cell and channel, the neighbor with the least sign * p, first slot on ties."""
+    signed = p * sign
+    least = signed[nbrs[:, 0]]
+    for slot in range(1, nbrs.shape[1]):
+        np.minimum(least, signed[nbrs[:, slot]], out=least)
+    slots = np.zeros(p.shape, dtype=np.int64)
+    for slot in range(nbrs.shape[1] - 1, -1, -1):  # downwards: the lowest slot wins
+        np.copyto(slots, slot, where=signed[nbrs[:, slot]] == least)
+    return np.take_along_axis(nbrs, slots, axis=1)
+
+
+def _neighbor_sum(v: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Row i: the sum of v over the neighbors of cell i."""
+    out = v[nbrs[:, 0]]
+    for slot in range(1, nbrs.shape[1]):
+        out += v[nbrs[:, slot]]
+    return out
+
+
+def _reverse_neighbor_sum(u: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Row j: the sum of u over the cells that list j as a neighbor."""
+    out = np.zeros_like(u)
+    for slot in range(nbrs.shape[1]):
+        out += _scatter_columns(u, nbrs[:, slot : slot + 1])
+    return out
+
+
+def _scatter_columns(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[rows[i, c], c] += values[i, c]; rows may be one column for all c."""
+    n, c = values.shape
+    flat = rows * c + np.arange(c)
+    return np.bincount(flat.ravel(), weights=values.ravel(), minlength=n * c).reshape(n, c)
 
 
 # ---------------------------------------------------------------------------

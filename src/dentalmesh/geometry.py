@@ -108,8 +108,25 @@ class KnnGraph:
     def num_cells(self) -> int:
         return self.neighbors.shape[0]
 
+    def narrowed(self, k: int) -> KnnGraph:
+        """The graph of the k nearest (clamped to this graph's k).
+
+        Columns are in (distance, index) order, so the first k of them are
+        exactly what knn_graph(points, k) returns.
+        """
+        if k < 1:
+            raise ShapeError(f"k must be >= 1, got {k}")
+        k = min(k, self.k)
+        return KnnGraph(k=k, neighbors=self.neighbors[:, :k])
+
 
 def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the first k columns of a stable argsort of the distances.
+
+    argpartition finds k smallest distances. Where more than k reach the
+    k-th smallest value, the lowest indices at that value are kept, as the
+    stable sort keeps them; the k are then ordered by (distance, index).
+    """
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
     out = np.empty((n, k), dtype=np.int64)
@@ -118,8 +135,18 @@ def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
         hi = min(lo + chunk, n)
         d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (points[lo:hi] @ points.T)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self sorts first
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[lo:hi] = order[:, :k]
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, part, axis=1).max(axis=1, keepdims=True)
+        tied = np.count_nonzero(d2 <= kth, axis=1) > k
+        if tied.any():
+            rows, bound = d2[tied], kth[tied]
+            at = rows == bound
+            room = k - np.count_nonzero(rows < bound, axis=1, keepdims=True)
+            keep = (rows < bound) | (at & (np.cumsum(at, axis=1) <= room))
+            part[tied] = np.nonzero(keep)[1].reshape(-1, k)
+        part.sort(axis=1)
+        order = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1, kind="stable")
+        out[lo:hi] = np.take_along_axis(part, order, axis=1)
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .errors import SchemaError
+from .errors import SchemaError, ShapeError
 
 NUM_TEETH = 14
 GINGIVA = 0
@@ -139,7 +139,7 @@ def decode_heatmaps(
     heat = np.asarray(heatmaps, dtype=np.float64)
     bary = np.asarray(barycenters, dtype=np.float64)
     if heat.ndim != 2 or heat.shape != (bary.shape[0], len(names)):
-        raise ValueError(
+        raise ShapeError(
             f"heatmap shape {heat.shape} does not match "
             f"({bary.shape[0]}, {len(names)}) for tooth {tooth_name(tooth_id)}"
         )

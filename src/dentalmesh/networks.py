@@ -8,6 +8,13 @@ fusion of local, transformed, and globally pooled features into the
 per-cell classification head. All pointwise convs carry batch norm and
 ReLU except the final one.
 
+Each EdgeConv is one fused op: conv, batch norm over the edges, ReLU and
+the max over a cell's neighbors. Because BN is affine per channel and ReLU
+monotone, the max is the response to a single neighbor per channel (the
+least or greatest neighbor term by the sign of the BN scale, the lowest
+slot on ties), so no (N*k, C) edge tensor is built in training or in
+inference.
+
 PointHeatmapNet is the stage-2 regressor: a PointNet-style segmentation
 trunk over the same 15 features with a sigmoid head, one output column per
 landmark heatmap. GraphHeatmapNet reuses the ToothSegNet trunk with the
@@ -146,60 +153,30 @@ class Dense(Module):
 
 class EdgeConv(Module):
     """Single shared conv on (center - neighbor, center) pairs, BN, ReLU,
-    then a per-cell max over the neighbor list.
+    then a per-cell max over the neighbor list, as one fused op.
 
-    The conv is evaluated at cell level and gathered per edge (a linear map
-    distributes over the subtraction), which cuts the matmul cost by the
-    neighbor count against the naive per-edge form. An inference-only
-    chunked path keeps peak memory flat on large meshes.
+    The conv is evaluated at cell level (a linear map distributes over the
+    subtraction): p = x W_diff and a = p + x W_center + bias, so the edge to
+    neighbor j carries a_i - p_j. BN is affine per channel and ReLU
+    monotone, so the max over the neighbors is the response to the one
+    neighbor with the least p_j where gamma > 0, the greatest where
+    gamma < 0, and slot 0 where gamma == 0, ties going to the lowest slot.
+    Training-mode BN statistics over all N*k edges come from per-cell sums.
+    Training and inference share this path, and neither forms an (N*k, C)
+    edge tensor (see autodiff.edge_conv).
     """
 
     def __init__(self, rng, cin: int, cout: int, name: str = "edgeconv"):
-        self.cin = cin
         # rows 0..cin-1 act on the difference, rows cin..2cin-1 on the center
         self.weight = Parameter(_glorot(rng, 2 * cin, cout), f"{name}.weight")
         self.bias = Parameter(np.zeros(cout), f"{name}.bias")
         self.bn = BatchNorm(cout, name)
 
-    def _split(self) -> tuple[Tensor, Tensor]:
-        idx = np.arange(2 * self.cin)
-        w_diff = ad.gather_rows(self.weight, idx[: self.cin])
-        w_center = ad.gather_rows(self.weight, idx[self.cin :])
-        return w_diff, w_center
-
     def __call__(self, x: Tensor, graph, training: bool) -> Tensor:
-        nbrs = np.asarray(getattr(graph, "neighbors", graph), dtype=np.int64)
-        if not training and not ad.grad_enabled():
-            return Tensor(self._infer(x.data, nbrs))
-        w_diff, w_center = self._split()
-        p = ad.matmul(x, w_diff)
-        a = ad.add(ad.add(p, ad.matmul(x, w_center)), self.bias)
-        n, k = nbrs.shape
-        src = np.repeat(np.arange(n, dtype=np.int64), k)
-        edge = ad.sub(ad.gather_rows(a, src), ad.gather_rows(p, nbrs.reshape(-1)))
-        edge = ad.relu(self.bn(edge, training))
-        cout = edge.data.shape[1]
-        return ad.max_over_axis(ad.reshape(edge, (n, k, cout)), axis=1)
-
-    def _infer(self, x: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-        w = self.weight.data
-        p = x @ w[: self.cin]
-        a = p + x @ w[self.cin :] + self.bias.data
-        inv = 1.0 / np.sqrt(self.bn.state.var + 1e-5)
-        rm = self.bn.state.mean
-        gamma = self.bn.gamma.data
-        beta = self.bn.beta.data
-        n, k = nbrs.shape
-        cout = w.shape[1]
-        out = np.empty((n, cout), dtype=np.float64)
-        chunk = max(1, int(2**22 // max(k * cout, 1)))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            e = a[lo:hi, None, :] - p[nbrs[lo:hi]]
-            e = gamma * ((e - rm) * inv) + beta
-            np.maximum(e, 0.0, out=e)
-            out[lo:hi] = e.max(axis=1)
-        return out
+        nbrs = getattr(graph, "neighbors", graph)
+        bn = self.bn
+        return ad.edge_conv(x, self.weight, self.bias, bn.gamma, bn.beta, bn.state,
+                            nbrs, training)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +275,8 @@ class ToothSegNet(Module):
         for block in self.mlp2:
             h = block(h, training)
         if self.adjacency == "dynamic":
-            graph6 = geometry.knn_graph(h.data, graph6.k)
-            graph12 = geometry.knn_graph(h.data, graph12.k)
+            wide = geometry.knn_graph(h.data, max(graph6.k, graph12.k))
+            graph6, graph12 = wide.narrowed(graph6.k), wide.narrowed(graph12.k)
         e6 = self.glm2_k6(h, graph6, training)
         e12 = self.glm2_k12(h, graph12, training)
         g2 = self.glm2_fuse(ad.concat([e6, e12], axis=1), training)

@@ -96,12 +96,15 @@ def _heatmap_target(tooth_id: int | None, barycenters: np.ndarray,
 
 def _forward(net, features: np.ndarray, points: np.ndarray,
              k_small: int, k_large: int, training: bool):
-    """Dispatch on trunk type: graph trunks need the two kNN graphs."""
+    """Dispatch on trunk type: graph trunks need the two kNN graphs.
+
+    One graph is built at the larger k; the other is its first columns.
+    """
     x = ad.Tensor(features)
     if getattr(net, "uses_graphs", False):
-        g_small = knn_graph(points, k_small)
-        g_large = knn_graph(points, k_large)
-        return net.forward(x, g_small, g_large, training=training)
+        wide = knn_graph(points, max(k_small, k_large))
+        return net.forward(x, wide.narrowed(k_small), wide.narrowed(k_large),
+                           training=training)
     return net.forward(x, training=training)
 
 

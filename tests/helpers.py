@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 
 from dentalmesh import autodiff as ad
+from dentalmesh.autodiff import Tensor, _as_tensor, _make
+from dentalmesh.errors import ShapeError
 from dentalmesh.mesh_io import TriMesh
 
 FD_STEP = 1e-6
@@ -247,3 +249,55 @@ def _reference_try_pair(state, i: int, j: int, min_step: float) -> bool:
     errors += di * kernel[i] + dj * kernel[j] + (new_b - state.bias)
     alpha[i], alpha[j], state.bias = new_i, new_j, new_b
     return True
+
+
+# ---------------------------------------------------------------------------
+# the per-edge EdgeConv that autodiff.edge_conv replaced
+
+def gather_rows(x, idx) -> Tensor:
+    x = _as_tensor(x)
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError(f"gather_rows index must be 1-D, got {idx.shape}")
+    data = x.data[idx]
+
+    def grad_fn(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, idx, g)
+
+    return _make(data, (x,), grad_fn)
+
+
+def max_over_axis(x, axis: int) -> Tensor:
+    """Max reduction; ties route gradient to the lowest index (argmax)."""
+    x = _as_tensor(x)
+    data = x.data.max(axis=axis)
+    arg = x.data.argmax(axis=axis)
+
+    def grad_fn(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        grid = np.indices(data.shape)
+        index = list(grid)
+        index.insert(axis, arg)
+        x.grad[tuple(index)] += g
+
+    return _make(data, (x,), grad_fn)
+
+
+def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, training: bool) -> Tensor:
+    """EdgeConv edge by edge: gather the (N*k, C) edge tensor, batch-norm
+    it, ReLU, then max over each cell's k edges."""
+    cin = conv.weight.data.shape[0] // 2
+    idx = np.arange(2 * cin)
+    w_diff = gather_rows(conv.weight, idx[:cin])
+    w_center = gather_rows(conv.weight, idx[cin:])
+    p = ad.matmul(x, w_diff)
+    a = ad.add(ad.add(p, ad.matmul(x, w_center)), conv.bias)
+    n, k = nbrs.shape
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    edge = ad.sub(gather_rows(a, src), gather_rows(p, nbrs.reshape(-1)))
+    edge = ad.relu(conv.bn(edge, training))
+    cout = edge.data.shape[1]
+    return max_over_axis(ad.reshape(edge, (n, k, cout)), axis=1)

@@ -65,13 +65,54 @@ def test_knn_graph_feature_space_ignores_geometry(rng):
         assert set(g.neighbors[i].tolist()) == expected
 
 
+def _stable_argsort_knn(points, k):
+    """kNN by a full stable argsort of every distance row, self first."""
+    sq = np.einsum("ij,ij->i", points, points)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    d2[np.arange(len(points)), np.arange(len(points))] = -np.inf
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def test_knn_graph_clamps_large_k(rng):
     points = rng.normal(size=(5, 3))
     with pytest.warns(UserWarning, match="clamping"):
         g = geo.knn_graph(points, 9)
     assert g.k == 5
+    repeated = rng.integers(0, 3, size=(7, 2)).astype(np.float64)
+    with pytest.warns(UserWarning, match="clamping"):
+        g = geo.knn_graph(repeated, 10)
+    assert np.array_equal(g.neighbors, _stable_argsort_knn(repeated, 7))
     with pytest.raises(ShapeError):
         geo.knn_graph(points, 0)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_knn_graph_equals_stable_argsort_on_random_points(n):
+    points = np.random.default_rng(n).normal(scale=10.0, size=(n, 3))
+    for k in (6, 12):
+        expected = _stable_argsort_knn(points, k)
+        assert np.array_equal(geo.knn_graph(points, k).neighbors, expected)
+
+
+def test_knn_graph_keeps_lower_indices_at_tied_kth_distance():
+    # on a unit lattice most cells have several neighbors at the k-th distance
+    g = np.arange(9, dtype=np.float64)
+    points = np.stack(np.meshgrid(g, g, g[:3], indexing="ij"), axis=-1).reshape(-1, 3)
+    for k in (2, 5, 6, 7, 12, 19):
+        expected = _stable_argsort_knn(points, k)
+        assert np.array_equal(geo.knn_graph(points, k).neighbors, expected), k
+
+
+def test_narrowed_graph_is_the_smaller_knn_graph(rng):
+    points = rng.integers(0, 4, size=(60, 3)).astype(np.float64)  # many ties
+    wide = geo.knn_graph(points, 12)
+    for k in (1, 6, 12):
+        narrow = wide.narrowed(k)
+        assert narrow.k == k
+        assert np.array_equal(narrow.neighbors, geo.knn_graph(points, k).neighbors)
+    assert wide.narrowed(20).k == 12
+    with pytest.raises(ShapeError, match="k must be >= 1"):
+        wide.narrowed(0)
 
 
 def test_knn_graph_rejects_bad_input_with_shape_error(rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dentalmesh import landmarks as lm
 from dentalmesh.config import RunConfig
-from dentalmesh.errors import SchemaError
+from dentalmesh.errors import DentalMeshError, SchemaError, ShapeError
 
 
 def test_schema_column_pattern():
@@ -117,12 +117,14 @@ def test_decode_low_confidence_flag():
 
 
 def test_decode_shape_mismatch():
+    # a typed package error, so the CLI exits 2 instead of printing a traceback
+    assert issubclass(ShapeError, DentalMeshError)
     bary = np.zeros((5, 3))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ShapeError, match="does not match"):
         lm.decode_heatmaps(bary, 3, np.zeros((5, 4)))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ShapeError, match="does not match"):
         lm.decode_heatmaps(bary, 3, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ShapeError, match="does not match"):
         lm.decode_heatmaps(bary, 3, np.zeros(15))
 
 

@@ -1,5 +1,8 @@
 """Network shapes, heads, equivariance, and loss oracles."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from dentalmesh import networks as nets
 from dentalmesh.autodiff import Tensor
 from dentalmesh.errors import CheckpointError, DentalMeshError, ShapeError
 
-from helpers import check_grads
+from helpers import check_grads, reference_edge_conv
 
 
 def _features_and_graphs(n=24, seed=0, dim=15):
@@ -257,20 +260,111 @@ def test_edge_conv_gradients_in_training_mode():
     check_grads(build, [x] + [p.data for p in params])
 
 
-def test_edge_conv_inference_path_matches_autodiff():
-    """The chunked no-grad path equals the autodiff path in eval mode."""
-    rng = np.random.default_rng(5)
-    n, k, cout = 1100, 16, 256  # n * k * cout > 2**22: two inference chunks
-    conv = nets.EdgeConv(rng, cin=8, cout=cout)
+def _random_edge_conv(rng, cin, cout):
+    """EdgeConv with gamma of both signs, one gamma == 0 channel and
+    non-trivial bias, beta and running statistics."""
+    conv = nets.EdgeConv(rng, cin=cin, cout=cout, name="ec")
     conv.bias.data[:] = rng.normal(size=cout)
-    conv.bn.gamma.data[:] = rng.uniform(-1.5, 1.5, size=cout)
+    conv.bn.gamma.data[:] = rng.uniform(0.3, 1.5, size=cout) * rng.choice([-1.0, 1.0], cout)
     conv.bn.beta.data[:] = rng.normal(size=cout)
+    # gamma == 0 with beta > 0: the response is flat and the gradient must
+    # still reach the slot-0 neighbor
+    conv.bn.gamma.data[0], conv.bn.beta.data[0] = 0.0, 0.5
     conv.bn.state.mean[:] = rng.normal(size=cout)
     conv.bn.state.var[:] = rng.uniform(0.5, 2.0, size=cout)
+    return conv
+
+
+def _edge_conv_run(conv, x, nbrs, training, op):
+    """Forward and backward of a copy of conv; returns the copy, output and x grad."""
+    conv = copy.deepcopy(conv)
+    xp = ad.Parameter(x, name="x")
+    out = op(conv, xp, nbrs, training)
+    weights = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
+    ad.backward(ad.reduce_sum(out * weights))
+    return conv, out.data, xp.gradient()
+
+
+def _rel(new, old):
+    return float(np.max(np.abs(new - old)) / np.max(np.abs(old)))
+
+
+def _random_case():
+    rng = np.random.default_rng(31)
+    n, cin, cout, k = 300, 6, 10, 12
+    x = rng.normal(size=(n, cin)) + 2.0
+    points = rng.normal(size=(n, 3))
+    # duplicated cells: equal neighbor terms tie inside many neighbor lists
+    x[1::7], points[1::7] = x[0::7], points[0::7]
+    return _random_edge_conv(rng, cin, cout), x, geo.knn_graph(points, k).neighbors
+
+
+def _arch_case(small_arch):
+    mesh, _ = small_arch
+    conv = _random_edge_conv(np.random.default_rng(32), 15, 8)
+    feats = geo.extract_features(mesh).matrix
+    return conv, feats, geo.knn_graph(mesh, 12).neighbors
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("case", ["random", "arch"])
+def test_fused_edge_conv_matches_per_edge_reference(case, training, small_arch):
+    conv, x, nbrs = _random_case() if case == "random" else _arch_case(small_arch)
+    new, out, gx = _edge_conv_run(conv, x, nbrs, training, nets.EdgeConv.__call__)
+    old, ref_out, ref_gx = _edge_conv_run(conv, x, nbrs, training, reference_edge_conv)
+    assert _rel(out, ref_out) < 1e-12
+    assert _rel(new.bn.state.mean, old.bn.state.mean) < 1e-12
+    assert _rel(new.bn.state.var, old.bn.state.var) < 1e-12
+    assert new.bn.state.steps == old.bn.state.steps == int(training)
+    assert _rel(gx, ref_gx) < 1e-9
+    for p_new, p_old in ((new.weight, old.weight), (new.bn.gamma, old.bn.gamma),
+                         (new.bn.beta, old.bn.beta)):
+        assert _rel(p_new.grad, p_old.grad) < 1e-9, p_new.name
+    # training-mode BN cancels the bias, so there both paths give rounding
+    # noise only: bound it by the scale of the weight gradient
+    bias_err = np.max(np.abs(new.bias.grad - old.bias.grad))
+    assert bias_err < 1e-9 * np.linalg.norm(old.weight.grad)
+    if not training:
+        # the eval-mode output equals the edge-by-edge max bit for bit
+        w = conv.weight.data
+        cin = w.shape[0] // 2
+        p = x @ w[:cin]
+        a = p + x @ w[cin:] + conv.bias.data
+        inv = 1.0 / np.sqrt(conv.bn.state.var + 1e-5)
+        e = conv.bn.gamma.data * ((a[:, None, :] - p[nbrs] - conv.bn.state.mean) * inv)
+        expected = np.maximum(e + conv.bn.beta.data, 0.0).max(axis=1)
+        assert np.array_equal(out, expected)
+
+
+def test_edge_conv_no_grad_path_is_the_autodiff_path():
+    """Inference under no_grad runs the op that training runs, at a size
+    (N*k*C > 2**22) that the former inference path split into two chunks."""
+    rng = np.random.default_rng(5)
+    n, k, cout = 1100, 16, 256
+    conv = _random_edge_conv(rng, 8, cout)
     x = Tensor(rng.normal(size=(n, 8)))
     graph = geo.knn_graph(rng.normal(size=(n, 3)), k)
-    reference = conv(x, graph, training=False).data
+    with_grad = conv(x, graph, training=False).data
     with ad.no_grad():
         fast = conv(x, graph, training=False).data
-    scale = float(np.abs(reference).max())
-    np.testing.assert_allclose(fast, reference, rtol=1e-12, atol=1e-12 * scale)
+    assert np.array_equal(fast, with_grad)
+    reference = reference_edge_conv(conv, x, graph.neighbors, training=False).data
+    assert _rel(fast, reference) < 1e-12
+
+
+def test_edge_conv_training_step_never_forms_edge_tensors():
+    """A training step stays under three (N*k, C) float64 arrays; the
+    per-edge form peaks at about sixteen."""
+    rng = np.random.default_rng(6)
+    n, k, c = 2000, 12, 64
+    conv = _random_edge_conv(rng, c, c)
+    x = rng.normal(size=(n, c))
+    graph = geo.knn_graph(rng.normal(size=(n, 3)), k)
+    tracemalloc.start()
+    try:
+        out = conv(ad.Parameter(x), graph, training=True)
+        ad.backward(ad.reduce_sum(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * k * c * 8
