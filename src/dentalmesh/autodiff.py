@@ -21,6 +21,9 @@ import numpy as np
 from .errors import NonFiniteGradientError, ShapeError
 
 _MAX_RANK = 3
+# running-buffer momentum and variance floor of batch_norm and edge_conv
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 _state = threading.local()
 
 
@@ -326,24 +329,20 @@ def broadcast_tile(x, rows: int) -> Tensor:
     return _make(data, (x,), grad_fn)
 
 
-def reduce_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def grad_fn(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-        else:
-            expanded = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(expanded, x.data.shape).copy())
+        expanded = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(x, np.broadcast_to(expanded, x.data.shape).copy())
 
     return _make(data, (x,), grad_fn)
 
 
-def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_mean(x) -> Tensor:
     x = _as_tensor(x)
-    count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(reduce_sum(x), 1.0 / x.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +363,12 @@ def batch_norm(
     beta: Tensor,
     state: BatchNormState,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-column batch normalization over the rows of a 2-D tensor.
 
     Training mode normalizes by batch statistics and folds them into the
-    running buffers (momentum 0.1, unbiased variance in the buffer, biased
-    in the normalization, matching common framework semantics). Inference
+    running buffers (momentum BN_MOMENTUM, unbiased variance in the buffer,
+    biased in the normalization, matching common framework semantics). Inference
     mode uses the frozen buffers only. The mode flag is explicit; nothing
     switches implicitly.
     """
@@ -384,13 +381,13 @@ def batch_norm(
             raise ShapeError("batch_norm training mode needs at least 2 rows")
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        state.mean = (1.0 - momentum) * state.mean + momentum * mu
-        state.var = (1.0 - momentum) * state.var + momentum * var * n / (n - 1)
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var * n / (n - 1)
         state.steps += 1
     else:
         mu = state.mean
         var = state.var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mu) * inv
     data = gamma.data * x_hat + beta.data
 
@@ -423,8 +420,6 @@ def edge_conv(
     state: BatchNormState,
     neighbors: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """EdgeConv, batch norm over its edges, ReLU and the max over each
     cell's neighbors, as one op: out_i = max_j relu(bn(a_i - p_j)).
@@ -471,13 +466,13 @@ def edge_conv(
                   + np.sum(cnt * v * v, axis=0))
         mu = a_mean - p_mean + d_mean
         var = sq_sum / m - d_mean * d_mean
-        state.mean = (1.0 - momentum) * state.mean + momentum * mu
-        state.var = (1.0 - momentum) * state.var + momentum * var * m / (m - 1)
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var * m / (m - 1)
         state.steps += 1
     else:
         mu = state.mean
         var = state.var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (a - p_sel - mu) * inv
     y = gamma.data * x_hat + beta.data
     data = np.maximum(y, 0.0)
@@ -546,12 +541,12 @@ def _scatter_columns(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class AmsGrad:
     """AMSGrad optimizer (bias-corrected, running max of the second moment).
 
-    Defaults: lr 1e-3, beta1 0.9, beta2 0.999, eps 1e-8. step() refuses to
-    apply a non-finite gradient and names the offending parameter.
+    The caller supplies all four hyperparameters (RunConfig lr, beta1,
+    beta2, adam_eps). step() refuses to apply a non-finite gradient and
+    names the offending parameter.
     """
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float, beta1: float, beta2: float, eps: float):
         self.params: list[Tensor] = list(params)
         self.lr = lr
         self.beta1 = beta1
@@ -583,19 +578,3 @@ class AmsGrad:
             np.maximum(self.v_hat[i], self.v[i], out=self.v_hat[i])
             denom = np.sqrt(self.v_hat[i]) / np.sqrt(bc2) + self.eps
             p.data -= (self.lr / bc1) * self.m[i] / denom
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Optimizer state as named arrays for checkpointing."""
-        out = {"opt.t": np.array([float(self.t)])}
-        for i in range(len(self.params)):
-            out[f"opt.m.{i}"] = self.m[i]
-            out[f"opt.v.{i}"] = self.v[i]
-            out[f"opt.vhat.{i}"] = self.v_hat[i]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.t = int(arrays["opt.t"][0])
-        for i in range(len(self.params)):
-            self.m[i] = arrays[f"opt.m.{i}"].reshape(self.m[i].shape).copy()
-            self.v[i] = arrays[f"opt.v.{i}"].reshape(self.v[i].shape).copy()
-            self.v_hat[i] = arrays[f"opt.vhat.{i}"].reshape(self.v_hat[i].shape).copy()

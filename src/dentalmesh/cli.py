@@ -51,7 +51,7 @@ from .evaluation import (
     write_csv_rows,
     write_json_report,
 )
-from .geometry import extract_roi, nearest_rows
+from .geometry import FEATURE_DIM, extract_roi, nearest_rows
 from .mesh_io import (
     Annotation,
     load_annotation,
@@ -188,11 +188,14 @@ SEG_ARCH = "tooth-seg-net"
 LMK_ARCH = "point-heatmap-net"
 
 
-def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int):
+def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
+                         knn: tuple[int, int] | None = None):
     """The net saved at path, checked before any compute runs on it.
 
     It must be a `family` net with out_channels outputs, and a segmentation
-    net must end in a softmax; anything else is a CheckpointError.
+    net must end in a softmax. A checkpoint that records the (k_small,
+    k_large) it was trained with must match knn; older ones without the
+    keys are taken as they are. Anything else is a CheckpointError.
     """
     if not Path(path).exists():
         raise CheckpointError(
@@ -210,22 +213,29 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int)
         raise CheckpointError(
             f"{path}: {width} output channels, {stage} needs {out_channels}"
         )
-    in_dim = int(meta.get("in_dim", 15))
+    if knn is not None and "k_small" in meta:
+        trained = (int(meta["k_small"]), int(meta["k_large"]))
+        if trained != knn:
+            raise CheckpointError(
+                f"{path}: trained with k_small={trained[0]}, k_large={trained[1]}; "
+                f"this run uses k_small={knn[0]}, k_large={knn[1]}"
+            )
     if family == SEG_ARCH:
-        net = ToothSegNet(seed=0, in_dim=in_dim, out_channels=width,
+        net = ToothSegNet(seed=0, out_channels=width,
                           adjacency=meta.get("adjacency", "static"))
     else:
-        net = PointHeatmapNet(seed=0, in_dim=in_dim, out_channels=width)
+        net = PointHeatmapNet(seed=0, out_channels=width)
     net.load_state_arrays(arrays)
     return net
 
 
-def _load_seg_net(run: Path):
+def _load_seg_net(run: Path, config: RunConfig):
     return _net_from_checkpoint(run / "checkpoints" / "seg.ckpt", "segmentation",
-                                SEG_ARCH, NUM_CLASSES)
+                                SEG_ARCH, NUM_CLASSES,
+                                knn=(config.k_small, config.k_large))
 
 
-def _load_heatmap_nets(run: Path, config: RunConfig) -> dict:
+def _load_heatmap_nets(run: Path) -> dict:
     """Per-position-type regressors; absent types are logged and skipped."""
     nets = {}
     missing = []
@@ -269,11 +279,13 @@ def _save_diverged(run: Path, name: str, net, err: TrainingDivergenceError) -> N
 
 def _seg_meta(config: RunConfig) -> dict:
     return {
-        "in_dim": 15,
+        "in_dim": FEATURE_DIM,
         "out_channels": NUM_CLASSES,
         "head": "softmax",
         "adjacency": config.adjacency,
         "seed": config.seed,
+        "k_small": config.k_small,
+        "k_large": config.k_large,
     }
 
 
@@ -473,7 +485,7 @@ def cmd_train_lmk(args, config: RunConfig) -> int:
     report: dict = {}
     for t, net, result in _train_stage2(config, run, scans, train_idx, val_idx):
         meta = {
-            "in_dim": 15,
+            "in_dim": FEATURE_DIM,
             "out_channels": len(lm.landmark_names(t)),
             "position_type": t,
             "landmarks": list(lm.landmark_names(t)),
@@ -514,8 +526,8 @@ def cmd_infer(args, config: RunConfig) -> int:
     run = _ensure_run_dir(config)
     mesh = load_mesh(args.mesh)
     stem = Path(args.mesh).stem
-    heatmap_nets = _load_heatmap_nets(run, config)
-    seg_net = None if args.probs else _load_seg_net(run)
+    heatmap_nets = _load_heatmap_nets(run)
+    seg_net = None if args.probs else _load_seg_net(run, config)
     scan = preprocess(mesh, None, config.target_cells)
 
     if args.probs:
@@ -569,8 +581,8 @@ def _parse_indices(text: str, n: int) -> list[int]:
 
 def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
     """Landmark error with predicted vs ground-truth segmentation."""
-    seg_net = _load_seg_net(run)
-    heatmap_nets = _load_heatmap_nets(run, config)
+    seg_net = _load_seg_net(run, config)
+    heatmap_nets = _load_heatmap_nets(run)
     if args.indices:
         test_idx = _parse_indices(args.indices, len(pairs))
     else:

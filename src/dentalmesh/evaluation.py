@@ -35,14 +35,13 @@ class SegMetrics:
     classes: tuple
 
 
-def seg_metrics(pred: np.ndarray, truth: np.ndarray,
-                classes: tuple = TOOTH_CLASSES) -> SegMetrics:
+def seg_metrics(pred: np.ndarray, truth: np.ndarray) -> SegMetrics:
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
     per_class = {}
-    for cls in classes:
+    for cls in TOOTH_CLASSES:
         p = pred == cls
         t = truth == cls
         tp = int((p & t).sum())

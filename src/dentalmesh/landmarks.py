@@ -126,13 +126,12 @@ def decode_heatmaps(
     barycenters: np.ndarray,
     tooth_id: int,
     heatmaps: np.ndarray,
-    confidence_floor: float = LOW_CONFIDENCE,
 ) -> dict[str, tuple[np.ndarray, float, bool]]:
     """Argmax decode: landmark name -> (position, confidence, low_confidence).
 
     Position is the barycenter of the cell with the largest activation in
     that column (ties resolved toward the lowest cell index). Confidence is
-    the activation itself; columns peaking below `confidence_floor` are
+    the activation itself; columns peaking below LOW_CONFIDENCE are
     flagged rather than dropped.
     """
     names = landmark_names(tooth_id)
@@ -147,5 +146,5 @@ def decode_heatmaps(
     for col, name in enumerate(names):
         idx = int(np.argmax(heat[:, col]))
         conf = float(heat[idx, col])
-        result[name] = (bary[idx].copy(), conf, conf < confidence_floor)
+        result[name] = (bary[idx].copy(), conf, conf < LOW_CONFIDENCE)
     return result

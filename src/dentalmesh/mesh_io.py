@@ -303,18 +303,18 @@ _LOADERS = {"off": _load_off, "obj": _load_obj, "stl-ascii": _load_stl_ascii}
 _EXTENSIONS = {".off": "off", ".obj": "obj", ".stl": "stl-ascii"}
 
 
-def load_mesh(path, fmt: str | None = None) -> TriMesh:
-    """Load a triangle mesh; format inferred from the extension unless given.
-
-    fmt is one of 'off', 'obj', 'stl-ascii'.
-    """
-    path = Path(path)
+def _format_of(path: Path) -> str:
+    fmt = _EXTENSIONS.get(path.suffix.lower())
     if fmt is None:
-        fmt = _EXTENSIONS.get(path.suffix.lower())
-        if fmt is None:
-            raise MeshFormatError(f"{path}: unknown extension, pass fmt explicitly")
-    if fmt not in _LOADERS:
-        raise MeshFormatError(f"unsupported mesh format {fmt!r}")
+        raise MeshFormatError(f"{path}: unknown extension (expected .off, .obj or .stl)")
+    return fmt
+
+
+def load_mesh(path) -> TriMesh:
+    """Load a triangle mesh in the format its extension names (.off, .obj,
+    or ASCII .stl)."""
+    path = Path(path)
+    fmt = _format_of(path)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -322,12 +322,9 @@ def load_mesh(path, fmt: str | None = None) -> TriMesh:
     return _LOADERS[fmt](text.splitlines(), path)
 
 
-def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
+def save_mesh(mesh: TriMesh, path) -> None:
     path = Path(path)
-    if fmt is None:
-        fmt = _EXTENSIONS.get(path.suffix.lower())
-        if fmt is None:
-            raise MeshFormatError(f"{path}: unknown extension, pass fmt explicitly")
+    fmt = _format_of(path)
     if fmt == "off":
         rows = ["OFF", f"{mesh.num_vertices} {mesh.num_cells} 0"]
         rows.extend(" ".join(repr(x) for x in v) for v in mesh.vertices.tolist())
@@ -335,7 +332,7 @@ def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
     elif fmt == "obj":
         rows = [" ".join(["v"] + [repr(x) for x in v]) for v in mesh.vertices.tolist()]
         rows.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.cells.tolist())
-    elif fmt == "stl-ascii":
+    else:  # stl-ascii
         rows = ["solid mesh"]
         normals = mesh.cell_normals
         for i, cell in enumerate(mesh.cells):
@@ -349,9 +346,7 @@ def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
             rows.append("  endloop")
             rows.append("endfacet")
         rows.append("endsolid mesh")
-    else:
-        raise MeshFormatError(f"unsupported mesh format {fmt!r}")
-    Path(path).write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n")
 
 
 def load_annotation(path, num_cells: int | None = None) -> Annotation:

@@ -40,33 +40,26 @@ GDL_SMOOTH = 1e-5
 class Module:
     """Base with recursive parameter/buffer discovery in insertion order."""
 
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
+    def _named(self, kind: type, prefix: str = "") -> list:
+        """(dotted path, value) of every `kind` attribute, depth first."""
         out = []
         for attr, value in vars(self).items():
             path = f"{prefix}{attr}"
-            if isinstance(value, Parameter):
+            if isinstance(value, kind):
                 out.append((path, value))
             elif isinstance(value, Module):
-                out.extend(value.named_parameters(f"{path}."))
+                out.extend(value._named(kind, f"{path}."))
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        out.extend(item.named_parameters(f"{path}.{i}."))
+                        out.extend(item._named(kind, f"{path}.{i}."))
         return out
 
-    def named_buffers(self, prefix: str = "") -> list[tuple[str, BatchNormState]]:
-        out = []
-        for attr, value in vars(self).items():
-            path = f"{prefix}{attr}"
-            if isinstance(value, BatchNormState):
-                out.append((path, value))
-            elif isinstance(value, Module):
-                out.extend(value.named_buffers(f"{path}."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.extend(item.named_buffers(f"{path}.{i}."))
-        return out
+    def named_parameters(self) -> list[tuple[str, Parameter]]:
+        return self._named(Parameter)
+
+    def named_buffers(self) -> list[tuple[str, BatchNormState]]:
+        return self._named(BatchNormState)
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
@@ -223,19 +216,17 @@ class ToothSegNet(Module):
 
     uses_graphs = True
 
-    def __init__(self, seed: int = 0, in_dim: int = 15,
-                 out_channels: int = NUM_CLASSES, head: str = "softmax",
-                 adjacency: str = "static"):
+    def __init__(self, seed: int = 0, out_channels: int = NUM_CLASSES,
+                 head: str = "softmax", adjacency: str = "static"):
         if head not in ("softmax", "sigmoid"):
             raise ValueError(f"unknown head {head!r}")
         if adjacency not in ("static", "dynamic"):
             raise ValueError(f"unknown adjacency mode {adjacency!r}")
         rng = np.random.default_rng(seed)
-        self.in_dim = in_dim
         self.out_channels = out_channels
         self.head = head
         self.adjacency = adjacency
-        self.mlp1 = [ConvBlock(rng, in_dim, 64, "mlp1.0"),
+        self.mlp1 = [ConvBlock(rng, geometry.FEATURE_DIM, 64, "mlp1.0"),
                      ConvBlock(rng, 64, 64, "mlp1.1")]
         self.ftm = FeatureTransform(rng, 64)
         self.glm1 = EdgeConv(rng, 64, 64, name="glm1")
@@ -250,7 +241,7 @@ class ToothSegNet(Module):
         self.head_conv = Conv1x1(rng, 128, out_channels, "head")
 
     def arch_tag(self) -> str:
-        return (f"tooth-seg-net/v1 in={self.in_dim} out={self.out_channels} "
+        return (f"tooth-seg-net/v1 in={geometry.FEATURE_DIM} out={self.out_channels} "
                 f"head={self.head} adjacency={self.adjacency}")
 
     def forward(self, features: Tensor, graph6=None, graph12=None,
@@ -303,11 +294,10 @@ class PointHeatmapNet(Module):
 
     uses_graphs = False
 
-    def __init__(self, seed: int = 0, in_dim: int = 15, out_channels: int = 1):
+    def __init__(self, seed: int = 0, out_channels: int = 1):
         rng = np.random.default_rng(seed)
-        self.in_dim = in_dim
         self.out_channels = out_channels
-        self.local = [ConvBlock(rng, in_dim, 64, "local.0"),
+        self.local = [ConvBlock(rng, geometry.FEATURE_DIM, 64, "local.0"),
                       ConvBlock(rng, 64, 64, "local.1")]
         self.trunk = [ConvBlock(rng, 64, 64, "trunk.0"),
                       ConvBlock(rng, 64, 128, "trunk.1"),
@@ -318,7 +308,7 @@ class PointHeatmapNet(Module):
         self.out = Conv1x1(rng, 128, out_channels, "out")
 
     def arch_tag(self) -> str:
-        return f"point-heatmap-net/v1 in={self.in_dim} out={self.out_channels}"
+        return f"point-heatmap-net/v1 in={geometry.FEATURE_DIM} out={self.out_channels}"
 
     def forward(self, features: Tensor, training: bool = False) -> Tensor:
         x = features if isinstance(features, Tensor) else Tensor(features)
@@ -347,15 +337,14 @@ def make_graph_heatmap_net(seed: int, out_channels: int,
 # ---------------------------------------------------------------------------
 # losses
 
-def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
+    out = np.zeros((labels.shape[0], NUM_CLASSES), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
 
-def generalized_dice_loss(probs: Tensor, target_onehot: np.ndarray,
-                          smooth: float = GDL_SMOOTH) -> Tensor:
+def generalized_dice_loss(probs: Tensor, target_onehot: np.ndarray) -> Tensor:
     """Generalized Dice loss with inverse squared class-volume weights.
 
     Classes absent from the target get weight 0 (their volume is zero and
@@ -371,8 +360,8 @@ def generalized_dice_loss(probs: Tensor, target_onehot: np.ndarray,
     weight = np.where(vol > 0, 1.0 / np.maximum(vol, 1.0) ** 2, 0.0)
     inter = ad.reduce_sum(ad.mul(probs, target), axis=0)
     total = ad.add(ad.reduce_sum(probs, axis=0), vol)
-    num = ad.add(ad.mul(ad.reduce_sum(ad.mul(inter, weight)), 2.0), smooth)
-    den = ad.add(ad.reduce_sum(ad.mul(total, weight)), smooth)
+    num = ad.add(ad.mul(ad.reduce_sum(ad.mul(inter, weight)), 2.0), GDL_SMOOTH)
+    den = ad.add(ad.reduce_sum(ad.mul(total, weight)), GDL_SMOOTH)
     return ad.sub(1.0, ad.div(num, den))
 
 

@@ -27,6 +27,8 @@ from .postprocess import build_energy, refine_labels
 from .svm import LabelUpsampler
 from .training import network_output, segmentation_probabilities
 
+MIN_ROI_CELLS = 4  # smaller tooth crops are skipped in stage 2
+
 
 def position_type(tooth_id: int) -> int:
     """Collapses mirrored tooth ids onto 1..7 (UR4 and UL4 are both 4)."""
@@ -71,25 +73,20 @@ class SegmentationResult:
     energy_trace: list = field(default_factory=list)
 
 
-def refine_and_upsample(coarse_mesh: TriMesh, probs: np.ndarray,
-                        fine_mesh: TriMesh | None = None, lam: float = RunConfig.lam,
+def refine_and_upsample(coarse_mesh: TriMesh, probs: np.ndarray, fine_mesh: TriMesh,
+                        lam: float = RunConfig.lam,
                         svm_c: float = RunConfig.svm_c) -> SegmentationResult:
-    """Graph-cut refinement of coarse probabilities, then SVM upsampling.
-
-    With no fine mesh the refined coarse labels double as the final labels.
-    """
+    """Graph-cut refinement of coarse probabilities, then SVM upsampling of
+    the refined labels onto the fine mesh's cells."""
     model = build_energy(coarse_mesh, probs, lam)
     refined = refine_labels(model)
-    if fine_mesh is None:
-        fine_labels = refined
-    else:
-        upsampler = LabelUpsampler(c=svm_c)
-        upsampler.fit(coarse_mesh.cell_barycenters, refined)
-        fine_labels = upsampler.predict(fine_mesh.cell_barycenters)
+    upsampler = LabelUpsampler(c=svm_c)
+    upsampler.fit(coarse_mesh.cell_barycenters, refined)
+    fine_labels = upsampler.predict(fine_mesh.cell_barycenters)
     return SegmentationResult(probs, refined, fine_labels, model.energy_trace)
 
 
-def segment_scan(seg_net, coarse_mesh: TriMesh, fine_mesh: TriMesh | None = None,
+def segment_scan(seg_net, coarse_mesh: TriMesh, fine_mesh: TriMesh,
                  lam: float = RunConfig.lam, svm_c: float = RunConfig.svm_c,
                  k_small: int = RunConfig.k_small,
                  k_large: int = RunConfig.k_large) -> SegmentationResult:
@@ -99,7 +96,7 @@ def segment_scan(seg_net, coarse_mesh: TriMesh, fine_mesh: TriMesh | None = None
 
 
 def locate_landmarks(heatmap_nets: dict, mesh: TriMesh, labels: np.ndarray,
-                     min_roi_cells: int = 4, k_small: int = RunConfig.k_small,
+                     k_small: int = RunConfig.k_small,
                      k_large: int = RunConfig.k_large) -> tuple[dict, list]:
     """Stage 2: per-tooth ROI crop, heatmap regression, argmax decode.
 
@@ -115,7 +112,7 @@ def locate_landmarks(heatmap_nets: dict, mesh: TriMesh, labels: np.ndarray,
         if not names:
             continue
         roi = extract_roi(mesh, labels, tooth)
-        if roi is None or roi.mesh.num_cells < min_roi_cells:
+        if roi is None or roi.mesh.num_cells < MIN_ROI_CELLS:
             skipped.append(tooth)
             continue
         net = heatmap_nets.get(position_type(tooth))
@@ -153,7 +150,8 @@ def single_stage_landmarks(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
                            k_large: int = RunConfig.k_large) -> dict:
     """Whole-scan heatmap regression; no ROI cropping, one argmax per column.
 
-    Columns follow lm.all_landmark_keys(): every landmark of every tooth.
+    Columns follow lm.all_landmark_keys(): every landmark of every tooth,
+    each tooth's columns in a block that lm.decode_heatmaps reads.
     """
     layout = lm.all_landmark_keys()
     heat = network_output(net, mesh, k_small, k_large)
@@ -164,8 +162,10 @@ def single_stage_landmarks(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
         )
     bary = mesh.cell_barycenters
     result = {}
-    for col, key in enumerate(layout):
-        idx = int(np.argmax(heat[:, col]))
-        conf = float(heat[idx, col])
-        result[key] = (bary[idx].copy(), conf, conf < lm.LOW_CONFIDENCE)
+    col = 0
+    for tooth in lm.landmark_teeth():
+        width = len(lm.landmark_names(tooth))
+        decoded = lm.decode_heatmaps(bary, tooth, heat[:, col : col + width])
+        result.update(((tooth, name), value) for name, value in decoded.items())
+        col += width
     return result

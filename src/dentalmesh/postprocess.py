@@ -27,6 +27,7 @@ DATA_EPS = 1e-4
 CONVEX_BETA = 30.0
 THETA_FLOOR = 1e-3
 FLAT_TOLERANCE = 1e-9
+MAX_CYCLES = 50  # alpha-expansion cycles over all labels before giving up
 
 
 @dataclass
@@ -254,9 +255,7 @@ def _expand_once(
     return out
 
 
-def refine_labels(
-    model: CutEnergyModel, init: np.ndarray | None = None, max_cycles: int = 50
-) -> np.ndarray:
+def refine_labels(model: CutEnergyModel) -> np.ndarray:
     """Alpha-expansion refinement; starts from the per-cell argmax labeling.
 
     Labels are expanded in ascending id each cycle until a full cycle makes
@@ -264,17 +263,13 @@ def refine_labels(
     model.energy_trace and are monotonically nonincreasing.
     """
     probs = model.probs
-    labels = (
-        np.argmax(probs, axis=1).astype(np.int64)
-        if init is None
-        else np.asarray(init, dtype=np.int64).copy()
-    )
+    labels = np.argmax(probs, axis=1).astype(np.int64)
     num_labels = probs.shape[1]
     unary = -np.log(probs + model.eps)
     weight = model.lam * model.pair_cost
     energy = labeling_energy(model, labels)
     model.energy_trace = [energy]
-    for _ in range(max_cycles):
+    for _ in range(MAX_CYCLES):
         improved = False
         for alpha in range(num_labels):
             candidate = _expand_once(labels, alpha, unary, model.pairs, weight)

@@ -8,9 +8,10 @@ screened in one vectorised pass that does the scalar pair rule's arithmetic
 elementwise, so the fit has the same bits as trying them one at a time.
 Given the same inputs, fitting is bit-reproducible.
 
-The upsampler fits one-vs-rest classifiers on decimated cell barycenters and
+LabelUpsampler fits one-vs-rest binary machines on decimated cell
+barycenters, with a kernel width taken from their sampling density, and
 predicts per-cell labels for the original mesh by decision-value argmax. The
-classifiers of one fit share a single kernel matrix.
+machines of one fit share a single kernel matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .config import RunConfig
 
 KKT_TOL = 1e-3
 MIN_ALPHA_STEP = 1e-5
+MAX_SWEEPS = 200
 PREDICT_CHUNK = 2048
 
 
@@ -157,16 +159,14 @@ class _SmoState:
 class RbfSvm:
     """Binary soft-margin SVM; labels are +1 / -1."""
 
-    c: float = RunConfig.svm_c
-    gamma: float = 1.0
-    max_sweeps: int = 200
+    c: float
+    gamma: float
     support_vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     dual_coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
     bias: float = 0.0
 
-    def fit(self, x: np.ndarray, y: np.ndarray,
-            kernel: np.ndarray | None = None) -> "RbfSvm":
-        """SMO on rbf_kernel(x, x, gamma); pass that matrix as kernel to reuse it."""
+    def fit(self, x: np.ndarray, y: np.ndarray, kernel: np.ndarray) -> "RbfSvm":
+        """SMO on kernel, which must be rbf_kernel(x, x, gamma)."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -174,13 +174,11 @@ class RbfSvm:
         if not np.all(np.abs(y) == 1.0):
             raise ValueError("binary labels must be +1 or -1")
         n = x.shape[0]
-        if kernel is None:
-            kernel = rbf_kernel(x, x, self.gamma)
         self._state = _SmoState(kernel, y, self.c)
         state = self._state
         sweeps = 0
         full_sweep = True
-        while sweeps < self.max_sweeps:
+        while sweeps < MAX_SWEEPS:
             state.refresh_errors()
             if full_sweep:
                 indices = range(n)
@@ -215,44 +213,6 @@ class RbfSvm:
                 out[lo : lo + block.shape[0]] += k @ self.dual_coef
         return out
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.decision(x) >= 0.0, 1.0, -1.0)
-
-
-class MultiClassSvm:
-    """One-vs-rest wrapper; predicts the class with the largest decision value."""
-
-    def __init__(self, c: float = RunConfig.svm_c, gamma: float | None = None):
-        self.c = c
-        self.gamma = gamma
-        self.classes_: np.ndarray = np.zeros(0, dtype=np.int64)
-        self.machines_: list[RbfSvm] = []
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "MultiClassSvm":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("expected x (n, d) and y (n,)")
-        self.classes_ = np.unique(y)
-        gamma = self.gamma if self.gamma is not None else scale_gamma(x)
-        self.machines_ = []
-        if self.classes_.size < 2:
-            return self
-        kernel = rbf_kernel(x, x, gamma)
-        for cls in self.classes_:
-            target = np.where(y == cls, 1.0, -1.0)
-            self.machines_.append(RbfSvm(c=self.c, gamma=gamma).fit(x, target, kernel))
-        return self
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.classes_.size == 0:
-            raise ValueError("predict before fit")
-        if self.classes_.size == 1:
-            return np.full(x.shape[0], self.classes_[0], dtype=np.int64)
-        scores = np.stack([m.decision(x) for m in self.machines_], axis=1)
-        return self.classes_[np.argmax(scores, axis=1)].astype(np.int64)
-
 
 def spacing_gamma(points: np.ndarray) -> float:
     """Kernel width from the point cloud's own sampling density.
@@ -285,22 +245,40 @@ def spacing_gamma(points: np.ndarray) -> float:
 class LabelUpsampler:
     """Maps coarse-mesh cell labels onto any other cell set of the same scan.
 
-    Fit on decimated barycenters with their refined labels; predict with the
-    original mesh's barycenters. When the coarse labeling is single-class the
-    model degenerates to a constant. Unless a gamma is given, the kernel
-    width comes from the coarse sampling density (see spacing_gamma).
+    Fit on decimated barycenters with their refined labels: one RbfSvm per
+    class against the rest, all on one kernel matrix whose width comes from
+    the coarse sampling density (see spacing_gamma). Predict with the
+    original mesh's barycenters; each point takes the class whose machine
+    gives the largest decision value. When the coarse labeling is
+    single-class the model degenerates to a constant.
     """
 
-    def __init__(self, c: float = RunConfig.svm_c, gamma: float | None = None):
+    def __init__(self, c: float = RunConfig.svm_c):
         self.c = c
-        self.gamma = gamma
-        self.model = MultiClassSvm(c=c, gamma=gamma)
+        self.classes_: np.ndarray = np.zeros(0, dtype=np.int64)
+        self.machines_: list[RbfSvm] = []
 
     def fit(self, coarse_points: np.ndarray, coarse_labels: np.ndarray) -> "LabelUpsampler":
-        gamma = self.gamma if self.gamma is not None else spacing_gamma(coarse_points)
-        self.model = MultiClassSvm(c=self.c, gamma=gamma)
-        self.model.fit(coarse_points, coarse_labels)
+        x = np.asarray(coarse_points, dtype=np.float64)
+        y = np.asarray(coarse_labels, dtype=np.int64)
+        if x.ndim != 2 or y.shape != (x.shape[0],):
+            raise ValueError("expected x (n, d) and y (n,)")
+        self.classes_ = np.unique(y)
+        self.machines_ = []
+        if self.classes_.size < 2:
+            return self
+        gamma = spacing_gamma(x)
+        kernel = rbf_kernel(x, x, gamma)
+        for cls in self.classes_:
+            target = np.where(y == cls, 1.0, -1.0)
+            self.machines_.append(RbfSvm(c=self.c, gamma=gamma).fit(x, target, kernel))
         return self
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        return self.model.predict(points)
+        x = np.asarray(points, dtype=np.float64)
+        if self.classes_.size == 0:
+            raise ValueError("predict before fit")
+        if self.classes_.size == 1:
+            return np.full(x.shape[0], self.classes_[0], dtype=np.int64)
+        scores = np.stack([m.decision(x) for m in self.machines_], axis=1)
+        return self.classes_[np.argmax(scores, axis=1)].astype(np.int64)

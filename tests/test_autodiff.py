@@ -132,7 +132,7 @@ def test_amsgrad_matches_hand_rolled_recurrence():
 
 def test_amsgrad_vhat_never_decreases(rng):
     p = ad.Parameter(rng.normal(size=(3,)))
-    opt = ad.AmsGrad([p], lr=1e-2)
+    opt = ad.AmsGrad([p], lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     prev = opt.v_hat[0].copy()
     for _ in range(30):
         p.grad = rng.normal(size=3) * rng.uniform(0.01, 5.0)
@@ -144,7 +144,7 @@ def test_amsgrad_vhat_never_decreases(rng):
 def test_amsgrad_rejects_non_finite_gradient():
     p = ad.Parameter(np.zeros(2), name="w1")
     q = ad.Parameter(np.zeros(2), name="w2")
-    opt = ad.AmsGrad([p, q], lr=1e-2)
+    opt = ad.AmsGrad([p, q], lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     p.grad = np.array([0.1, 0.2])
     q.grad = np.array([np.nan, 0.0])
     before = p.data.copy()
@@ -153,19 +153,6 @@ def test_amsgrad_rejects_non_finite_gradient():
     # the step must not partially apply
     assert np.array_equal(p.data, before)
     assert opt.t == 0
-
-
-def test_amsgrad_state_round_trip(rng):
-    p = ad.Parameter(rng.normal(size=(2, 2)))
-    opt = ad.AmsGrad([p], lr=1e-2)
-    for _ in range(3):
-        p.grad = rng.normal(size=(2, 2))
-        opt.step()
-    arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
-    other = ad.AmsGrad([ad.Parameter(p.data.copy())], lr=1e-2)
-    other.load_state_arrays(arrays)
-    assert other.t == opt.t
-    assert np.array_equal(other.v_hat[0], opt.v_hat[0])
 
 
 def test_no_grad_blocks_graph_building():

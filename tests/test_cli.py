@@ -19,7 +19,7 @@ from dentalmesh.mesh_io import (
     save_mesh,
 )
 from dentalmesh.mesh_io import Annotation
-from dentalmesh.networks import PointHeatmapNet, make_graph_heatmap_net
+from dentalmesh.networks import PointHeatmapNet, ToothSegNet, make_graph_heatmap_net
 from dentalmesh.pipeline import preprocess
 
 from helpers import bump_scene
@@ -383,3 +383,18 @@ def test_infer_rejects_mismatched_checkpoints_before_compute(trained_run, tmp_pa
     caplog.clear()
     assert cli.main(["infer", "--mesh", mesh] + args) == 2
     assert "seg.ckpt: segmentation needs a softmax head" in caplog.text
+
+    # a net trained on other kNN widths stops infer and eval --ceiling alike
+    arch, arrays, meta = load_checkpoint(root / "run" / "checkpoints" / "seg.ckpt")
+    assert (meta["k_small"], meta["k_large"]) == (6, 12)
+    save_checkpoint(run / "checkpoints" / "seg.ckpt", arch, arrays,
+                    dict(meta, k_small=4, k_large=8))
+    for command in (["infer", "--mesh", mesh], ["eval", "--ceiling"]):
+        caplog.clear()
+        assert cli.main(command + args) == 2
+        assert ("seg.ckpt: trained with k_small=4, k_large=8; this run uses "
+                "k_small=6, k_large=12") in caplog.text
+    # a checkpoint from before the widths were recorded loads as before
+    del meta["k_small"], meta["k_large"]
+    save_checkpoint(run / "checkpoints" / "seg.ckpt", arch, arrays, meta)
+    assert isinstance(cli._load_seg_net(run, RunConfig()), ToothSegNet)

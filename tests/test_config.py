@@ -129,6 +129,24 @@ def test_every_field_is_read_outside_config():
 # test_build_energy_matches_scalar_edge_cost checks build_energy against
 KEPT_FOR_TESTS = {"postprocess.edge_cost"}
 
+# defaulted parameters that no call in the package or the benchmark sets
+UNSET_ALLOWED = {
+    # the test seam: console runs parse sys.argv
+    "cli.main(argv)",
+    # Parameter sets it through super().__init__
+    "autodiff.Tensor.__init__(name)",
+    # part of the scalar reference that build_energy is tested against
+    "postprocess.smoothness_cost(same_label)",
+}
+
+
+def _sources():
+    """{path: parsed module} for the package and the benchmark scripts."""
+    package = Path(dentalmesh.__file__).parent
+    benchmark = Path(__file__).resolve().parents[1] / "benchmark"
+    paths = sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py"))
+    return package, {path: ast.parse(path.read_text()) for path in paths}
+
 
 def _bindings(tree: ast.Module, modules: set[str]):
     """Local names a file binds to package modules and to their definitions."""
@@ -165,11 +183,8 @@ def test_every_public_definition_is_used():
     `autodiff.log`). A public method of a public class is used when some
     attribute access, or a name in its own module, carries its name.
     """
-    package = Path(dentalmesh.__file__).parent
-    benchmark = Path(__file__).resolve().parents[1] / "benchmark"
-    paths = sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in paths}
-    modules = {path.stem for path in paths if path.parent == package}
+    package, trees = _sources()
+    modules = {path.stem for path in trees if path.parent == package}
     used, attributes, defined, methods = set(), set(), [], []
     for path, tree in trees.items():
         module_alias, name_alias = _bindings(tree, modules)
@@ -197,3 +212,70 @@ def test_every_public_definition_is_used():
     unused += [f"{m}.{cls}.{name}" for m, cls, name in methods
                if name not in attributes and (m, name) not in used]
     assert sorted(set(unused) - KEPT_FOR_TESTS) == []
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, positional index) of each parameter with a default; None for
+    keyword-only ones. A method's index does not count self."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if method:
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _sets(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether call passes the parameter: by keyword, by position, or
+    through *args / **kwargs that could reach it."""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return i <= index
+        if i == index:
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_set():
+    """A default that no caller overrides is a fixed value posing as an option.
+
+    Covers public functions, public methods and public-class __init__ in the
+    package. Calls are matched by name: `f(...)` and `obj.f(...)` both call
+    every `f`, and `C(...)` calls `C.__init__`.
+    """
+    package, trees = _sources()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, (ast.Name, ast.Attribute)):
+                    name = func.id if isinstance(func, ast.Name) else func.attr
+                    calls.setdefault(name, []).append(node)
+    unset = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                targets = [(node.name, node.name, node, False)]
+            else:
+                targets = [(node.name if item.name == "__init__" else item.name,
+                            f"{node.name}.{item.name}", item, True)
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and (item.name == "__init__" or not item.name.startswith("_"))]
+            for call_name, label, fn, method in targets:
+                unset += [f"{path.stem}.{label}({name})"
+                          for name, index in _defaulted(fn, method)
+                          if not any(_sets(c, name, index)
+                                     for c in calls.get(call_name, []))]
+    assert sorted(set(unset) - UNSET_ALLOWED) == []

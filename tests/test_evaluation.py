@@ -10,7 +10,7 @@ from dentalmesh.errors import ConfigError
 def test_seg_metrics_confusion_oracle():
     truth = np.array([0, 1, 1, 1, 2, 2, 0, 0])
     pred = np.array([0, 1, 1, 2, 2, 2, 1, 0])
-    m = ev.seg_metrics(pred, truth, classes=(1, 2))
+    m = ev.seg_metrics(pred, truth)
     # class 1: tp=2 fp=1 fn=1 -> dsc 4/6, sen 2/3, ppv 2/3
     assert m.per_class[1] == pytest.approx((2 / 3, 2 / 3, 2 / 3))
     # class 2: tp=2 fp=1 fn=0 -> dsc 4/5, sen 1, ppv 2/3

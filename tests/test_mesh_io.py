@@ -171,20 +171,10 @@ def test_stl_errors(tmp_path):
 def test_format_dispatch_errors(tmp_path):
     with pytest.raises(MeshFormatError, match="unknown extension"):
         mio.load_mesh(tmp_path / "mesh.ply")
-    with pytest.raises(MeshFormatError, match="unsupported mesh format"):
-        mio.load_mesh(tmp_path / "mesh.off", fmt="ply")
     with pytest.raises(MeshFormatError):
         mio.load_mesh(tmp_path / "missing.off")  # OSError is wrapped
     with pytest.raises(MeshFormatError, match="unknown extension"):
         mio.save_mesh(_unit_triangle(), tmp_path / "mesh.ply")
-
-
-def test_explicit_fmt_overrides_extension(tmp_path):
-    mesh = _unit_triangle()
-    path = tmp_path / "mesh.dat"
-    mio.save_mesh(mesh, path, fmt="off")
-    back = mio.load_mesh(path, fmt="off")
-    assert np.array_equal(back.vertices, mesh.vertices)
 
 
 def test_annotation_round_trip(tmp_path):

@@ -116,7 +116,7 @@ def test_locate_landmarks_skips_small_and_netless_rois():
             return ad.Tensor(np.zeros((x.data.shape[0], 3)))
 
     nets = {pl.position_type(3): TinyNet()}
-    found, skipped = pl.locate_landmarks(nets, mesh, cut, min_roi_cells=4)
+    found, skipped = pl.locate_landmarks(nets, mesh, cut)
     assert 10 in skipped  # too few cells
     assert set(t for (t, _) in found) == {3}
 
@@ -176,7 +176,7 @@ def test_single_stage_landmarks_column_check():
         pl.single_stage_landmarks(WrongWidth(), mesh)
 
 
-def test_segment_scan_without_fine_mesh_refines_argmax():
+def test_segment_scan_refines_argmax_and_upsamples():
     mesh, labels, _ = bump_scene(10, 1)
 
     class FixedProbNet:
@@ -187,12 +187,13 @@ def test_segment_scan_without_fine_mesh_refines_argmax():
             probs /= probs.sum(axis=1, keepdims=True)
             return ad.Tensor(probs)
 
-    result = pl.segment_scan(FixedProbNet(), mesh, fine_mesh=None, lam=0.5)
-    assert np.array_equal(result.coarse_labels, result.fine_labels)
+    result = pl.segment_scan(FixedProbNet(), mesh, mesh, lam=0.5)
     assert result.probabilities.shape == (mesh.num_cells, 15)
     assert len(result.energy_trace) >= 1
-    # confident input survives the graph cut untouched
+    # confident input survives the graph cut untouched, and the upsampler
+    # fitted on the same cells gives them back
     assert np.array_equal(result.coarse_labels, labels)
+    assert np.array_equal(result.fine_labels, labels)
 
 
 def test_infer_two_stage_wires_everything(small_arch):

@@ -144,15 +144,6 @@ def test_zero_lambda_returns_argmax(rng):
     assert np.array_equal(labels, np.argmax(model.probs, axis=1))
 
 
-def test_refine_accepts_explicit_init(rng):
-    model = _random_model(rng, n=10)
-    worst = np.argmin(model.probs, axis=1)
-    labels = pp.refine_labels(model, init=worst)
-    assert pp.labeling_energy(model, labels) == pytest.approx(
-        exhaustive_min_energy(model, 2), abs=1e-9
-    )
-
-
 def test_refine_without_pairs_is_argmax(rng):
     probs = rng.random((6, 3)) + 0.1
     model = CutEnergyModel(probs, np.zeros((0, 2), dtype=np.int64), np.zeros(0), lam=5.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dentalmesh import svm
-from dentalmesh.svm import KKT_TOL, LabelUpsampler, MultiClassSvm, RbfSvm
+from dentalmesh.svm import KKT_TOL, LabelUpsampler, RbfSvm
 
 from helpers import grid_mesh, recover_alpha, reference_examine, svm_dual_objective
 
@@ -17,6 +17,14 @@ def _two_clusters(rng, n_per=20, gap=4.0, dim=2, noise=0.6):
     x = np.vstack([a, b])
     y = np.concatenate([-np.ones(n_per), np.ones(n_per)])
     return x, y
+
+
+def _fit(x, y, c, gamma):
+    return RbfSvm(c=c, gamma=gamma).fit(x, y, svm.rbf_kernel(x, x, gamma))
+
+
+def _predict(model, x):
+    return np.where(model.decision(x) >= 0.0, 1.0, -1.0)
 
 
 def test_rbf_kernel_matches_reference(rng):
@@ -43,19 +51,21 @@ def test_scale_gamma():
 
 def test_fit_validation():
     with pytest.raises(ValueError, match="x \\(n, d\\)"):
-        RbfSvm().fit(np.zeros(3), np.ones(3))
+        RbfSvm(c=1.0, gamma=1.0).fit(np.zeros(3), np.ones(3), np.eye(3))
     with pytest.raises(ValueError, match="\\+1 or -1"):
-        RbfSvm().fit(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]))
+        RbfSvm(c=1.0, gamma=1.0).fit(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]), np.eye(3))
+    with pytest.raises(ValueError, match="x \\(n, d\\)"):
+        LabelUpsampler().fit(np.zeros((3, 2)), np.zeros(4, dtype=np.int64))
 
 
 def test_separable_clusters_classified(rng):
     x, y = _two_clusters(rng)
-    model = RbfSvm(c=10.0, gamma=0.5).fit(x, y)
-    assert np.array_equal(model.predict(x), y)
+    model = _fit(x, y, c=10.0, gamma=0.5)
+    assert np.array_equal(_predict(model, x), y)
     # fresh points from the same clusters land on the right side
     fresh = np.vstack([rng.normal(scale=0.6, size=(8, 2)),
                        rng.normal(scale=0.6, size=(8, 2)) + 4.0])
-    assert np.array_equal(model.predict(fresh),
+    assert np.array_equal(_predict(model, fresh),
                           np.concatenate([-np.ones(8), np.ones(8)]))
     assert not hasattr(model, "_state")  # working state is dropped after fit
 
@@ -65,7 +75,7 @@ def test_kkt_certificate(rng):
     # the stored support vectors and verify the KKT conditions directly
     x, y = _two_clusters(rng, n_per=25, gap=3.0)
     c = 5.0
-    model = RbfSvm(c=c, gamma=0.8).fit(x, y)
+    model = _fit(x, y, c=c, gamma=0.8)
     alpha = recover_alpha(model, x, y)
     assert np.all(alpha >= -1e-12) and np.all(alpha <= c + 1e-12)
     assert abs(np.sum(alpha * y)) < 1e-9
@@ -88,7 +98,7 @@ def test_dual_objective_near_grid_optimum(rng):
     y = np.array([-1.0, -1.0, 1.0])
     c = 2.0
     gamma = 0.5
-    model = RbfSvm(c=c, gamma=gamma).fit(x, y)
+    model = _fit(x, y, c=c, gamma=gamma)
     kernel = svm.rbf_kernel(x, x, gamma)
     alpha = recover_alpha(model, x, y)
     achieved = svm_dual_objective(kernel, y, alpha)
@@ -107,8 +117,8 @@ def test_dual_objective_near_grid_optimum(rng):
 
 def test_fit_is_deterministic(rng):
     x, y = _two_clusters(rng, n_per=15)
-    a = RbfSvm(c=3.0, gamma=0.9).fit(x.copy(), y.copy())
-    b = RbfSvm(c=3.0, gamma=0.9).fit(x.copy(), y.copy())
+    a = _fit(x.copy(), y.copy(), c=3.0, gamma=0.9)
+    b = _fit(x.copy(), y.copy(), c=3.0, gamma=0.9)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert np.array_equal(a.dual_coef, b.dual_coef)
     assert a.bias == b.bias
@@ -148,14 +158,17 @@ def test_multiclass_predictions(rng):
     centers = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 6.0]])
     x = np.vstack([rng.normal(scale=0.5, size=(15, 2)) + c for c in centers])
     y = np.repeat([2, 5, 9], 15)
-    model = MultiClassSvm(c=10.0).fit(x, y)
+    model = LabelUpsampler(c=10.0).fit(x, y)
     assert np.array_equal(model.classes_, [2, 5, 9])
     assert len(model.machines_) == 3
     assert np.array_equal(model.predict(x), y)
     assert np.array_equal(model.predict(centers), [2, 5, 9])
-    # the kernel built once per fit gives each machine the bits of a lone fit
+    # every machine is one class against the rest at the spacing-derived
+    # width, and the kernel built once per fit gives it the bits of a lone fit
+    gamma = svm.spacing_gamma(x)
     for cls, machine in zip(model.classes_, model.machines_):
-        alone = RbfSvm(c=10.0, gamma=machine.gamma).fit(x, np.where(y == cls, 1.0, -1.0))
+        assert machine.gamma == gamma
+        alone = _fit(x, np.where(y == cls, 1.0, -1.0), c=10.0, gamma=gamma)
         assert np.array_equal(alone.support_vectors, machine.support_vectors)
         assert np.array_equal(alone.dual_coef, machine.dual_coef)
         assert alone.bias == machine.bias
@@ -163,14 +176,14 @@ def test_multiclass_predictions(rng):
 
 def test_multiclass_degenerate_single_class():
     x = np.zeros((4, 2))
-    model = MultiClassSvm().fit(x, np.full(4, 7))
+    model = LabelUpsampler().fit(x, np.full(4, 7))
     assert model.machines_ == []
     assert np.array_equal(model.predict(np.ones((3, 2))), [7, 7, 7])
 
 
 def test_multiclass_predict_before_fit():
     with pytest.raises(ValueError, match="before fit"):
-        MultiClassSvm().predict(np.zeros((2, 2)))
+        LabelUpsampler().predict(np.zeros((2, 2)))
 
 
 def test_spacing_gamma_on_regular_grid():
