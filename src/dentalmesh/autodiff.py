@@ -119,9 +119,17 @@ def _make(data, parents, grad_fn) -> Tensor:
 
 
 def _accumulate(parent: Tensor, piece: np.ndarray) -> None:
-    if parent.grad is None:
+    if parent.grad is not None:
+        parent.grad += piece
+    elif (piece.base is None and piece.flags.writeable
+          and piece.shape == parent.data.shape and piece.dtype == parent.data.dtype):
+        # a fresh array: take it over. The upstream gradient, which add hands
+        # to both parents, is read-only while its grad_fn runs (see backward),
+        # so it is copied, and so is every view
+        parent.grad = piece
+    else:
         parent.grad = np.zeros_like(parent.data)
-    parent.grad += piece
+        parent.grad += piece
 
 
 def backward(loss: Tensor) -> None:
@@ -146,7 +154,11 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._grad_fn is not None and node.grad is not None:
-            node._grad_fn(node.grad)
+            node.grad.flags.writeable = False
+            try:
+                node._grad_fn(node.grad)
+            finally:
+                node.grad.flags.writeable = True
 
 
 # ---------------------------------------------------------------------------

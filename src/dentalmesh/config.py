@@ -11,6 +11,7 @@ re-run from the artifact alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,8 @@ class RunConfig:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.svm_c) and self.svm_c > 0):
+            raise ConfigError(f"svm_c must be positive and finite, got {self.svm_c}")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

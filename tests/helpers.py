@@ -174,83 +174,6 @@ def svm_dual_objective(kernel: np.ndarray, y: np.ndarray,
     return float(alpha.sum() - 0.5 * alpha @ q @ alpha)
 
 
-def recover_alpha(svm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-point dual variables, matching support vectors back by row."""
-    alpha = np.zeros(x.shape[0])
-    for sv, coef in zip(svm.support_vectors, svm.dual_coef):
-        matches = np.where((x == sv).all(axis=1))[0]
-        assert matches.size == 1, "training rows must be unique"
-        i = matches[0]
-        alpha[i] = coef * y[i]
-    return alpha
-
-
-def reference_examine(state, i: int, fallback_tries: int, min_step: float,
-                      kkt_tol: float):
-    """The scalar SMO pair rule, one partner at a time.
-
-    Tries the largest-gap eligible partner, then up to fallback_tries - 1
-    more in descending gap order, stopping at the first ineligible one.
-    Mutates state like a successful step; returns (partner or None, number
-    of partners tried).
-    """
-    alpha, y, c, errors = state.alpha, state.y, state.c, state.errors
-    margin = y[i] * errors[i]
-    if not ((margin < -kkt_tol and alpha[i] < c - 1e-12)
-            or (margin > kkt_tol and alpha[i] > 1e-12)):
-        return None, 0
-    same = y == y[i]
-    paired = alpha[i] + alpha
-    eligible = np.where(same, (paired > 1e-12) & (paired < 2.0 * c - 1e-12),
-                        np.abs(alpha - alpha[i]) < c - 1e-12)
-    eligible[i] = False
-    gaps = np.abs(errors[i] - errors)
-    gaps[~eligible] = -1.0
-    best = int(np.argmax(gaps))
-    if gaps[best] < 0.0:
-        return None, 0
-    order = [best] + [int(j) for j in np.argsort(-gaps, kind="stable")[1:fallback_tries]]
-    for tried, j in enumerate(order, start=1):
-        if gaps[j] < 0.0:
-            return None, tried - 1
-        if _reference_try_pair(state, i, j, min_step):
-            return j, tried
-    return None, len(order)
-
-
-def _reference_try_pair(state, i: int, j: int, min_step: float) -> bool:
-    alpha, y, kernel, c, errors = state.alpha, state.y, state.kernel, state.c, state.errors
-    if y[i] != y[j]:
-        low = max(0.0, alpha[j] - alpha[i])
-        high = min(c, c + alpha[j] - alpha[i])
-    else:
-        low = max(0.0, alpha[i] + alpha[j] - c)
-        high = min(c, alpha[i] + alpha[j])
-    if high - low < 1e-12:
-        return False
-    eta = 2.0 * kernel[i, j] - kernel[i, i] - kernel[j, j]
-    if eta >= 0.0:
-        return False
-    new_j = alpha[j] - y[j] * (errors[i] - errors[j]) / eta
-    new_j = min(high, max(low, new_j))
-    if abs(new_j - alpha[j]) < min_step:
-        return False
-    new_i = alpha[i] + y[i] * y[j] * (alpha[j] - new_j)
-    di = y[i] * (new_i - alpha[i])
-    dj = y[j] * (new_j - alpha[j])
-    b1 = state.bias - errors[i] - di * kernel[i, i] - dj * kernel[i, j]
-    b2 = state.bias - errors[j] - di * kernel[i, j] - dj * kernel[j, j]
-    if 0.0 < new_i < c:
-        new_b = b1
-    elif 0.0 < new_j < c:
-        new_b = b2
-    else:
-        new_b = 0.5 * (b1 + b2)
-    errors += di * kernel[i] + dj * kernel[j] + (new_b - state.bias)
-    alpha[i], alpha[j], state.bias = new_i, new_j, new_b
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the per-edge EdgeConv that autodiff.edge_conv replaced
 

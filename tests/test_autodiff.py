@@ -185,6 +185,25 @@ def test_unreachable_parameter_has_zero_gradient():
     assert np.array_equal(used.gradient(), np.full(3, 2.0))
 
 
+def test_shared_upstream_gradient_is_not_aliased(rng):
+    # add hands its upstream gradient to both parents and reshape hands on a
+    # view of it: whichever parent takes a first gradient must not share
+    # memory with the child's gradient or with the other parent's
+    w = rng.normal(size=(3, 2))
+    u = rng.normal(size=(3, 2))
+    x = ad.Parameter(rng.normal(size=(3, 2)))
+    doubled = ad.add(x, x)
+    flat = ad.reshape(x, (2, 3))
+    loss = (ad.reduce_sum(doubled * w) + ad.reduce_sum(flat * u.reshape(2, 3))
+            + ad.reduce_sum(x * u))
+    ad.backward(loss)
+    assert np.array_equal(x.grad, 2.0 * w + 2.0 * u)
+    assert np.array_equal(doubled.grad, w)
+    assert np.array_equal(flat.grad, u.reshape(2, 3))
+    assert not np.shares_memory(x.grad, doubled.grad)
+    assert doubled.grad.flags.writeable and flat.grad.flags.writeable
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_softmax_rows_sum_to_one(n, c, seed):

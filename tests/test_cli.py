@@ -50,6 +50,8 @@ def test_bad_overrides_exit_1(tmp_path):
     base = ["synth", "--data", str(tmp_path), "--run", str(tmp_path / "r")]
     assert cli.main(base + ["--set", "bogus_key=1"]) == 1
     assert cli.main(base + ["--set", "lam=-2"]) == 1
+    for svm_c in ("0", "-1", "nan"):
+        assert cli.main(base + ["--set", f"svm_c={svm_c}"]) == 1
     assert cli.main(base + ["--set", "seg_epochs=abc"]) == 1
     assert cli.main(base + ["--config", str(tmp_path / "missing.cfg")]) == 1
 

@@ -97,6 +97,10 @@ def test_apply_overrides_errors():
         ("augment_count", -1, "nonnegative"),
         ("sigma", 0.0, "positive"),
         ("lr", 0.0, "positive"),
+        ("svm_c", 0.0, "svm_c must be positive and finite"),
+        ("svm_c", -1.0, "svm_c must be positive and finite"),
+        ("svm_c", float("nan"), "svm_c must be positive and finite"),
+        ("svm_c", float("inf"), "svm_c must be positive and finite"),
     ],
 )
 def test_validate_rejects(field, value, message):
@@ -279,3 +283,26 @@ def test_every_defaulted_parameter_is_set():
                           if not any(_sets(c, name, index)
                                      for c in calls.get(call_name, []))]
     assert sorted(set(unset) - UNSET_ALLOWED) == []
+
+
+def test_allowlists_name_existing_code():
+    """An allowlist entry whose definition or parameter is gone must go too."""
+    package, trees = _sources()
+    known = set()
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [(f"{node.name}.{item.name}", item) for item in node.body
+                             if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            known.add(f"{path.stem}.{node.name}")
+            for label, fn in functions:
+                known.add(f"{path.stem}.{label}")
+                known |= {f"{path.stem}.{label}({a.arg})"
+                          for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+    assert sorted((KEPT_FOR_TESTS | UNSET_ALLOWED) - known) == []

@@ -1,14 +1,13 @@
 """SMO-trained RBF machines: KKT certificates, dual optimality, upsampling."""
 
-import copy
-
 import numpy as np
 import pytest
 
 from dentalmesh import svm
-from dentalmesh.svm import KKT_TOL, LabelUpsampler, RbfSvm
+from dentalmesh.pipeline import preprocess
+from dentalmesh.svm import KKT_TOL, LabelUpsampler
 
-from helpers import grid_mesh, recover_alpha, reference_examine, svm_dual_objective
+from helpers import grid_mesh, svm_dual_objective
 
 
 def _two_clusters(rng, n_per=20, gap=4.0, dim=2, noise=0.6):
@@ -20,11 +19,25 @@ def _two_clusters(rng, n_per=20, gap=4.0, dim=2, noise=0.6):
 
 
 def _fit(x, y, c, gamma):
-    return RbfSvm(c=c, gamma=gamma).fit(x, y, svm.rbf_kernel(x, x, gamma))
+    return svm.smo(svm.rbf_kernel(x, x, gamma), y, c)
 
 
-def _predict(model, x):
-    return np.where(model.decision(x) >= 0.0, 1.0, -1.0)
+def _decision(x, y, alpha, bias, points, gamma):
+    return svm.rbf_kernel(points, x, gamma) @ (alpha * y) + bias
+
+
+def _assert_kkt(kernel, y, c, alpha, bias):
+    """Optimality check that does not trust the solver: the box and the
+    equality constraint on alpha, then each sample's margin condition."""
+    assert np.all(alpha >= 0.0) and np.all(alpha <= c)
+    assert abs(np.sum(alpha * y)) < 1e-9
+    margins = y * (kernel @ (alpha * y) + bias)
+    tol = 2.5 * KKT_TOL  # solver tolerance plus slack for gradient drift
+    at_zero, at_c = alpha == 0.0, alpha == c
+    free = ~at_zero & ~at_c
+    assert np.all(margins[at_zero] >= 1.0 - tol)
+    assert np.all(margins[at_c] <= 1.0 + tol)
+    assert np.all(np.abs(margins[free] - 1.0) <= tol)
 
 
 def test_rbf_kernel_matches_reference(rng):
@@ -50,45 +63,55 @@ def test_scale_gamma():
 
 
 def test_fit_validation():
-    with pytest.raises(ValueError, match="x \\(n, d\\)"):
-        RbfSvm(c=1.0, gamma=1.0).fit(np.zeros(3), np.ones(3), np.eye(3))
+    with pytest.raises(ValueError, match="kernel \\(n, n\\)"):
+        svm.smo(np.eye(3), np.ones((3, 1)), 1.0)
+    with pytest.raises(ValueError, match="kernel \\(n, n\\)"):
+        svm.smo(np.eye(2), np.ones(3), 1.0)
     with pytest.raises(ValueError, match="\\+1 or -1"):
-        RbfSvm(c=1.0, gamma=1.0).fit(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]), np.eye(3))
+        svm.smo(np.eye(3), np.array([0.0, 1.0, 1.0]), 1.0)
+    for c in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="c must be positive"):
+            svm.smo(np.eye(2), np.array([1.0, -1.0]), c)
     with pytest.raises(ValueError, match="x \\(n, d\\)"):
         LabelUpsampler().fit(np.zeros((3, 2)), np.zeros(4, dtype=np.int64))
 
 
 def test_separable_clusters_classified(rng):
     x, y = _two_clusters(rng)
-    model = _fit(x, y, c=10.0, gamma=0.5)
-    assert np.array_equal(_predict(model, x), y)
+    alpha, bias = _fit(x, y, c=10.0, gamma=0.5)
+    assert np.array_equal(np.sign(_decision(x, y, alpha, bias, x, 0.5)), y)
     # fresh points from the same clusters land on the right side
     fresh = np.vstack([rng.normal(scale=0.6, size=(8, 2)),
                        rng.normal(scale=0.6, size=(8, 2)) + 4.0])
-    assert np.array_equal(_predict(model, fresh),
+    assert np.array_equal(np.sign(_decision(x, y, alpha, bias, fresh, 0.5)),
                           np.concatenate([-np.ones(8), np.ones(8)]))
-    assert not hasattr(model, "_state")  # working state is dropped after fit
 
 
 def test_kkt_certificate(rng):
-    # optimality check that does not trust the solver: recover alpha from
-    # the stored support vectors and verify the KKT conditions directly
     x, y = _two_clusters(rng, n_per=25, gap=3.0)
     c = 5.0
-    model = _fit(x, y, c=c, gamma=0.8)
-    alpha = recover_alpha(model, x, y)
-    assert np.all(alpha >= -1e-12) and np.all(alpha <= c + 1e-12)
-    assert abs(np.sum(alpha * y)) < 1e-9
+    alpha, bias = _fit(x, y, c=c, gamma=0.8)
+    _assert_kkt(svm.rbf_kernel(x, x, 0.8), y, c, alpha, bias)
 
-    margins = y * model.decision(x)
-    tol = 2.5 * KKT_TOL  # solver tolerance plus slack for error drift
-    for i in range(x.shape[0]):
-        if alpha[i] < 1e-8:
-            assert margins[i] >= 1.0 - tol
-        elif alpha[i] > c - 1e-8:
-            assert margins[i] <= 1.0 + tol
-        else:
-            assert abs(margins[i] - 1.0) <= tol
+
+def test_every_machine_converges_on_a_noisy_arch(small_arch):
+    # an arch decimated to about 400 cells with a tenth of its coarse labels
+    # moved to another class: every one-vs-rest machine the upsampler fits
+    # meets KKT, not only toy problems
+    mesh, ann = small_arch
+    scan = preprocess(mesh, ann, 400)
+    rng = np.random.default_rng(5)
+    labels = scan.coarse_labels.copy()
+    hit = rng.random(labels.size) < 0.1
+    labels[hit] = (labels[hit] + rng.integers(1, 15, size=int(hit.sum()))) % 15
+    x = scan.coarse.cell_barycenters
+    kernel = svm.rbf_kernel(x, x, svm.spacing_gamma(x))
+    classes = np.unique(labels)
+    assert classes.size == 15
+    for cls in classes:
+        y = np.where(labels == cls, 1.0, -1.0)
+        alpha, bias = svm.smo(kernel, y, 10.0)
+        _assert_kkt(kernel, y, 10.0, alpha, bias)
 
 
 def test_dual_objective_near_grid_optimum(rng):
@@ -98,9 +121,8 @@ def test_dual_objective_near_grid_optimum(rng):
     y = np.array([-1.0, -1.0, 1.0])
     c = 2.0
     gamma = 0.5
-    model = _fit(x, y, c=c, gamma=gamma)
+    alpha, _ = _fit(x, y, c=c, gamma=gamma)
     kernel = svm.rbf_kernel(x, x, gamma)
-    alpha = recover_alpha(model, x, y)
     achieved = svm_dual_objective(kernel, y, alpha)
 
     best = -np.inf
@@ -117,41 +139,14 @@ def test_dual_objective_near_grid_optimum(rng):
 
 def test_fit_is_deterministic(rng):
     x, y = _two_clusters(rng, n_per=15)
-    a = _fit(x.copy(), y.copy(), c=3.0, gamma=0.9)
-    b = _fit(x.copy(), y.copy(), c=3.0, gamma=0.9)
-    assert np.array_equal(a.support_vectors, b.support_vectors)
-    assert np.array_equal(a.dual_coef, b.dual_coef)
-    assert a.bias == b.bias
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_screened_partner_search_matches_scalar_pair_rule(seed):
-    # overlapping classes with duplicated rows: duplicates give zero
-    # curvature, so many best-gap partners fail and the fallback runs
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(100, 2))
-    x[70:] = x[:30]
-    y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
-    c = float(rng.uniform(0.5, 5.0))
-    state = svm._SmoState(svm.rbf_kernel(x, x, 0.7), y, c)
-    fallback_taken = fallback_exhausted = 0
-    for _ in range(6):
-        state.refresh_errors()
-        for i in range(x.shape[0]):
-            twin = copy.copy(state)
-            twin.alpha, twin.errors = state.alpha.copy(), state.errors.copy()
-            partner, tried = reference_examine(twin, i, state.FALLBACK_TRIES,
-                                               svm.MIN_ALPHA_STEP, KKT_TOL)
-            before = state.alpha.copy()
-            assert state.examine(i) == (partner is not None)
-            moved = np.flatnonzero(state.alpha != before).tolist()
-            assert moved == ([] if partner is None else sorted({i, partner}))
-            assert np.array_equal(state.alpha, twin.alpha)
-            assert np.array_equal(state.errors, twin.errors)
-            assert state.bias == twin.bias
-            fallback_taken += partner is not None and tried > 1
-            fallback_exhausted += partner is None and tried > 1
-    assert fallback_taken > 0 and fallback_exhausted > 0
+    a, bias_a = _fit(x.copy(), y.copy(), c=3.0, gamma=0.9)
+    b, bias_b = _fit(x.copy(), y.copy(), c=3.0, gamma=0.9)
+    assert np.array_equal(a, b)
+    assert bias_a == bias_b
+    labels = np.where(y > 0, 4, 1)
+    first, second = (LabelUpsampler(c=3.0).fit(x.copy(), labels) for _ in range(2))
+    for name in ("rows_", "coef_", "bias_"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_multiclass_predictions(rng):
@@ -160,24 +155,32 @@ def test_multiclass_predictions(rng):
     y = np.repeat([2, 5, 9], 15)
     model = LabelUpsampler(c=10.0).fit(x, y)
     assert np.array_equal(model.classes_, [2, 5, 9])
-    assert len(model.machines_) == 3
     assert np.array_equal(model.predict(x), y)
     assert np.array_equal(model.predict(centers), [2, 5, 9])
-    # every machine is one class against the rest at the spacing-derived
-    # width, and the kernel built once per fit gives it the bits of a lone fit
+    # every column is one class against the rest at the spacing-derived width
+    # on one shared kernel; rows_ keeps exactly the points some column uses
     gamma = svm.spacing_gamma(x)
-    for cls, machine in zip(model.classes_, model.machines_):
-        assert machine.gamma == gamma
-        alone = _fit(x, np.where(y == cls, 1.0, -1.0), c=10.0, gamma=gamma)
-        assert np.array_equal(alone.support_vectors, machine.support_vectors)
-        assert np.array_equal(alone.dual_coef, machine.dual_coef)
-        assert alone.bias == machine.bias
+    assert model.gamma_ == gamma
+    fresh = rng.uniform(-2.0, 8.0, size=(300, 2))
+    scores = []
+    coef = []
+    for cls in model.classes_:
+        target = np.where(y == cls, 1.0, -1.0)
+        alpha, bias = _fit(x, target, c=10.0, gamma=gamma)
+        coef.append(alpha * target)
+        scores.append(_decision(x, target, alpha, bias, fresh, gamma))
+    coef = np.stack(coef, axis=1)
+    used = np.any(coef != 0.0, axis=1)
+    assert np.array_equal(model.rows_, x[used])
+    assert np.array_equal(model.coef_, coef[used])
+    loop = model.classes_[np.argmax(np.stack(scores, axis=1), axis=1)]
+    assert np.array_equal(model.predict(fresh), loop)
 
 
 def test_multiclass_degenerate_single_class():
     x = np.zeros((4, 2))
     model = LabelUpsampler().fit(x, np.full(4, 7))
-    assert model.machines_ == []
+    assert model.rows_.shape[0] == 0
     assert np.array_equal(model.predict(np.ones((3, 2))), [7, 7, 7])
 
 
