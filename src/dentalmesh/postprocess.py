@@ -9,12 +9,20 @@ beta = 30 * (1 + |n_i . n_j|) when the hinge is convex. Cutting is cheap
 across concave creases, which is where tooth-gingiva boundaries live.
 
 Minimization is alpha expansion: labels are visited in ascending order,
-each expansion solving a binary min-cut (Dinic max-flow) whose result can
-only lower the energy, until a full cycle yields no improvement.
+each expansion solving a binary min-cut whose result can only lower the
+energy, until a full cycle yields no improvement. The move's graph is the
+symmetric Potts construction (Kolmogorov & Zabih, PAMI 2004), built from
+flat arrays: each cell's terminal arc carries the difference of its take
+and keep costs, and pairs that stay non-alpha become undirected n-links.
+It is cut by Boykov-Kolmogorov max-flow (PAMI 2004), whose final source
+tree is the minimal min-cut source set, so cells the move leaves tied
+switch to alpha.
 """
 
 from __future__ import annotations
 
+import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +36,10 @@ CONVEX_BETA = 30.0
 THETA_FLOOR = 1e-3
 FLAT_TOLERANCE = 1e-9
 MAX_CYCLES = 50  # alpha-expansion cycles over all labels before giving up
+RESIDUAL_EPS = 1e-12  # residual capacities at or below this count as saturated
+
+_FREE, _SOURCE, _SINK = 0, 1, 2  # search-tree membership
+_TERMINAL, _ORPHAN = -1, -2  # parent markers; arc ids are >= 0
 
 
 @dataclass
@@ -122,89 +134,119 @@ def labeling_energy(model: CutEnergyModel, labels: np.ndarray) -> float:
     return total
 
 
-class _Dinic:
-    """Max-flow on a small graph; nodes 0..n-1, source n, sink n+1."""
+def _source_side(
+    terminal: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    caps: np.ndarray,
+) -> np.ndarray:
+    """Minimal source set of an s-t min cut, by Boykov-Kolmogorov max-flow.
 
-    def __init__(self, num_nodes: int):
-        self.n = num_nodes + 2
-        self.source = num_nodes
-        self.sink = num_nodes + 1
-        self.head: list[list[int]] = [[] for _ in range(self.n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
+    terminal[u] > 0 is a source arc of that capacity, < 0 a sink arc; each
+    n-link (tails[k], heads[k]) carries caps[k] both ways. Two search trees
+    grow from the terminals, paths are augmented where they meet, and an
+    orphan is re-adopted only by a tree node whose root is a terminal. When
+    no tree can grow, the source tree is exactly the set of nodes reachable
+    from the source in the residual graph.
+    """
+    n = terminal.shape[0]
+    # arc 2k runs tails[k] -> heads[k], arc 2k+1 back; a ^ 1 is the sister
+    tail = np.stack([tails, heads], axis=1).ravel()
+    to = np.stack([heads, tails], axis=1).ravel().tolist()
+    arcs = np.argsort(tail, kind="stable").tolist()  # grouped by tail
+    first = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))]).tolist()
+    res = np.repeat(caps, 2).tolist()
+    term = terminal.tolist()
+    eps = RESIDUAL_EPS
+    # every node with a terminal arc starts as an active root of its tree
+    start = np.where(terminal > eps, _SOURCE, np.where(terminal < -eps, _SINK, _FREE))
+    root = start != _FREE
+    tree = start.tolist()
+    parent = np.where(root, _TERMINAL, _ORPHAN).tolist()  # arc to the parent
+    queued = root.tolist()
+    active = deque(np.flatnonzero(root).tolist())
 
-    def add_edge(self, u: int, v: int, cap_uv: float, cap_vu: float = 0.0) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap_uv)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(cap_vu)
-
-    def _bfs(self) -> list[int] | None:
-        level = [-1] * self.n
-        level[self.source] = 0
-        queue = [self.source]
-        for u in queue:
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if level[v] < 0 and self.cap[eid] > 1e-12:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[self.sink] >= 0 else None
-
-    def _augment(self, level: list[int], it: list[int]) -> float:
-        """Walk one augmenting path source->sink; returns 0 when none is left."""
-        path: list[int] = []
-        u = self.source
+    def rooted(u: int) -> bool:
         while True:
-            if u == self.sink:
-                flow = min(self.cap[eid] for eid in path)
-                for eid in path:
-                    self.cap[eid] -= flow
-                    self.cap[eid ^ 1] += flow
-                return flow
-            advanced = False
-            while it[u] < len(self.head[u]):
-                eid = self.head[u][it[u]]
-                v = self.to[eid]
-                if self.cap[eid] > 1e-12 and level[v] == level[u] + 1:
-                    path.append(eid)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if u == self.source:
-                    return 0.0
-                level[u] = -1
-                eid = path.pop()
-                u = self.to[eid ^ 1]
+            a = parent[u]
+            if a < 0:
+                return a == _TERMINAL
+            u = to[a]
 
-    def max_flow(self) -> float:
-        flow = 0.0
-        while True:
-            level = self._bfs()
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(level, it)
-                if pushed <= 0.0:
+    orphans: deque[int] = deque()
+    while active:
+        p = active[0]
+        side = tree[p]
+        # a ^ flip runs away from the source: out of p in the source tree,
+        # into p in the sink tree
+        flip = 0 if side == _SOURCE else 1
+        mid = -1  # arc from the source tree into the sink tree
+        for a in arcs[first[p]:first[p + 1]] if side != _FREE else ():
+            if res[a ^ flip] > eps:
+                q = to[a]
+                if tree[q] == _FREE:
+                    tree[q] = side
+                    parent[q] = a ^ 1
+                    if not queued[q]:
+                        queued[q] = True
+                        active.append(q)
+                elif tree[q] != side:
+                    mid = a ^ flip
                     break
-                flow += pushed
+        if mid < 0:
+            active.popleft()
+            queued[p] = False
+            continue
 
-    def source_side(self) -> np.ndarray:
-        seen = np.zeros(self.n, dtype=bool)
-        seen[self.source] = True
-        queue = [self.source]
-        for u in queue:
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if not seen[v] and self.cap[eid] > 1e-12:
-                    seen[v] = True
-                    queue.append(v)
-        return seen[: self.n - 2]
+        # the two halves of the path: parent arcs in the source tree carry
+        # flow on their sisters, in the sink tree on themselves
+        halves = ((to[mid ^ 1], 1, 1.0), (to[mid], 0, -1.0))
+        flow = res[mid]
+        for u, flip, sign in halves:
+            while parent[u] != _TERMINAL:
+                a = parent[u]
+                flow = min(flow, res[a ^ flip])
+                u = to[a]
+            flow = min(flow, sign * term[u])
+        res[mid] -= flow
+        res[mid ^ 1] += flow
+        for u, flip, sign in halves:
+            while parent[u] != _TERMINAL:
+                a = parent[u]
+                res[a ^ flip] -= flow
+                res[a ^ flip ^ 1] += flow
+                if res[a ^ flip] <= eps:
+                    parent[u] = _ORPHAN
+                    orphans.append(u)
+                u = to[a]
+            term[u] -= sign * flow
+            if sign * term[u] <= eps:
+                parent[u] = _ORPHAN
+                orphans.append(u)
+
+        while orphans:
+            u = orphans.popleft()
+            side = tree[u]
+            flip = 1 if side == _SOURCE else 0  # a ^ flip runs from q to u
+            nbrs = arcs[first[u]:first[u + 1]]
+            for a in nbrs:
+                q = to[a]
+                if tree[q] == side and res[a ^ flip] > eps and rooted(q):
+                    parent[u] = a
+                    break
+            else:
+                tree[u] = _FREE
+                for a in nbrs:
+                    q = to[a]
+                    if tree[q] != side:
+                        continue
+                    if res[a ^ flip] > eps and not queued[q]:
+                        queued[q] = True
+                        active.append(q)
+                    if parent[q] >= 0 and to[parent[q]] == u:
+                        parent[q] = _ORPHAN
+                        orphans.append(q)
+    return np.array(tree) == _SOURCE
 
 
 def _expand_once(
@@ -216,42 +258,35 @@ def _expand_once(
 ) -> np.ndarray:
     """Best single-alpha expansion move via binary min-cut.
 
-    Binary variable x_i = 1 means cell i switches to alpha. The pairwise
-    terms are Potts with edge weights, which is submodular, so the min-cut
-    is exact for this move.
+    Binary variable x_i = 1 means cell i switches to alpha. A pair of
+    weight w costs nothing when both cells are alpha; w to the non-alpha
+    end for keeping its label when the other is alpha; an n-link w when
+    both keep one non-alpha label; and w/2 on each end's keep side plus an
+    n-link w/2 when they keep different non-alpha labels, which is
+    w * (1 - x_i x_j). Potts is submodular, so the min-cut is exact for the
+    move; cells it leaves tied switch to alpha.
     """
     n = labels.shape[0]
-    cap_take = unary[:, alpha].copy()  # paid when x_i = 1
-    cap_keep = unary[np.arange(n), labels].copy()  # paid when x_i = 0
-    solver = _Dinic(n)
+    take = unary[:, alpha]  # paid when x_i = 1
+    keep = unary[np.arange(n), labels]  # paid when x_i = 0
+    tails = heads = np.zeros(0, dtype=np.int64)
+    caps = np.zeros(0)
     if pairs.shape[0]:
-        li = labels[pairs[:, 0]]
-        lj = labels[pairs[:, 1]]
-        a = weight * (li != lj)
-        b = weight * (li != alpha)
-        c = weight * (lj != alpha)
-        di = c - a
-        dj = -c
-        np.add.at(cap_take, pairs[:, 0], np.maximum(di, 0.0))
-        np.add.at(cap_keep, pairs[:, 0], np.maximum(-di, 0.0))
-        np.add.at(cap_take, pairs[:, 1], np.maximum(dj, 0.0))
-        np.add.at(cap_keep, pairs[:, 1], np.maximum(-dj, 0.0))
-        nlink = b + c - a
-        for e in range(pairs.shape[0]):
-            if nlink[e] > 1e-15:
-                solver.add_edge(int(pairs[e, 0]), int(pairs[e, 1]), float(nlink[e]))
-    shift = np.minimum(cap_take, cap_keep)
-    cap_take -= shift
-    cap_keep -= shift
-    for i in range(n):
-        if cap_take[i] > 0.0:
-            solver.add_edge(solver.source, i, float(cap_take[i]))
-        if cap_keep[i] > 0.0:
-            solver.add_edge(i, solver.sink, float(cap_keep[i]))
-    solver.max_flow()
-    keep = solver.source_side()
+        i, j = pairs[:, 0], pairs[:, 1]
+        li, lj = labels[i], labels[j]
+        i_alpha, j_alpha = li == alpha, lj == alpha
+        half = np.where(li != lj, 0.5 * weight, 0.0)
+        keep = (
+            keep
+            + np.bincount(i, np.where(j_alpha, weight, half) * ~i_alpha, minlength=n)
+            + np.bincount(j, np.where(i_alpha, weight, half) * ~j_alpha, minlength=n)
+        )
+        nlink = np.where(li == lj, weight, half)
+        linked = ~i_alpha & ~j_alpha & (nlink > RESIDUAL_EPS)
+        tails, heads, caps = i[linked], j[linked], nlink[linked]
+    keep_side = _source_side(take - keep, tails, heads, caps)
     out = labels.copy()
-    out[~keep] = alpha
+    out[~keep_side] = alpha
     return out
 
 
@@ -259,8 +294,9 @@ def refine_labels(model: CutEnergyModel) -> np.ndarray:
     """Alpha-expansion refinement; starts from the per-cell argmax labeling.
 
     Labels are expanded in ascending id each cycle until a full cycle makes
-    no improvement. The per-move energies are recorded on
-    model.energy_trace and are monotonically nonincreasing.
+    no improvement, or warns after MAX_CYCLES cycles that all improved. The
+    per-move energies are recorded on model.energy_trace and are
+    monotonically nonincreasing.
     """
     probs = model.probs
     labels = np.argmax(probs, axis=1).astype(np.int64)
@@ -281,4 +317,7 @@ def refine_labels(model: CutEnergyModel) -> np.ndarray:
             model.energy_trace.append(energy)
         if not improved:
             break
+    else:
+        warnings.warn(f"alpha expansion stopped after MAX_CYCLES={MAX_CYCLES} cycles "
+                      "that still lowered the energy", stacklevel=2)
     return labels

@@ -224,3 +224,140 @@ def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, training: bool) -> Te
     edge = ad.relu(conv.bn(edge, training))
     cout = edge.data.shape[1]
     return max_over_axis(ad.reshape(edge, (n, k, cout)), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the per-edge expansion graph and Dinic max-flow that postprocess replaced
+
+class Dinic:
+    """Max-flow on a small graph; nodes 0..n-1, source n, sink n+1."""
+
+    def __init__(self, num_nodes: int):
+        self.n = num_nodes + 2
+        self.source = num_nodes
+        self.sink = num_nodes + 1
+        self.head: list[list[int]] = [[] for _ in range(self.n)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
+
+    def add_edge(self, u: int, v: int, cap_uv: float, cap_vu: float = 0.0) -> None:
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap_uv)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(cap_vu)
+
+    def _bfs(self) -> list[int] | None:
+        level = [-1] * self.n
+        level[self.source] = 0
+        queue = [self.source]
+        for u in queue:
+            for eid in self.head[u]:
+                v = self.to[eid]
+                if level[v] < 0 and self.cap[eid] > 1e-12:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[self.sink] >= 0 else None
+
+    def _augment(self, level: list[int], it: list[int]) -> float:
+        """Walk one augmenting path source->sink; returns 0 when none is left."""
+        path: list[int] = []
+        u = self.source
+        while True:
+            if u == self.sink:
+                flow = min(self.cap[eid] for eid in path)
+                for eid in path:
+                    self.cap[eid] -= flow
+                    self.cap[eid ^ 1] += flow
+                return flow
+            advanced = False
+            while it[u] < len(self.head[u]):
+                eid = self.head[u][it[u]]
+                v = self.to[eid]
+                if self.cap[eid] > 1e-12 and level[v] == level[u] + 1:
+                    path.append(eid)
+                    u = v
+                    advanced = True
+                    break
+                it[u] += 1
+            if not advanced:
+                if u == self.source:
+                    return 0.0
+                level[u] = -1
+                eid = path.pop()
+                u = self.to[eid ^ 1]
+
+    def max_flow(self) -> float:
+        flow = 0.0
+        while True:
+            level = self._bfs()
+            if level is None:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._augment(level, it)
+                if pushed <= 0.0:
+                    break
+                flow += pushed
+
+    def source_side(self) -> np.ndarray:
+        seen = np.zeros(self.n, dtype=bool)
+        seen[self.source] = True
+        queue = [self.source]
+        for u in queue:
+            for eid in self.head[u]:
+                v = self.to[eid]
+                if not seen[v] and self.cap[eid] > 1e-12:
+                    seen[v] = True
+                    queue.append(v)
+        return seen[: self.n - 2]
+
+
+def reference_expand_once(
+    labels: np.ndarray,
+    alpha: int,
+    unary: np.ndarray,
+    pairs: np.ndarray,
+    weight: np.ndarray,
+) -> np.ndarray:
+    """postprocess._expand_once as a per-edge graph solved by Dinic.
+
+    With a, b, c the pair's cost when both keep, when only j switches and
+    when only i switches, each pair puts c - a on i's terminals, -c on j's, and an
+    n-link b + c - a from i to j; the source side is the set of cells that
+    keep their label.
+    """
+    n = labels.shape[0]
+    cap_take = unary[:, alpha].copy()  # paid when x_i = 1
+    cap_keep = unary[np.arange(n), labels].copy()  # paid when x_i = 0
+    solver = Dinic(n)
+    if pairs.shape[0]:
+        li = labels[pairs[:, 0]]
+        lj = labels[pairs[:, 1]]
+        a = weight * (li != lj)
+        b = weight * (li != alpha)
+        c = weight * (lj != alpha)
+        di = c - a
+        dj = -c
+        np.add.at(cap_take, pairs[:, 0], np.maximum(di, 0.0))
+        np.add.at(cap_keep, pairs[:, 0], np.maximum(-di, 0.0))
+        np.add.at(cap_take, pairs[:, 1], np.maximum(dj, 0.0))
+        np.add.at(cap_keep, pairs[:, 1], np.maximum(-dj, 0.0))
+        nlink = b + c - a
+        for e in range(pairs.shape[0]):
+            if nlink[e] > 1e-15:
+                solver.add_edge(int(pairs[e, 0]), int(pairs[e, 1]), float(nlink[e]))
+    shift = np.minimum(cap_take, cap_keep)
+    cap_take -= shift
+    cap_keep -= shift
+    for i in range(n):
+        if cap_take[i] > 0.0:
+            solver.add_edge(solver.source, i, float(cap_take[i]))
+        if cap_keep[i] > 0.0:
+            solver.add_edge(i, solver.sink, float(cap_keep[i]))
+    solver.max_flow()
+    keep = solver.source_side()
+    out = labels.copy()
+    out[~keep] = alpha
+    return out

@@ -1,14 +1,17 @@
 """Graph-cut energy model and alpha-expansion against brute force."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from dentalmesh import networks, pipeline
 from dentalmesh import postprocess as pp
 from dentalmesh.postprocess import CutEnergyModel
 
-from helpers import exhaustive_min_energy, grid_mesh
+from helpers import exhaustive_min_energy, grid_mesh, reference_expand_once
 
 
 def _random_model(rng, n, num_labels=2, lam=None):
@@ -151,17 +154,125 @@ def test_refine_without_pairs_is_argmax(rng):
     assert np.array_equal(labels, np.argmax(probs, axis=1))
 
 
-def test_smoothing_flips_isolated_noise():
-    # one weakly-contrarian cell inside a confident region gives in once
-    # the pairwise term outweighs its small data preference
+def _contrarian_model(lam):
+    """One weakly-contrarian cell joined to eight confident ones."""
     n = 9
     probs = np.full((n, 2), [0.9, 0.1])
     probs[4] = [0.45, 0.55]
     pairs = np.array([[4, j] for j in range(n) if j != 4])
-    cost = np.ones(pairs.shape[0])
-    model = CutEnergyModel(probs, pairs, cost, lam=1.0)
-    labels = pp.refine_labels(model)
+    return CutEnergyModel(probs, pairs, np.ones(pairs.shape[0]), lam)
+
+
+def test_smoothing_flips_isolated_noise():
+    # the contrarian gives in once the pairwise term outweighs its small
+    # data preference
+    labels = pp.refine_labels(_contrarian_model(lam=1.0))
     assert np.all(labels == 0)
     # with lambda 0 the contrarian stays contrarian
-    free = CutEnergyModel(probs, pairs, cost, lam=0.0)
-    assert pp.refine_labels(free)[4] == 1
+    assert pp.refine_labels(_contrarian_model(lam=0.0))[4] == 1
+
+
+def _variant(model, rng, kind):
+    """The instance with duplicated pairs, zero-cost pairs or lambda 0."""
+    pairs, cost, lam = model.pairs, model.pair_cost.copy(), model.lam
+    if kind == "duplicates":
+        dup = rng.choice(pairs.shape[0], size=pairs.shape[0] // 2)
+        # repeated in both orientations
+        pairs = np.concatenate([pairs, pairs[dup], pairs[dup, ::-1]])
+        cost = np.concatenate([cost, cost[dup], rng.random(dup.size)])
+    elif kind == "zero-cost":
+        cost[rng.random(cost.size) < 0.4] = 0.0
+    elif kind == "lambda-0":
+        lam = 0.0
+    return CutEnergyModel(model.probs, pairs, cost, lam)
+
+
+def _expansions_agree(model, labels):
+    unary = -np.log(model.probs + model.eps)
+    weight = model.lam * model.pair_cost
+    for alpha in range(model.probs.shape[1]):
+        got = pp._expand_once(labels, alpha, unary, model.pairs, weight)
+        want = reference_expand_once(labels, alpha, unary, model.pairs, weight)
+        assert np.array_equal(got, want), alpha
+
+
+@pytest.mark.parametrize("kind", ["plain", "duplicates", "zero-cost", "lambda-0"])
+@pytest.mark.parametrize("seed", range(6))
+def test_expand_once_matches_reference_random(seed, kind):
+    rng = np.random.default_rng(200 + seed)
+    num_labels = int(rng.integers(2, 5))
+    model = _variant(_random_model(rng, n=int(rng.integers(5, 40)), num_labels=num_labels),
+                     rng, kind)
+    _expansions_agree(model, np.argmax(model.probs, axis=1))
+    _expansions_agree(model, rng.integers(0, num_labels, size=model.probs.shape[0]))
+
+
+@pytest.fixture(scope="module")
+def coarse_arch_model(small_arch):
+    """small_arch decimated to 400 cells with 10 % oracle-noisy one-hot probs."""
+    mesh, ann = small_arch
+    scan = pipeline.preprocess(mesh, ann, 400)
+    rng = np.random.default_rng(5)
+    noisy = scan.coarse_labels.copy()
+    hit = rng.random(noisy.size) < 0.10
+    shift = rng.integers(1, networks.NUM_CLASSES, size=int(hit.sum()))
+    noisy[hit] = (noisy[hit] + shift) % networks.NUM_CLASSES
+    return pp.build_energy(scan.coarse, networks.one_hot(noisy))
+
+
+def test_expand_once_matches_reference_on_decimated_arch(coarse_arch_model):
+    model = coarse_arch_model
+    _expansions_agree(model, np.argmax(model.probs, axis=1))
+
+
+def test_refine_energy_trace_matches_reference(coarse_arch_model, monkeypatch):
+    rng = np.random.default_rng(9)
+    for model in (coarse_arch_model, _random_model(rng, n=30, num_labels=4)):
+        labels = pp.refine_labels(model)
+        assert len(model.energy_trace) > 1
+        ref = CutEnergyModel(model.probs, model.pairs, model.pair_cost, model.lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(pp, "_expand_once", reference_expand_once)
+            assert np.array_equal(labels, pp.refine_labels(ref))
+        assert model.energy_trace == ref.energy_trace
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_expand_once_is_the_largest_minimising_move(seed):
+    # quantised probabilities and costs make exact ties common; among all
+    # 2^n binary moves the cut must pick a minimiser, and of the minimisers
+    # the one that switches the most cells to alpha (whose alpha set holds
+    # every other minimiser's)
+    rng = np.random.default_rng(300 + seed)
+    n, num_labels = int(rng.integers(6, 13)), 3
+    raw = rng.integers(1, 4, size=(n, num_labels)).astype(np.float64)
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    pairs = _random_model(rng, n).pairs
+    cost = rng.integers(0, 3, size=pairs.shape[0]).astype(np.float64)
+    model = CutEnergyModel(probs, pairs, cost, lam=float(rng.choice([0.0, 0.5, 1.0])))
+    unary = -np.log(probs + model.eps)
+    labels = rng.integers(0, num_labels, size=n)
+    moves = np.array(list(itertools.product([False, True], repeat=n)))
+    for alpha in range(num_labels):
+        cand = np.where(moves, alpha, labels)
+        energy = unary[np.arange(n), cand].sum(axis=1) + model.lam * (
+            (cand[:, pairs[:, 0]] != cand[:, pairs[:, 1]]) @ cost)
+        is_alpha = cand[energy <= energy.min() + 1e-9] == alpha
+        largest = is_alpha[np.argmax(is_alpha.sum(axis=1))]
+        assert np.all(largest >= is_alpha)
+        got = pp._expand_once(labels, alpha, unary, pairs, model.lam * cost)
+        assert pp.labeling_energy(model, got) <= energy.min() + 1e-9
+        assert np.array_equal(got == alpha, largest)
+
+
+def test_refine_warns_when_cycles_run_out(monkeypatch):
+    # the first cycle flips the contrarian, the second confirms it
+    model = _contrarian_model(lam=1.0)
+    monkeypatch.setattr(pp, "MAX_CYCLES", 1)
+    with pytest.warns(UserWarning, match="MAX_CYCLES=1"):
+        labels = pp.refine_labels(model)
+    assert np.all(labels == 0)
+    monkeypatch.setattr(pp, "MAX_CYCLES", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(pp.refine_labels(model) == 0)
