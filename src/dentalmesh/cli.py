@@ -16,9 +16,10 @@ Exit codes:
   3  training divergence; the diverged net's last good state is saved as
      checkpoints/<name>_lastgood.ckpt first.
 
-Scans that `preprocess` has decimated are reused by every later command
-whose target_cells could have produced them; otherwise each command
-decimates a scan once and reuses it for training and test inference.
+Every command that needs decimated scans decimates each scan once and
+reuses it for training and test inference. The `<stem>_coarse` meshes and
+labels that `preprocess` writes are for inspection: no command reads them
+back, so an artifact left from another scan or target cannot leak in.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .evaluation import (
     write_csv_rows,
     write_json_report,
 )
-from .geometry import FEATURE_DIM, extract_roi, nearest_rows
+from .geometry import FEATURE_DIM, extract_roi
 from .mesh_io import (
     Annotation,
     load_annotation,
@@ -131,34 +132,11 @@ def _load_scan(mesh_path: Path, ann_path: Path):
     return mesh, ann
 
 
-def _coarse_paths(mesh_path: Path) -> tuple[Path, Path]:
-    """Where preprocess keeps a scan's decimated mesh and its labels."""
-    return (mesh_path.with_name(mesh_path.stem + "_coarse.off"),
-            mesh_path.with_name(mesh_path.stem + "_coarse.json"))
-
-
 def _load_preprocessed(mesh_path: Path, ann_path: Path,
                        target_cells: int) -> tuple[PreprocessedScan, Annotation]:
-    """A scan decimated to target_cells, with its full-resolution annotation.
-
-    Preprocess artifacts are reused when decimate could have produced their
-    cell count for this target: within 2 cells below it, or the unchanged
-    mesh when that is already at or below it. The OFF round trip is
-    bit-exact, so the origin map rebuilt the way decimate builds it (nearest
-    coarse barycenter) is the one decimate returned.
-    """
+    """A scan decimated afresh to target_cells, with its full-resolution
+    annotation."""
     mesh, ann = _load_scan(mesh_path, ann_path)
-    coarse_path, coarse_ann_path = _coarse_paths(mesh_path)
-    if coarse_path.exists() and coarse_ann_path.exists():
-        coarse = load_mesh(coarse_path)
-        n = coarse.num_cells
-        if (n == mesh.num_cells if mesh.num_cells <= target_cells
-                else target_cells - 2 <= n <= target_cells):
-            labels = load_annotation(coarse_ann_path, n).labels
-            origin_map = nearest_rows(mesh.cell_barycenters, coarse.cell_barycenters)
-            return PreprocessedScan(mesh, coarse, origin_map, labels), ann
-        log.info("ignoring %s: %d cells do not fit target_cells=%d",
-                 coarse_path.name, n, target_cells)
     return preprocess(mesh, ann, target_cells), ann
 
 
@@ -195,7 +173,9 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
     It must be a `family` net with out_channels outputs, and a segmentation
     net must end in a softmax. A checkpoint that records the (k_small,
     k_large) it was trained with must match knn; older ones without the
-    keys are taken as they are. Anything else is a CheckpointError.
+    keys are taken as they are. A net trained on graphs rebuilt in feature
+    space, which no longer exist, is refused. Anything else is a
+    CheckpointError.
     """
     if not Path(path).exists():
         raise CheckpointError(
@@ -205,6 +185,11 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
     arch, arrays, meta = load_checkpoint(path)
     if not arch.startswith(family + "/"):
         raise CheckpointError(f"{path}: {stage} needs a {family}, found {arch!r}")
+    if meta.get("adjacency") == "dynamic" or "adjacency=dynamic" in arch:
+        raise CheckpointError(
+            f"{path}: trained with dynamic kNN graphs, which are no longer "
+            f"supported; retrain it"
+        )
     head = meta.get("head", "softmax")
     if family == SEG_ARCH and head != "softmax":
         raise CheckpointError(f"{path}: {stage} needs a softmax head, found {head!r}")
@@ -221,8 +206,7 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
                 f"this run uses k_small={knn[0]}, k_large={knn[1]}"
             )
     if family == SEG_ARCH:
-        net = ToothSegNet(seed=0, out_channels=width,
-                          adjacency=meta.get("adjacency", "static"))
+        net = ToothSegNet(seed=0, out_channels=width)
     else:
         net = PointHeatmapNet(seed=0, out_channels=width)
     net.load_state_arrays(arrays)
@@ -282,7 +266,6 @@ def _seg_meta(config: RunConfig) -> dict:
         "in_dim": FEATURE_DIM,
         "out_channels": NUM_CLASSES,
         "head": "softmax",
-        "adjacency": config.adjacency,
         "seed": config.seed,
         "k_small": config.k_small,
         "k_large": config.k_large,
@@ -318,13 +301,13 @@ def _fit(fit, net, config: RunConfig, run: Path, tag: str, samples: list,
 
 
 def _train_stage1(config: RunConfig, run: Path, scans: list, train_idx, val_idx,
-                  adjacency: str | None = None, tag: str = "seg"):
+                  tag: str = "seg"):
     """ToothSegNet on the decimated scans of (PreprocessedScan, Annotation) pairs."""
     def samples(indices):
         return [SegSample(scans[i][0].coarse, scans[i][0].coarse_labels)
                 for i in indices]
 
-    net = ToothSegNet(seed=config.seed, adjacency=adjacency or config.adjacency)
+    net = ToothSegNet(seed=config.seed)
     result = _fit(train_segmentation, net, config, run, tag, samples(train_idx),
                   samples(val_idx), epochs=config.seg_epochs, seed=config.seed,
                   subsample=config.seg_subsample)
@@ -374,8 +357,7 @@ def _train_stage2(config: RunConfig, run: Path, scans: list, train_idx, val_idx,
             continue
         out_channels = len(lm.landmark_names(t))
         if graph_trunk:
-            net = make_graph_heatmap_net(config.seed + 100 + t, out_channels,
-                                         config.adjacency)
+            net = make_graph_heatmap_net(config.seed + 100 + t, out_channels)
         else:
             net = PointHeatmapNet(seed=config.seed + 100 + t,
                                   out_channels=out_channels)
@@ -442,15 +424,12 @@ def cmd_preprocess(args, config: RunConfig) -> int:
     _ensure_run_dir(config)
     count = 0
     for mesh_path, ann_path in _discover_scans(config.data_dir):
-        # always decimates afresh: the artifacts are what this command refreshes
-        mesh, ann = _load_scan(mesh_path, ann_path)
-        scan = preprocess(mesh, ann, config.target_cells)
-        coarse_path, coarse_ann_path = _coarse_paths(mesh_path)
-        save_mesh(scan.coarse, coarse_path)
+        scan, ann = _load_preprocessed(mesh_path, ann_path, config.target_cells)
+        save_mesh(scan.coarse, mesh_path.with_name(mesh_path.stem + "_coarse.off"))
         save_annotation(Annotation(scan.coarse_labels, dict(ann.landmarks)),
-                        coarse_ann_path)
+                        mesh_path.with_name(mesh_path.stem + "_coarse.json"))
         log.info("decimated %s: %d -> %d cells",
-                 mesh_path.name, mesh.num_cells, scan.coarse.num_cells)
+                 mesh_path.name, scan.fine.num_cells, scan.coarse.num_cells)
         count += 1
     log.info("preprocessed %d scans", count)
     return 0
@@ -678,8 +657,11 @@ def cmd_eval(args, config: RunConfig) -> int:
     return 0
 
 
-def _ablate_table(config: RunConfig, run: Path, scans: list) -> int:
+def cmd_ablate(args, config: RunConfig) -> int:
     """Landmark strategy comparison: one vs two stages, point vs graph trunk."""
+    run = _ensure_run_dir(config)
+    scans = [_load_preprocessed(m, a, config.target_cells)
+             for m, a in _discover_scans(config.data_dir)]
     split = fold_splits(len(scans), config.folds, config.val_count,
                         config.seed)[0]
     train_idx = [int(i) for i in split.train]
@@ -706,7 +688,7 @@ def _ablate_table(config: RunConfig, run: Path, scans: list) -> int:
         ("single-stage-pointnet",
          PointHeatmapNet(seed=config.seed + 50, out_channels=layout_size)),
         ("single-stage-graphnet",
-         make_graph_heatmap_net(config.seed + 51, layout_size, config.adjacency)),
+         make_graph_heatmap_net(config.seed + 51, layout_size)),
     ):
         _train_heatmap_net(config, run, net, whole_scan(train_idx),
                            whole_scan(val_idx), config.seg_subsample, name)
@@ -745,44 +727,6 @@ def _ablate_table(config: RunConfig, run: Path, scans: list) -> int:
 
     write_json_report(run / "reports" / "ablate_methods.json", {"rows": rows})
     return 0
-
-
-def _ablate_adjacency(config: RunConfig, run: Path, scans: list) -> int:
-    """Static barycenter graphs vs graphs rebuilt in feature space."""
-    split = fold_splits(len(scans), config.folds, config.val_count,
-                        config.seed)[0]
-    rows = []
-    for mode in ("static", "dynamic"):
-        net, result = _train_stage1(
-            config, run, scans,
-            [int(i) for i in split.train], [int(i) for i in split.val],
-            adjacency=mode, tag=f"adjacency-{mode}",
-        )
-        dscs = []
-        for i in split.test:
-            scan, ann = scans[int(i)]
-            seg = segment_scan(net, scan.coarse, scan.fine,
-                               lam=config.lam, svm_c=config.svm_c,
-                               k_small=config.k_small, k_large=config.k_large)
-            dscs.append(seg_metrics(seg.fine_labels, ann.labels).mean_dsc)
-        rows.append({
-            "adjacency": mode,
-            "test_dsc": float(np.mean(dscs)),
-            "best_val": result.best_val,
-            "epochs_run": result.epochs_run,
-        })
-        log.info("adjacency %s: test DSC %.4f", mode, rows[-1]["test_dsc"])
-    write_json_report(run / "reports" / "ablate_adjacency.json", {"rows": rows})
-    return 0
-
-
-def cmd_ablate(args, config: RunConfig) -> int:
-    run = _ensure_run_dir(config)
-    scans = [_load_preprocessed(m, a, config.target_cells)
-             for m, a in _discover_scans(config.data_dir)]
-    if args.methods == "adjacency":
-        return _ablate_adjacency(config, run, scans)
-    return _ablate_table(config, run, scans)
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +770,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indices", help="comma-separated test scan indices "
                                      "(ceiling mode)")
 
-    p = add("ablate", cmd_ablate, "architecture and adjacency comparisons")
-    p.add_argument("--methods", choices=("table", "adjacency"), default="table",
-                   help="table: landmark strategies; adjacency: graph modes")
+    add("ablate", cmd_ablate, "landmark strategy comparison")
     return parser
 
 

@@ -17,8 +17,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-ADJACENCY_MODES = ("static", "dynamic")
-
 
 @dataclass
 class RunConfig:
@@ -27,7 +25,6 @@ class RunConfig:
     # neighbor graphs
     k_small: int = 6
     k_large: int = 12
-    adjacency: str = "static"
     # heatmap encoding
     sigma: float = 5.0
     peak: float = 1.0
@@ -69,10 +66,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.lam < 0:
             raise ConfigError(f"lam must be nonnegative, got {self.lam}")
-        if self.adjacency not in ADJACENCY_MODES:
-            raise ConfigError(
-                f"adjacency must be one of {ADJACENCY_MODES}, got {self.adjacency!r}"
-            )
         for name in ("k_small", "k_large", "seg_subsample", "roi_subsample",
                      "seg_epochs", "lmk_epochs", "val_every", "synth_count",
                      "target_cells", "synth_cells"):

@@ -25,10 +25,6 @@ class ShapeError(DentalMeshError):
     """Tensor operands have incompatible shapes; message names both shapes."""
 
 
-class InvalidPairError(DentalMeshError):
-    """Cell pair does not share an edge."""
-
-
 class DecimationError(DentalMeshError):
     """Decimation target invalid or unreachable."""
 

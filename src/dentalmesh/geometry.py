@@ -1,9 +1,9 @@
 """Mesh geometry operations feeding the learning pipeline.
 
 Covers quadric edge-collapse decimation with a fine-to-coarse cell map,
-15-column per-cell feature extraction, kNN graph construction, dihedral
-angle classification, per-tooth ROI extraction, and the random rigid
-augmentation the training loops draw from.
+15-column per-cell feature extraction, edge-sharing cell pairs, kNN graph
+construction, per-tooth ROI extraction, and the random rigid augmentation
+the training loops draw from.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landmarks as lm
-from .errors import DecimationError, InvalidPairError, SchemaError, ShapeError
+from .errors import DecimationError, SchemaError, ShapeError
 from .mesh_io import TriMesh
 
 MIN_DECIMATION_TARGET = 100
@@ -27,7 +27,7 @@ AUGMENT_ACTIVE_PROB = 0.5
 
 
 # ---------------------------------------------------------------------------
-# adjacency and dihedral angles
+# edge-sharing cell pairs
 
 def cell_adjacency(mesh: TriMesh) -> np.ndarray:
     """Unordered pairs (i, j), i < j, of cells sharing an edge.
@@ -65,33 +65,6 @@ def cell_adjacency(mesh: TriMesh) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
     out = np.array(sorted(set(pairs)), dtype=np.int64)
     return out
-
-
-def shared_edge(mesh: TriMesh, i: int, j: int) -> np.ndarray:
-    shared = np.intersect1d(mesh.cells[i], mesh.cells[j])
-    if shared.size != 2:
-        raise InvalidPairError(
-            f"cells {i} and {j} share {shared.size} vertices, not an edge"
-        )
-    return shared
-
-
-def dihedral_class(mesh: TriMesh, i: int, j: int) -> tuple[float, str]:
-    """Dihedral angle theta in [0, pi] across the shared edge, plus class.
-
-    theta = pi for coplanar neighbors. Classes: 'flat' when theta is within
-    1e-9 of pi, otherwise 'concave' when cell j's barycenter lies on the
-    outward-normal side of cell i, else 'convex'.
-    """
-    shared_edge(mesh, i, j)
-    n_i = mesh.cell_normals[i]
-    n_j = mesh.cell_normals[j]
-    dot = float(np.clip(np.dot(n_i, n_j), -1.0, 1.0))
-    theta = float(np.pi - np.arccos(dot))
-    if abs(theta - np.pi) < 1e-9:
-        return theta, "flat"
-    step = mesh.cell_barycenters[j] - mesh.cell_barycenters[i]
-    return theta, "concave" if float(np.dot(step, n_i)) > 0.0 else "convex"
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +127,8 @@ def knn_graph(mesh_or_points, k: int) -> KnnGraph:
     """k nearest neighbors with a self-loop, ties broken by lower index.
 
     A mesh is measured between its cell barycenters; an (N, D) array between
-    its rows, which is how the dynamic-adjacency ablation builds graphs in
-    feature space.
+    its rows. ToothSegNet's graphs are built once per forward from a scan's
+    cell barycenters.
     """
     if isinstance(mesh_or_points, TriMesh):
         points = mesh_or_points.cell_barycenters

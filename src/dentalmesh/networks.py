@@ -209,23 +209,19 @@ class ToothSegNet(Module):
     forward() consumes the (N, 15) feature tensor plus the two kNN graphs
     (k_small and k_large, 6 and 12 by default) and returns (N, out_channels).
     With the softmax head the rows are probability distributions over
-    gingiva + 14 teeth. adjacency 'dynamic' (ablation only) rebuilds graphs
-    of the same two widths in feature space per forward pass and uses the
-    supplied graphs only for their k.
+    gingiva + 14 teeth. The graphs are fixed for a scan: both come from the
+    cell barycenters, not from the features.
     """
 
     uses_graphs = True
 
     def __init__(self, seed: int = 0, out_channels: int = NUM_CLASSES,
-                 head: str = "softmax", adjacency: str = "static"):
+                 head: str = "softmax"):
         if head not in ("softmax", "sigmoid"):
             raise ValueError(f"unknown head {head!r}")
-        if adjacency not in ("static", "dynamic"):
-            raise ValueError(f"unknown adjacency mode {adjacency!r}")
         rng = np.random.default_rng(seed)
         self.out_channels = out_channels
         self.head = head
-        self.adjacency = adjacency
         self.mlp1 = [ConvBlock(rng, geometry.FEATURE_DIM, 64, "mlp1.0"),
                      ConvBlock(rng, 64, 64, "mlp1.1")]
         self.ftm = FeatureTransform(rng, 64)
@@ -242,14 +238,12 @@ class ToothSegNet(Module):
 
     def arch_tag(self) -> str:
         return (f"tooth-seg-net/v1 in={geometry.FEATURE_DIM} out={self.out_channels} "
-                f"head={self.head} adjacency={self.adjacency}")
+                f"head={self.head}")
 
-    def forward(self, features: Tensor, graph6=None, graph12=None,
+    def forward(self, features: Tensor, graph6, graph12,
                 training: bool = False) -> Tensor:
         x = features if isinstance(features, Tensor) else Tensor(features)
         n = x.data.shape[0]
-        if graph6 is None or graph12 is None:
-            raise ShapeError("ToothSegNet requires both kNN graphs")
         for graph in (graph6, graph12):
             if graph.num_cells != n:
                 raise ShapeError(
@@ -259,15 +253,10 @@ class ToothSegNet(Module):
             x = block(x, training)
         transform = self.ftm(x, training)
         x = ad.matmul(x, transform)
-        if self.adjacency == "dynamic":
-            graph6 = geometry.knn_graph(x.data, graph6.k)
         g1 = self.glm1(x, graph6, training)
         h = g1
         for block in self.mlp2:
             h = block(h, training)
-        if self.adjacency == "dynamic":
-            wide = geometry.knn_graph(h.data, max(graph6.k, graph12.k))
-            graph6, graph12 = wide.narrowed(graph6.k), wide.narrowed(graph12.k)
         e6 = self.glm2_k6(h, graph6, training)
         e12 = self.glm2_k12(h, graph12, training)
         g2 = self.glm2_fuse(ad.concat([e6, e12], axis=1), training)
@@ -327,11 +316,9 @@ class PointHeatmapNet(Module):
     __call__ = forward
 
 
-def make_graph_heatmap_net(seed: int, out_channels: int,
-                           adjacency: str = "static") -> ToothSegNet:
+def make_graph_heatmap_net(seed: int, out_channels: int) -> ToothSegNet:
     """Segmentation trunk with a sigmoid heatmap head (architecture ablation)."""
-    return ToothSegNet(seed=seed, out_channels=out_channels, head="sigmoid",
-                       adjacency=adjacency)
+    return ToothSegNet(seed=seed, out_channels=out_channels, head="sigmoid")
 
 
 # ---------------------------------------------------------------------------

@@ -58,41 +58,6 @@ class CutEnergyModel:
     energy_trace: list = field(default_factory=list)
 
 
-def smoothness_cost(
-    theta: float,
-    phi: float,
-    kind: str,
-    beta: float = 1.0,
-    same_label: bool = False,
-) -> float:
-    """Cost of a label change across one hinge.
-
-    Zero for equal labels or flat hinges; -log(theta/pi) * phi on concave
-    hinges; beta times that on convex ones. The caller supplies beta (the
-    mesh-level path passes 30 * (1 + |n_i . n_j|)).
-    """
-    if theta <= 0.0:
-        raise ValueError(f"dihedral angle must be positive, got {theta}")
-    if same_label or kind == "flat":
-        return 0.0
-    base = -np.log(max(theta, THETA_FLOOR) / np.pi) * phi
-    if kind == "concave":
-        return float(base)
-    if kind == "convex":
-        return float(beta * base)
-    raise ValueError(f"unknown hinge class {kind!r}")
-
-
-def edge_cost(mesh: TriMesh, i: int, j: int) -> float:
-    """Smoothness cost of cutting between adjacent cells i and j."""
-    theta, kind = geometry.dihedral_class(mesh, i, j)
-    phi = float(
-        np.linalg.norm(mesh.cell_barycenters[i] - mesh.cell_barycenters[j])
-    )
-    dot = abs(float(np.dot(mesh.cell_normals[i], mesh.cell_normals[j])))
-    return smoothness_cost(theta, phi, kind, beta=CONVEX_BETA * (1.0 + dot))
-
-
 def build_energy(
     mesh: TriMesh, probs: np.ndarray, lam: float = RunConfig.lam
 ) -> CutEnergyModel:

@@ -10,6 +10,7 @@ from dentalmesh import autodiff as ad
 from dentalmesh.autodiff import Tensor, _as_tensor, _make
 from dentalmesh.errors import ShapeError
 from dentalmesh.mesh_io import TriMesh
+from dentalmesh.postprocess import CONVEX_BETA, THETA_FLOOR
 
 FD_STEP = 1e-6
 FD_TOL = 1e-6
@@ -361,3 +362,75 @@ def reference_expand_once(
     out = labels.copy()
     out[~keep] = alpha
     return out
+
+
+# ---------------------------------------------------------------------------
+# the scalar hinge cost that postprocess.build_energy vectorises
+
+def hinge_mesh(fold: float) -> TriMesh:
+    """Two triangles sharing the x-axis edge; the second tilts by `fold`."""
+    verts = np.array([
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.5, 1.0, 0.0],
+        [0.5, -np.cos(fold), np.sin(fold)],
+    ])
+    cells = np.array([[0, 1, 2], [1, 0, 3]])
+    return TriMesh(verts, cells)
+
+
+def shared_edge(mesh: TriMesh, i: int, j: int) -> np.ndarray:
+    shared = np.intersect1d(mesh.cells[i], mesh.cells[j])
+    if shared.size != 2:
+        raise ValueError(
+            f"cells {i} and {j} share {shared.size} vertices, not an edge"
+        )
+    return shared
+
+
+def dihedral_class(mesh: TriMesh, i: int, j: int) -> tuple[float, str]:
+    """Dihedral angle theta in [0, pi] across the shared edge, plus class.
+
+    theta = pi for coplanar neighbors. Classes: 'flat' when theta is within
+    1e-9 of pi, otherwise 'concave' when cell j's barycenter lies on the
+    outward-normal side of cell i, else 'convex'.
+    """
+    shared_edge(mesh, i, j)
+    n_i = mesh.cell_normals[i]
+    n_j = mesh.cell_normals[j]
+    dot = float(np.clip(np.dot(n_i, n_j), -1.0, 1.0))
+    theta = float(np.pi - np.arccos(dot))
+    if abs(theta - np.pi) < 1e-9:
+        return theta, "flat"
+    step = mesh.cell_barycenters[j] - mesh.cell_barycenters[i]
+    return theta, "concave" if float(np.dot(step, n_i)) > 0.0 else "convex"
+
+
+def smoothness_cost(theta: float, phi: float, kind: str, beta: float = 1.0,
+                    same_label: bool = False) -> float:
+    """Cost of a label change across one hinge.
+
+    Zero for equal labels or flat hinges; -log(theta/pi) * phi on concave
+    hinges; beta times that on convex ones.
+    """
+    if theta <= 0.0:
+        raise ValueError(f"dihedral angle must be positive, got {theta}")
+    if same_label or kind == "flat":
+        return 0.0
+    base = -np.log(max(theta, THETA_FLOOR) / np.pi) * phi
+    if kind == "concave":
+        return float(base)
+    if kind == "convex":
+        return float(beta * base)
+    raise ValueError(f"unknown hinge class {kind!r}")
+
+
+def edge_cost(mesh: TriMesh, i: int, j: int) -> float:
+    """Smoothness cost of cutting between adjacent cells i and j, with
+    beta = 30 * (1 + |n_i . n_j|) on convex hinges."""
+    theta, kind = dihedral_class(mesh, i, j)
+    phi = float(
+        np.linalg.norm(mesh.cell_barycenters[i] - mesh.cell_barycenters[j])
+    )
+    dot = abs(float(np.dot(mesh.cell_normals[i], mesh.cell_normals[j])))
+    return smoothness_cost(theta, phi, kind, beta=CONVEX_BETA * (1.0 + dot))

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from dentalmesh import __version__, cli
-from dentalmesh.config import RunConfig, load_config
+from dentalmesh.config import RunConfig, format_config, load_config
 from dentalmesh.errors import ConfigError, SchemaError, TrainingDivergenceError
-from dentalmesh.geometry import nearest_rows
 from dentalmesh.mesh_io import (
     load_checkpoint,
     load_mesh,
@@ -220,27 +219,26 @@ def test_out_of_range_schedule_values_exit_1(tiny_dataset, tmp_path, caplog):
         assert key in caplog.text
 
 
-def test_stale_preprocess_artifacts_are_ignored(tiny_dataset, tmp_path):
-    rc = cli.main([
-        "preprocess", "--data", str(tiny_dataset), "--run", str(tmp_path / "run"),
-        "--set", "target_cells=1200",
-    ])
-    assert rc == 0
-    mesh_path, ann_path = cli._discover_scans(tiny_dataset)[0]
-    # the artifact fits its own target: reused, and identical to decimating
-    scan, ann = cli._load_preprocessed(mesh_path, ann_path, 1200)
-    fresh = preprocess(scan.fine, ann, 1200)
+def test_coarse_artifact_of_another_scan_is_not_loaded(tiny_dataset, tmp_path):
+    (mesh_path, ann_path), (other_path, other_ann_path) = \
+        cli._discover_scans(tiny_dataset)[:2]
+    for src, name in ((mesh_path, "scan.off"), (ann_path, "scan.json")):
+        shutil.copy(src, tmp_path / name)
+    # a valid artifact of another arch, with a cell count this target yields
+    other = preprocess(*cli._load_scan(other_path, other_ann_path), 1200)
+    assert 1198 <= other.coarse.num_cells <= 1200
+    save_mesh(other.coarse, tmp_path / "scan_coarse.off")
+    save_annotation(Annotation(other.coarse_labels), tmp_path / "scan_coarse.json")
+
+    scan, ann = cli._load_preprocessed(tmp_path / "scan.off", tmp_path / "scan.json",
+                                       1200)
+    mesh, truth = cli._load_scan(mesh_path, ann_path)
+    fresh = preprocess(mesh, truth, 1200)
     assert np.array_equal(scan.coarse.vertices, fresh.coarse.vertices)
     assert np.array_equal(scan.coarse.cells, fresh.coarse.cells)
     assert np.array_equal(scan.origin_map, fresh.origin_map)
     assert np.array_equal(scan.coarse_labels, fresh.coarse_labels)
-    # a 1,200-cell artifact cannot come from target 2000: decimated afresh
-    scan, _ = cli._load_preprocessed(mesh_path, ann_path, 2000)
-    assert 1998 <= scan.coarse.num_cells <= 2000
-    assert np.array_equal(
-        scan.origin_map,
-        nearest_rows(scan.fine.cell_barycenters, scan.coarse.cell_barycenters),
-    )
+    assert np.array_equal(ann.labels, truth.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +342,15 @@ def test_eval_ceiling(trained_run):
     assert report["test_scans"] == [1]
 
 
-def test_ablate_table_and_adjacency(trained_run):
+def test_ablate_table(trained_run):
     root, args = trained_run
     reports = root / "run" / "reports"
-    assert cli.main(["ablate", "--methods", "table"] + args) == 0
+    assert cli.main(["ablate"] + args) == 0
     rows = json.loads((reports / "ablate_methods.json").read_text())["rows"]
     assert [r["method"] for r in rows] == [
         "single-stage-pointnet", "single-stage-graphnet",
         "two-stage-pointnet", "two-stage-graphnet",
     ]
-    assert cli.main(["ablate", "--methods", "adjacency"] + args) == 0
-    rows = json.loads((reports / "ablate_adjacency.json").read_text())["rows"]
-    assert [r["adjacency"] for r in rows] == ["static", "dynamic"]
 
 
 def test_infer_rejects_mismatched_checkpoints_before_compute(trained_run, tmp_path,
@@ -399,4 +394,39 @@ def test_infer_rejects_mismatched_checkpoints_before_compute(trained_run, tmp_pa
     # a checkpoint from before the widths were recorded loads as before
     del meta["k_small"], meta["k_large"]
     save_checkpoint(run / "checkpoints" / "seg.ckpt", arch, arrays, meta)
+    assert isinstance(cli._load_seg_net(run, RunConfig()), ToothSegNet)
+
+
+def test_artifacts_of_dynamic_graphs_fail_loudly(trained_run, tmp_path, monkeypatch,
+                                                caplog):
+    """Dynamic kNN graphs are gone: a config that names the adjacency key is a
+    usage error, and a net trained on dynamic graphs is refused before any
+    scan is decimated."""
+    root, args = trained_run
+    old_cfg = tmp_path / "resolved.cfg"
+    old_cfg.write_text(format_config(RunConfig()) + 'adjacency = "static"\n')
+    assert cli.main(["synth", "--config", str(old_cfg), "--data", str(tmp_path / "d"),
+                     "--run", str(tmp_path / "r")]) == 1
+    assert "unknown config key 'adjacency'" in caplog.text
+
+    run = tmp_path / "run"
+    shutil.copytree(root / "run" / "checkpoints", run / "checkpoints")
+    args = args + ["--run", str(run)]
+    mesh = str(root / "data" / "arch_000.off")
+
+    def stage1(*_, **__):
+        raise AssertionError("decimation ran before the checkpoints were checked")
+
+    monkeypatch.setattr(cli, "preprocess", stage1)
+    seg = run / "checkpoints" / "seg.ckpt"
+    arch, arrays, meta = load_checkpoint(seg)
+    for tag, key in ((f"{arch} adjacency=dynamic", "static"), (arch, "dynamic")):
+        save_checkpoint(seg, tag, arrays, dict(meta, adjacency=key))
+        for command in (["infer", "--mesh", mesh], ["eval", "--ceiling"]):
+            caplog.clear()
+            assert cli.main(command + args) == 2
+            assert f"{seg}: trained with dynamic kNN graphs" in caplog.text
+    # a static checkpoint written before the key was dropped loads as before
+    save_checkpoint(seg, f"{arch} adjacency=static", arrays,
+                    dict(meta, adjacency="static"))
     assert isinstance(cli._load_seg_net(run, RunConfig()), ToothSegNet)

@@ -11,13 +11,11 @@ from dentalmesh import geometry as geo
 from dentalmesh.errors import (
     DecimationError,
     DentalMeshError,
-    InvalidPairError,
     SchemaError,
     ShapeError,
 )
-from dentalmesh.mesh_io import TriMesh
 
-from helpers import grid_mesh, sphere_mesh
+from helpers import dihedral_class, grid_mesh, hinge_mesh, shared_edge, sphere_mesh
 
 
 def test_extract_features_matches_hand_computation(rng):
@@ -142,34 +140,22 @@ def test_cell_adjacency_grid():
     counts = np.bincount(adj.ravel(), minlength=mesh.num_cells)
     assert counts.max() <= 3
     for i, j in adj:
-        shared = geo.shared_edge(mesh, int(i), int(j))
+        shared = shared_edge(mesh, int(i), int(j))
         assert len(shared) == 2
-    with pytest.raises(InvalidPairError):
-        geo.shared_edge(mesh, 0, mesh.num_cells - 1)
-
-
-def _hinge_mesh(fold: float) -> TriMesh:
-    """Two triangles sharing the x-axis edge; the second tilts by `fold`."""
-    verts = np.array([
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.5, 1.0, 0.0],
-        [0.5, -np.cos(fold), np.sin(fold)],
-    ])
-    cells = np.array([[0, 1, 2], [1, 0, 3]])
-    return TriMesh(verts, cells)
+    with pytest.raises(ValueError, match="not an edge"):
+        shared_edge(mesh, 0, mesh.num_cells - 1)
 
 
 def test_dihedral_flat_and_fold_angle():
-    theta, kind = geo.dihedral_class(_hinge_mesh(0.0), 0, 1)
+    theta, kind = dihedral_class(hinge_mesh(0.0), 0, 1)
     assert kind == "flat"
     assert theta == pytest.approx(np.pi)
     # folding up by 60 degrees leaves a 120 degree interior angle
-    theta, kind = geo.dihedral_class(_hinge_mesh(np.pi / 3.0), 0, 1)
+    theta, kind = dihedral_class(hinge_mesh(np.pi / 3.0), 0, 1)
     assert theta == pytest.approx(np.pi - np.pi / 3.0)
     assert kind == "concave"
     # folding down is convex, same angle magnitude
-    theta, kind = geo.dihedral_class(_hinge_mesh(-np.pi / 3.0), 0, 1)
+    theta, kind = dihedral_class(hinge_mesh(-np.pi / 3.0), 0, 1)
     assert theta == pytest.approx(np.pi - np.pi / 3.0)
     assert kind == "convex"
 

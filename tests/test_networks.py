@@ -46,11 +46,6 @@ def test_seg_net_sigmoid_head():
 def test_seg_net_ctor_validation():
     with pytest.raises(ValueError, match="head"):
         nets.ToothSegNet(head="linear")
-    with pytest.raises(ValueError, match="adjacency"):
-        nets.ToothSegNet(adjacency="knn")
-    net = nets.ToothSegNet()
-    with pytest.raises(ShapeError, match="requires both"):
-        net(Tensor(np.zeros((4, 15))), None, None)
 
 
 def test_seg_net_forward_rejects_bad_inputs_with_shape_error():
@@ -62,23 +57,6 @@ def test_seg_net_forward_rejects_bad_inputs_with_shape_error():
         net(Tensor(feats[:, :14]), g6, g12)
     with pytest.raises(ShapeError, match="k=12 graph has 16 rows for 15 feature rows"):
         net(Tensor(feats[:15]), geo.knn_graph(feats[:15], 6), g12)
-
-
-def test_seg_net_dynamic_adjacency_takes_only_the_graph_widths():
-    feats, g6, g12, _ = _features_and_graphs(n=16, seed=4)
-    net = nets.ToothSegNet(seed=5, adjacency="dynamic")
-    out = net(Tensor(feats), g6, g12)
-    assert out.data.shape == (16, nets.NUM_CLASSES)
-    assert np.max(np.abs(out.data.sum(axis=1) - 1.0)) < 1e-9
-    # graphs of the same widths on other points: rebuilt alike, same output
-    other = np.random.default_rng(6).normal(size=(16, 3))
-    same = net(Tensor(feats), geo.knn_graph(other, 6), geo.knn_graph(other, 12))
-    assert np.array_equal(same.data, out.data)
-    # other widths rebuild other graphs
-    narrow = net(Tensor(feats), geo.knn_graph(other, 3), geo.knn_graph(other, 5))
-    assert not np.allclose(narrow.data, out.data)
-    with pytest.raises(ShapeError, match="requires both"):
-        net(Tensor(feats))
 
 
 def test_heatmap_net_shapes():
@@ -222,7 +200,6 @@ def test_load_state_arrays_rejects_mismatch():
 def test_arch_tags_encode_configuration():
     assert "head=softmax" in nets.ToothSegNet().arch_tag()
     assert "head=sigmoid" in nets.make_graph_heatmap_net(0, 4).arch_tag()
-    assert "adjacency=dynamic" in nets.ToothSegNet(adjacency="dynamic").arch_tag()
     assert "out=7" in nets.PointHeatmapNet(out_channels=7).arch_tag()
     assert nets.ToothSegNet().arch_tag().startswith("tooth-seg-net/")
     assert nets.PointHeatmapNet().arch_tag().startswith("point-heatmap-net/")

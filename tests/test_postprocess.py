@@ -11,7 +11,14 @@ from dentalmesh import networks, pipeline
 from dentalmesh import postprocess as pp
 from dentalmesh.postprocess import CutEnergyModel
 
-from helpers import exhaustive_min_energy, grid_mesh, reference_expand_once
+from helpers import (
+    edge_cost,
+    exhaustive_min_energy,
+    grid_mesh,
+    hinge_mesh,
+    reference_expand_once,
+    smoothness_cost,
+)
 
 
 def _random_model(rng, n, num_labels=2, lam=None):
@@ -32,25 +39,25 @@ def _random_model(rng, n, num_labels=2, lam=None):
 
 def test_smoothness_cost_values():
     # right-angle concave hinge with unit barycenter distance: -log(1/2)
-    assert pp.smoothness_cost(math.pi / 2, 1.0, "concave") == pytest.approx(math.log(2.0))
-    assert pp.smoothness_cost(math.pi / 2, 2.0, "concave") == pytest.approx(2 * math.log(2.0))
+    assert smoothness_cost(math.pi / 2, 1.0, "concave") == pytest.approx(math.log(2.0))
+    assert smoothness_cost(math.pi / 2, 2.0, "concave") == pytest.approx(2 * math.log(2.0))
     # convex hinges are beta times dearer to cut
-    base = pp.smoothness_cost(math.pi / 3, 1.5, "concave")
-    assert pp.smoothness_cost(math.pi / 3, 1.5, "convex", beta=30.0) == pytest.approx(30.0 * base)
-    assert pp.smoothness_cost(math.pi, 1.0, "flat") == 0.0
-    assert pp.smoothness_cost(math.pi / 2, 1.0, "concave", same_label=True) == 0.0
+    base = smoothness_cost(math.pi / 3, 1.5, "concave")
+    assert smoothness_cost(math.pi / 3, 1.5, "convex", beta=30.0) == pytest.approx(30.0 * base)
+    assert smoothness_cost(math.pi, 1.0, "flat") == 0.0
+    assert smoothness_cost(math.pi / 2, 1.0, "concave", same_label=True) == 0.0
     # near-zero angles clamp instead of blowing up
-    clamped = pp.smoothness_cost(1e-9, 1.0, "concave")
+    clamped = smoothness_cost(1e-9, 1.0, "concave")
     assert clamped == pytest.approx(-math.log(pp.THETA_FLOOR / math.pi))
 
 
 def test_smoothness_cost_errors():
     with pytest.raises(ValueError, match="positive"):
-        pp.smoothness_cost(0.0, 1.0, "concave")
+        smoothness_cost(0.0, 1.0, "concave")
     with pytest.raises(ValueError, match="positive"):
-        pp.smoothness_cost(-0.1, 1.0, "concave")
+        smoothness_cost(-0.1, 1.0, "concave")
     with pytest.raises(ValueError, match="hinge class"):
-        pp.smoothness_cost(1.0, 1.0, "saddle")
+        smoothness_cost(1.0, 1.0, "saddle")
 
 
 def test_build_energy_matches_scalar_edge_cost(rng):
@@ -63,8 +70,25 @@ def test_build_energy_matches_scalar_edge_cost(rng):
     for e in range(0, model.pairs.shape[0], 7):
         i, j = model.pairs[e]
         assert model.pair_cost[e] == pytest.approx(
-            pp.edge_cost(mesh, int(i), int(j)), rel=1e-9
+            edge_cost(mesh, int(i), int(j)), rel=1e-9
         )
+
+
+def test_build_energy_on_one_hinge():
+    # a right-angle fold costs -log(1/2) times the barycenter distance when
+    # concave, 30 times that when convex (the normals are orthogonal)
+    half = np.full((2, 2), 0.5)
+    for fold, beta in ((np.pi / 2, 1.0), (-np.pi / 2, pp.CONVEX_BETA)):
+        mesh = hinge_mesh(fold)
+        phi = np.linalg.norm(mesh.cell_barycenters[0] - mesh.cell_barycenters[1])
+        cost = pp.build_energy(mesh, half).pair_cost
+        assert cost == pytest.approx([beta * math.log(2.0) * phi], rel=1e-12)
+    # folded almost flat onto itself: the angle is floored, not logged as ~0
+    mesh = hinge_mesh(np.pi - 1e-6)
+    phi = np.linalg.norm(mesh.cell_barycenters[0] - mesh.cell_barycenters[1])
+    cost = pp.build_energy(mesh, half).pair_cost
+    assert cost == pytest.approx([-math.log(pp.THETA_FLOOR / math.pi) * phi])
+    assert pp.build_energy(hinge_mesh(0.0), half).pair_cost.tolist() == [0.0]
 
 
 def test_build_energy_flat_edges_cost_nothing():
