@@ -1,14 +1,20 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 Tensors form a DAG as ops run; backward(loss) walks it once in reverse
-topological order and accumulates gradients. Rank is capped at 3; the
-networks only form (cells, channels) tensors, since EdgeConv is one fused
-op (edge_conv) that never builds a cell x neighbor x channel tensor.
-Gradient tracking can be switched off with no_grad() for inference, which
-also lets intermediate buffers free eagerly.
+topological order and accumulates gradients. A graph is backpropagated
+once: each interior node drops its gradient, its grad_fn and its parents
+as soon as its grad_fn has run, so saved activations and intermediate
+gradients free during the walk. Leaves (parameters and inputs) keep their
+.grad. Rank is capped at 3; the networks only form (cells, channels)
+tensors, since EdgeConv is one fused op (edge_conv) that never builds a
+cell x neighbor x channel tensor, and pointwise conv, batch norm and ReLU
+are one fused op (conv_bn_relu) that keeps only its normalized
+activations for the backward. Gradient tracking can be switched off with
+no_grad() for inference; a no-grad conv_bn_relu then works in its one
+output buffer and keeps nothing.
 
 The optimizer is AMSGrad: Adam moments plus a running elementwise maximum
-of the second moment in the denominator.
+of the second moment in the denominator, updated in place.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from .errors import NonFiniteGradientError, ShapeError
 
 _MAX_RANK = 3
-# running-buffer momentum and variance floor of batch_norm and edge_conv
+# running-buffer momentum and variance floor of conv_bn_relu and edge_conv
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 _state = threading.local()
@@ -107,11 +113,16 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _tracked(parents) -> bool:
+    """Whether an op over these parents records a graph node."""
+    return grad_enabled() and any(
+        p.requires_grad or p._grad_fn is not None for p in parents
+    )
+
+
 def _make(data, parents, grad_fn) -> Tensor:
     out = Tensor(data)
-    if grad_enabled() and any(
-        p.requires_grad or p._grad_fn is not None for p in parents
-    ):
+    if _tracked(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
@@ -124,7 +135,7 @@ def _accumulate(parent: Tensor, piece: np.ndarray) -> None:
     elif (piece.base is None and piece.flags.writeable
           and piece.shape == parent.data.shape and piece.dtype == parent.data.dtype):
         # a fresh array: take it over. The upstream gradient, which add hands
-        # to both parents, is read-only while its grad_fn runs (see backward),
+        # to both parents, is read-only once backward passes it to a grad_fn,
         # so it is copied, and so is every view
         parent.grad = piece
     else:
@@ -133,7 +144,14 @@ def _accumulate(parent: Tensor, piece: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every tensor reachable from the scalar loss."""
+    """Accumulate d loss / d leaf into .grad of every leaf reachable from the
+    scalar loss.
+
+    The graph is consumed: once a node's grad_fn has run, its .grad,
+    grad_fn and parents are cleared, so the activations its backward saved
+    and its gradient free as the walk goes. Leaves keep .grad. A second
+    backward over the same graph finds no interior node left to run.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
     order: list[Tensor] = []
@@ -152,13 +170,18 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._grad_fn is not None and node.grad is not None:
-            node.grad.flags.writeable = False
-            try:
-                node._grad_fn(node.grad)
-            finally:
-                node.grad.flags.writeable = True
+    while order:
+        node = order.pop()
+        grad_fn = node._grad_fn
+        if grad_fn is None:
+            continue
+        grad = node.grad
+        node.grad, node._grad_fn, node._parents = None, None, ()
+        if grad is not None:
+            # add hands this array to both parents; read-only, it is copied
+            # rather than taken over (see _accumulate)
+            grad.flags.writeable = False
+            grad_fn(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +392,43 @@ class BatchNormState:
         self.steps = 0
 
 
-def batch_norm(
+def conv_bn_relu(
     x,
+    weight: Tensor,
+    bias: Tensor,
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
     training: bool,
 ) -> Tensor:
-    """Per-column batch normalization over the rows of a 2-D tensor.
+    """relu(bn(x @ weight + bias)), a pointwise conv block, as one op.
 
-    Training mode normalizes by batch statistics and folds them into the
-    running buffers (momentum BN_MOMENTUM, unbiased variance in the buffer,
-    biased in the normalization, matching common framework semantics). Inference
-    mode uses the frozen buffers only. The mode flag is explicit; nothing
+    Batch norm is per column over the rows. Training mode normalizes by
+    batch statistics and folds them into the running buffers (momentum
+    BN_MOMENTUM, unbiased variance in the buffer, biased in the
+    normalization, matching common framework semantics). Inference mode
+    uses the frozen buffers only. The mode flag is explicit; nothing
     switches implicitly.
+
+    The matmul writes one fresh buffer; bias and normalization run in
+    place on it, leaving x_hat, the only array the backward keeps besides
+    the output, from which it reads the ReLU mask. With no gradient tracked
+    the affine step and ReLU run in place too, so x_hat and the output are
+    the one buffer and nothing is kept. The arithmetic is the unfused
+    composition's, operation for operation.
     """
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"batch_norm needs a 2-D tensor, got {x.data.shape}")
+    if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
+        raise ShapeError(f"conv_bn_relu of x {x.data.shape} with weight {weight.data.shape}")
     n = x.data.shape[0]
+    if training and n < 2:
+        raise ShapeError("conv_bn_relu training mode needs at least 2 rows")
+    parents = (x, weight, bias, gamma, beta)
+    x_hat = x.data @ weight.data
+    x_hat += bias.data
     if training:
-        if n < 2:
-            raise ShapeError("batch_norm training mode needs at least 2 rows")
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
+        mu = x_hat.mean(axis=0)
+        var = x_hat.var(axis=0)
         state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
         state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var * n / (n - 1)
         state.steps += 1
@@ -400,24 +436,30 @@ def batch_norm(
         mu = state.mean
         var = state.var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (x.data - mu) * inv
-    data = gamma.data * x_hat + beta.data
+    x_hat -= mu
+    x_hat *= inv
+    data = np.multiply(x_hat, gamma.data, out=None if _tracked(parents) else x_hat)
+    data += beta.data
+    np.copyto(data, 0.0, where=~(data > 0.0))  # as relu: -0.0 and NaN become 0.0
 
     def grad_fn(g):
-        _accumulate(gamma, np.sum(g * x_hat, axis=0))
-        _accumulate(beta, np.sum(g, axis=0))
+        h = g * (data > 0.0)
+        _accumulate(gamma, np.sum(h * x_hat, axis=0))
+        _accumulate(beta, np.sum(h, axis=0))
+        h *= gamma.data
         if training:
-            g_hat = g * gamma.data
-            dx = inv * (
-                g_hat
-                - g_hat.mean(axis=0)
-                - x_hat * np.mean(g_hat * x_hat, axis=0)
-            )
-            _accumulate(x, dx)
-        else:
-            _accumulate(x, g * gamma.data * inv)
+            # dx = inv * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)),
+            # built in h; x_hat is spent, since the graph runs backward once
+            mean_gx = np.mean(h * x_hat, axis=0)
+            h -= h.mean(axis=0)
+            np.multiply(x_hat, mean_gx, out=x_hat)
+            h -= x_hat
+        h *= inv
+        _accumulate(x, h @ weight.data.T)
+        _accumulate(weight, x.data.T @ h)
+        _accumulate(bias, h.sum(axis=0))
 
-    return _make(data, (x, gamma, beta), grad_fn)
+    return _make(data, parents, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +487,12 @@ def edge_conv(
     where a lowest-index argmax over the edges would send the gradient.
 
     Training-mode statistics cover all N*k edges, with the running buffers
-    updated as batch_norm does. They come from per-cell sums of the centred
+    updated as conv_bn_relu does. They come from per-cell sums of the centred
     u = a - mean(a) and v = p - mean(p): the count cnt_j of edges into j and
     Sv_i, the sum of v over the neighbors of i. The backward adds the
     reverse-neighbor sum of u and one scatter of the selected edges'
-    gradient. Every array is (N, C): no edge-sized tensor is formed.
+    gradient. Every array is (N, C): no edge-sized tensor is formed. The
+    backward reads the ReLU mask from the output.
     """
     x = _as_tensor(x)
     nbrs = np.asarray(neighbors, dtype=np.int64)
@@ -485,12 +528,16 @@ def edge_conv(
         mu = state.mean
         var = state.var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (a - p_sel - mu) * inv
-    y = gamma.data * x_hat + beta.data
-    data = np.maximum(y, 0.0)
+    x_hat = a - p_sel
+    x_hat -= mu
+    x_hat *= inv
+    parents = (x, weight, bias, gamma, beta)
+    data = np.multiply(x_hat, gamma.data, out=None if _tracked(parents) else x_hat)
+    data += beta.data
+    np.maximum(data, 0.0, out=data)
 
     def grad_fn(g):
-        h = np.where(y > 0.0, g, 0.0)
+        h = np.where(data > 0.0, g, 0.0)
         _accumulate(gamma, np.sum(h * x_hat, axis=0))
         _accumulate(beta, np.sum(h, axis=0))
         g_edge = h * gamma.data * inv
@@ -509,7 +556,7 @@ def edge_conv(
         _accumulate(weight, np.vstack([x.data.T @ dp, x.data.T @ da]))
         _accumulate(bias, np.sum(da, axis=0))
 
-    return _make(data, (x, weight, bias, gamma, beta), grad_fn)
+    return _make(data, parents, grad_fn)
 
 
 def _select_neighbors(p: np.ndarray, nbrs: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -555,7 +602,8 @@ class AmsGrad:
 
     The caller supplies all four hyperparameters (RunConfig lr, beta1,
     beta2, adam_eps). step() refuses to apply a non-finite gradient and
-    names the offending parameter.
+    names the offending parameter. The moments and their running maximum
+    are updated in place, with one scratch buffer per parameter.
     """
 
     def __init__(self, params, lr: float, beta1: float, beta2: float, eps: float):
@@ -583,10 +631,19 @@ class AmsGrad:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
+        for p, m, v, v_hat in zip(self.params, self.m, self.v, self.v_hat):
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and the step
+            # (lr / bc1) m / (sqrt(v_hat) / sqrt(bc2) + eps), in place
             g = p.gradient()
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            np.maximum(self.v_hat[i], self.v[i], out=self.v_hat[i])
-            denom = np.sqrt(self.v_hat[i]) / np.sqrt(bc2) + self.eps
-            p.data -= (self.lr / bc1) * self.m[i] / denom
+            scratch = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += scratch
+            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            scratch *= g
+            v *= self.beta2
+            v += scratch
+            np.maximum(v_hat, v, out=v_hat)
+            np.sqrt(v_hat, out=scratch)
+            scratch /= np.sqrt(bc2)
+            scratch += self.eps
+            p.data -= np.divide(m * (self.lr / bc1), scratch, out=scratch)

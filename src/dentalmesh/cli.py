@@ -634,6 +634,7 @@ def cmd_eval(args, config: RunConfig) -> int:
             "ppv": float(np.mean(ppvs)),
             "mae": mae.mean,
             "excluded_landmarks": len(mae.excluded),
+            "landmark_coverage": mae.coverage,
         }
 
     summary = cross_validate(len(scans), config.folds, runner,
@@ -645,8 +646,9 @@ def cmd_eval(args, config: RunConfig) -> int:
                    per_tooth_mae_rows(_pooled_mae(landmark_pairs)))
     dsc = summary["pooled"].get("dsc", {}).get("mean", float("nan"))
     mae = summary["pooled"].get("mae", {}).get("mean", float("nan"))
-    log.info("pooled DSC %.4f, pooled MAE %.4f mm over %d test scans",
-             dsc, mae, summary["n_total"])
+    coverage = summary["pooled"].get("landmark_coverage", {}).get("mean", float("nan"))
+    log.info("pooled DSC %.4f, pooled MAE %.4f mm (over %.1f%% of landmarks) "
+             "over %d test scans", dsc, mae, 100.0 * coverage, summary["n_total"])
     # active thresholds fail on NaN metrics too, hence the negated comparisons
     dsc_missed = config.min_dsc > 0.0 and not dsc >= config.min_dsc
     mae_missed = np.isfinite(config.max_mae) and not mae <= config.max_mae

@@ -80,6 +80,12 @@ class LandmarkMetrics:
     def count(self) -> int:
         return len(self.errors)
 
+    @property
+    def coverage(self) -> float:
+        """Share of ground-truth landmarks that got a prediction."""
+        total = self.count + len(self.excluded)
+        return self.count / total if total else float("nan")
+
 
 def _as_point(value) -> np.ndarray:
     if isinstance(value, tuple):
@@ -93,7 +99,9 @@ def mae_metrics(pred: dict, truth: dict) -> LandmarkMetrics:
     pred values may be bare points or decode tuples (position, confidence,
     flag); truth values are points. Keys are (tooth, name) pairs, optionally
     prefixed with extra components such as a scan index when results from
-    several scans are pooled into one dict.
+    several scans are pooled into one dict. The mean and std cover the
+    predicted landmarks only: a ground-truth landmark without a prediction
+    is listed in excluded and lowers coverage, not the mean.
     """
     errors = {}
     excluded = []

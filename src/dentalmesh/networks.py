@@ -8,6 +8,11 @@ fusion of local, transformed, and globally pooled features into the
 per-cell classification head. All pointwise convs carry batch norm and
 ReLU except the final one.
 
+Each ConvBlock (pointwise conv, batch norm, ReLU) is one fused op, like
+each EdgeConv: autodiff.conv_bn_relu works in the conv's output buffer
+and keeps only the normalized activations for the backward. BatchNorm
+only holds a layer's scale, shift and running buffers.
+
 Each EdgeConv is one fused op: conv, batch norm over the edges, ReLU and
 the max over a cell's neighbors. Because BN is affine per channel and ReLU
 monotone, the max is the response to a single neighbor per channel (the
@@ -110,24 +115,26 @@ class Conv1x1(Module):
 
 
 class BatchNorm(Module):
+    """Scale, shift and running buffers of one batch norm; the fused op
+    that owns it (conv_bn_relu or edge_conv) applies it."""
+
     def __init__(self, channels: int, name: str = "bn"):
         self.gamma = Parameter(np.ones(channels), f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels), f"{name}.beta")
         self.state = BatchNormState(channels)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ad.batch_norm(x, self.gamma, self.beta, self.state, training)
-
 
 class ConvBlock(Module):
-    """Pointwise conv + batch norm + ReLU."""
+    """Pointwise conv + batch norm + ReLU, one fused op (autodiff.conv_bn_relu)."""
 
     def __init__(self, rng, cin: int, cout: int, name: str = "block"):
         self.conv = Conv1x1(rng, cin, cout, name)
         self.bn = BatchNorm(cout, name)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ad.relu(self.bn(self.conv(x), training))
+        conv, bn = self.conv, self.bn
+        return ad.conv_bn_relu(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.state,
+                               training)
 
 
 class Dense(Module):

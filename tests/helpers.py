@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from dentalmesh import autodiff as ad
-from dentalmesh.autodiff import Tensor, _as_tensor, _make
+from dentalmesh.autodiff import Tensor, _accumulate, _as_tensor, _make
 from dentalmesh.errors import ShapeError
 from dentalmesh.mesh_io import TriMesh
 from dentalmesh.postprocess import CONVEX_BETA, THETA_FLOOR
@@ -222,9 +222,60 @@ def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, training: bool) -> Te
     n, k = nbrs.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edge = ad.sub(gather_rows(a, src), gather_rows(p, nbrs.reshape(-1)))
-    edge = ad.relu(conv.bn(edge, training))
+    bn = conv.bn
+    edge = ad.relu(reference_batch_norm(edge, bn.gamma, bn.beta, bn.state, training))
     cout = edge.data.shape[1]
     return max_over_axis(ad.reshape(edge, (n, k, cout)), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the unfused conv block that autodiff.conv_bn_relu replaced
+
+def reference_batch_norm(x, gamma: Tensor, beta: Tensor, state: ad.BatchNormState,
+                         training: bool) -> Tensor:
+    """Per-column batch norm over the rows as its own graph node."""
+    x = _as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError(f"batch_norm needs a 2-D tensor, got {x.data.shape}")
+    n = x.data.shape[0]
+    if training:
+        if n < 2:
+            raise ShapeError("batch_norm training mode needs at least 2 rows")
+        mu = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
+        state.mean = (1.0 - ad.BN_MOMENTUM) * state.mean + ad.BN_MOMENTUM * mu
+        state.var = ((1.0 - ad.BN_MOMENTUM) * state.var
+                     + ad.BN_MOMENTUM * var * n / (n - 1))
+        state.steps += 1
+    else:
+        mu = state.mean
+        var = state.var
+    inv = 1.0 / np.sqrt(var + ad.BN_EPS)
+    x_hat = (x.data - mu) * inv
+    data = gamma.data * x_hat + beta.data
+
+    def grad_fn(g):
+        _accumulate(gamma, np.sum(g * x_hat, axis=0))
+        _accumulate(beta, np.sum(g, axis=0))
+        if training:
+            g_hat = g * gamma.data
+            dx = inv * (
+                g_hat
+                - g_hat.mean(axis=0)
+                - x_hat * np.mean(g_hat * x_hat, axis=0)
+            )
+            _accumulate(x, dx)
+        else:
+            _accumulate(x, g * gamma.data * inv)
+
+    return _make(data, (x, gamma, beta), grad_fn)
+
+
+def reference_conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
+                           state: ad.BatchNormState, training: bool) -> Tensor:
+    """Conv1x1 -> add -> batch norm -> relu, four graph nodes."""
+    conv = ad.add(ad.matmul(x, weight), bias)
+    return ad.relu(reference_batch_norm(conv, gamma, beta, state, training))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tensor library: gradients against finite differences, optimizer oracle."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,7 @@ from hypothesis import strategies as st
 from dentalmesh import autodiff as ad
 from dentalmesh.errors import NonFiniteGradientError, ShapeError
 
-from helpers import (check_grads, gather_rows, max_over_axis, numeric_grad,
-                     relative_error)
+from helpers import check_grads, gather_rows, max_over_axis, reference_conv_bn_relu
 
 
 def test_matmul_relu_chain_gradients(rng):
@@ -66,37 +68,70 @@ def test_pooling_gradients(rng):
     check_grads(build, [a])
 
 
-def test_batch_norm_gradients(rng):
-    x = rng.normal(size=(7, 3))
-    gamma = rng.uniform(0.5, 1.5, size=3)
-    beta = rng.normal(size=3)
+def _conv_bn_relu_arrays(rng, n=9, cin=4, cout=5):
+    """x, weight, bias, gamma (both signs), beta, running mean and variance."""
+    return (rng.normal(size=(n, cin)), rng.normal(size=(cin, cout)),
+            rng.normal(size=cout),
+            rng.uniform(0.5, 1.5, size=cout) * rng.choice([-1.0, 1.0], cout),
+            rng.normal(size=cout), rng.normal(size=cout), rng.uniform(0.5, 2.0, size=cout))
+
+
+def _state(mean, var):
+    state = ad.BatchNormState(mean.size)
+    state.mean, state.var = mean.copy(), var.copy()
+    return state
+
+
+def test_conv_bn_relu_gradients(rng):
+    *arrays, mean, var = _conv_bn_relu_arrays(rng)
+    names = ("x", "weight", "bias", "gamma", "beta")
 
     def build(training):
         def inner():
-            state = ad.BatchNormState(3)
-            state.mean = np.array([0.1, -0.2, 0.3])
-            state.var = np.array([1.2, 0.8, 1.0])
-            xp = ad.Parameter(x, name="x")
-            gp = ad.Parameter(gamma, name="gamma")
-            bp = ad.Parameter(beta, name="beta")
-            out = ad.batch_norm(xp, gp, bp, state, training=training)
+            params = [ad.Parameter(a, name=n) for a, n in zip(arrays, names)]
+            out = ad.conv_bn_relu(*params, _state(mean, var), training=training)
             weights = np.sin(np.arange(out.data.size)).reshape(out.shape)
-            return ad.reduce_sum(out * weights), [xp, gp, bp]
+            return ad.reduce_sum(out * weights), params
 
         return inner
 
-    check_grads(build(True), [x, gamma, beta])
-    check_grads(build(False), [x, gamma, beta])
+    check_grads(build(True), arrays)
+    check_grads(build(False), arrays)
 
 
-def test_batch_norm_running_stats(rng):
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_bn_relu_matches_unfused_composition_bitwise(rng, training):
+    *arrays, mean, var = _conv_bn_relu_arrays(rng, n=40, cin=6, cout=8)
+
+    def run(op):
+        params = [ad.Parameter(a.copy()) for a in arrays]
+        state = _state(mean, var)
+        out = op(*params, state, training)
+        weights = np.cos(np.arange(out.data.size)).reshape(out.shape)
+        ad.backward(ad.reduce_sum(out * weights))
+        return out.data, state, [p.grad for p in params]
+
+    out, state, grads = run(ad.conv_bn_relu)
+    ref_out, ref_state, ref_grads = run(reference_conv_bn_relu)
+    assert np.array_equal(out, ref_out)
+    assert 0.0 < np.mean(out > 0.0) < 1.0  # the ReLU masks some entries
+    assert np.array_equal(state.mean, ref_state.mean)
+    assert np.array_equal(state.var, ref_state.var)
+    assert state.steps == ref_state.steps == int(training)
+    for name, g, ref in zip(("x", "weight", "bias", "gamma", "beta"), grads, ref_grads):
+        assert np.array_equal(g, ref), name
+
+
+def test_conv_bn_relu_running_stats(rng):
     x = rng.normal(size=(8, 2)) * 2.0 + 1.0
     state = ad.BatchNormState(2)
+    weight = ad.Parameter(np.eye(2))
+    bias = ad.Parameter(np.zeros(2))
     gamma = ad.Parameter(np.ones(2))
-    beta = ad.Parameter(np.zeros(2))
-    out = ad.batch_norm(ad.Tensor(x), gamma, beta, state, training=True)
+    beta = ad.Parameter(np.full(2, 10.0))  # keeps every entry above the ReLU kink
+    out = ad.conv_bn_relu(ad.Tensor(x), weight, bias, gamma, beta, state, training=True)
     # batch statistics must normalize the output itself
-    assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(out.data.mean(axis=0), 10.0, atol=1e-12)
     assert np.allclose(out.data.var(axis=0), 1.0, atol=1e-4)
     # buffers blend in with momentum 0.1, variance stored unbiased
     assert np.allclose(state.mean, 0.1 * x.mean(axis=0))
@@ -104,12 +139,34 @@ def test_batch_norm_running_stats(rng):
     assert state.steps == 1
     # inference mode uses the buffers and never touches them
     frozen_mean = state.mean.copy()
-    expected = (x - state.mean) / np.sqrt(state.var + 1e-5)
-    out_eval = ad.batch_norm(ad.Tensor(x), gamma, beta, state, training=False)
+    expected = (x - state.mean) / np.sqrt(state.var + 1e-5) + 10.0
+    out_eval = ad.conv_bn_relu(ad.Tensor(x), weight, bias, gamma, beta, state,
+                               training=False)
     assert np.allclose(out_eval.data, expected)
     assert np.array_equal(state.mean, frozen_mean)
     with pytest.raises(ShapeError):
-        ad.batch_norm(ad.Tensor(x[:1]), gamma, beta, state, training=True)
+        ad.conv_bn_relu(ad.Tensor(x[:1]), weight, bias, gamma, beta, state, training=True)
+    with pytest.raises(ShapeError):
+        ad.conv_bn_relu(ad.Tensor(x[:, :1]), weight, bias, gamma, beta, state,
+                        training=False)
+
+
+def test_no_grad_conv_bn_relu_keeps_nothing(rng):
+    """Without a tracked gradient the op allocates its output and masks only."""
+    *arrays, mean, var = _conv_bn_relu_arrays(rng, n=2000, cin=16, cout=64)
+    params = [ad.Parameter(a) for a in arrays]
+    state = _state(mean, var)
+    with_grad = ad.conv_bn_relu(*params, state, training=False)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            out = ad.conv_bn_relu(*params, state, training=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out._grad_fn is None and out._parents == ()
+    assert np.array_equal(out.data, with_grad.data)
+    assert peak < 1.5 * out.data.nbytes
 
 
 def test_amsgrad_matches_hand_rolled_recurrence():
@@ -127,7 +184,7 @@ def test_amsgrad_matches_hand_rolled_recurrence():
         vhat = max(vhat, v)
         denom = np.sqrt(vhat) / np.sqrt(1 - b2**t) + eps
         theta -= lr / (1 - b1**t) * m / denom
-        assert p.data[0] == pytest.approx(theta, abs=1e-15)
+        assert p.data[0] == theta  # same operations in the same order
 
 
 def test_amsgrad_vhat_never_decreases(rng):
@@ -187,21 +244,59 @@ def test_unreachable_parameter_has_zero_gradient():
 
 def test_shared_upstream_gradient_is_not_aliased(rng):
     # add hands its upstream gradient to both parents and reshape hands on a
-    # view of it: whichever parent takes a first gradient must not share
-    # memory with the child's gradient or with the other parent's
+    # view of it: whichever leaf takes a first gradient must not share
+    # memory with the other leaf's gradient
     w = rng.normal(size=(3, 2))
     u = rng.normal(size=(3, 2))
     x = ad.Parameter(rng.normal(size=(3, 2)))
-    doubled = ad.add(x, x)
-    flat = ad.reshape(x, (2, 3))
-    loss = (ad.reduce_sum(doubled * w) + ad.reduce_sum(flat * u.reshape(2, 3))
-            + ad.reduce_sum(x * u))
+    y = ad.Parameter(rng.normal(size=(3, 2)))
+    z = ad.Parameter(rng.normal(size=(2, 3)))
+    both = ad.add(x, y)
+    flat = ad.reshape(both, (2, 3))
+    loss = ad.reduce_sum(both * w) + ad.reduce_sum(ad.add(flat, z) * u.reshape(2, 3))
     ad.backward(loss)
-    assert np.array_equal(x.grad, 2.0 * w + 2.0 * u)
-    assert np.array_equal(doubled.grad, w)
-    assert np.array_equal(flat.grad, u.reshape(2, 3))
-    assert not np.shares_memory(x.grad, doubled.grad)
-    assert doubled.grad.flags.writeable and flat.grad.flags.writeable
+    assert np.array_equal(x.grad, w + u)
+    assert np.array_equal(y.grad, w + u)
+    assert np.array_equal(z.grad, u.reshape(2, 3))
+    assert not np.shares_memory(x.grad, y.grad)
+    assert not np.shares_memory(x.grad, z.grad) and not np.shares_memory(y.grad, z.grad)
+    for leaf in (x, y, z):
+        assert leaf.grad.flags.writeable
+
+
+def test_backward_releases_interior_nodes(rng):
+    x = rng.normal(size=(5, 4))
+    w = ad.Parameter(rng.normal(size=(4, 3)), name="w")
+    b = ad.Parameter(rng.normal(size=3), name="b")
+    pre = ad.add(ad.Tensor(x) @ w, b)
+    act = ad.relu(pre)
+    loss = ad.reduce_sum(act * act)
+    ad.backward(loss)
+    for node in (pre, act, loss):
+        assert node.grad is None and node._grad_fn is None and node._parents == ()
+    dpre = 2.0 * np.maximum(x @ w.data + b.data, 0.0)
+    assert np.allclose(w.grad, x.T @ dpre, rtol=1e-14, atol=1e-14)
+    assert np.allclose(b.grad, dpre.sum(axis=0), rtol=1e-14, atol=1e-14)
+    # the graph is spent: a second backward leaves the leaves as they are
+    before = w.grad.copy()
+    ad.backward(loss)
+    assert np.array_equal(w.grad, before)
+
+
+def test_saved_activation_dies_with_the_output(rng):
+    """After backward the loss no longer holds the graph: once the caller
+    drops the output, what the ops saved for the backward is freed."""
+    w1 = ad.Parameter(rng.normal(size=(4, 6)))
+    w2 = ad.Parameter(rng.normal(size=(6, 3)))
+    hidden = ad.relu(ad.Tensor(rng.normal(size=(30, 4))) @ w1)
+    saved = weakref.ref(hidden.data)  # the matmul keeps it for w2's gradient
+    out = hidden @ w2
+    loss = ad.reduce_sum(out * out)
+    del hidden
+    ad.backward(loss)
+    del out
+    assert saved() is None
+    assert w1.grad is not None and w2.grad is not None
 
 
 @settings(max_examples=25, deadline=None)

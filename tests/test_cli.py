@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, run-dir stamping."""
 
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -316,7 +317,8 @@ def test_infer_rejects_bad_probs_with_exit_2(trained_run, tmp_path, caplog):
                      "--probs", str(tmp_path / "good.mat")] + args) == 0
 
 
-def test_eval_reruns_byte_identical(trained_run, tmp_path):
+def test_eval_reruns_byte_identical(trained_run, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="dentalmesh")
     root, args = trained_run
     assert cli.main(["eval"] + args) == 0
     reports = root / "run" / "reports"
@@ -328,6 +330,12 @@ def test_eval_reruns_byte_identical(trained_run, tmp_path):
 
     summary = json.loads((reports / "eval.json").read_text(), parse_constant=reject)
     assert summary["n_total"] == 4
+    # coverage: the share of ground-truth landmarks the pooled MAE averages over
+    for row in summary["folds"]:
+        assert 0.0 <= row["landmark_coverage"] <= 1.0
+        assert (row["excluded_landmarks"] == 0) == (row["landmark_coverage"] == 1.0)
+    assert 0.0 <= summary["pooled"]["landmark_coverage"]["mean"] <= 1.0
+    assert "% of landmarks" in caplog.text
     rerun = ["--data", str(root / "data"), "--run", str(tmp_path / "run2")] + TINY
     assert cli.main(["eval"] + rerun) == 0
     assert ((tmp_path / "run2" / "reports" / "eval.json").read_bytes()

@@ -65,6 +65,7 @@ def test_mae_metrics_oracle():
     assert m.errors[(3, "MCP")] == pytest.approx(2.0)
     assert m.count == 2
     assert m.excluded == [(10, "DCP")]
+    assert m.coverage == pytest.approx(2.0 / 3.0)
     assert m.mean == pytest.approx(3.5)
     assert m.std == pytest.approx(1.5)
     assert m.per_tooth == {3: pytest.approx(3.5)}
@@ -91,7 +92,7 @@ def test_mae_metrics_pooled_scan_keys():
 def test_mae_metrics_empty():
     m = ev.mae_metrics({}, {})
     assert m.count == 0
-    assert np.isnan(m.mean) and np.isnan(m.std)
+    assert np.isnan(m.mean) and np.isnan(m.std) and np.isnan(m.coverage)
     assert m.excluded == []
 
 

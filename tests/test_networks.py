@@ -344,3 +344,25 @@ def test_edge_conv_training_step_never_forms_edge_tensors():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * k * c * 8
+
+
+def test_training_step_backward_frees_the_graph_as_it_goes():
+    """Backward peaks below what the forward left live plus one gradient per
+    parameter: interior gradients and saved activations free as it walks."""
+    feats, g6, g12, _ = _features_and_graphs(n=200, seed=7)
+    labels = np.random.default_rng(8).integers(0, nets.NUM_CLASSES, size=200)
+    net = nets.ToothSegNet(seed=8)
+    param_bytes = sum(p.data.nbytes for p in net.parameters())
+    tracemalloc.start()
+    try:
+        out = net(Tensor(feats), g6, g12, training=True)
+        loss = nets.generalized_dice_loss(out, nets.one_hot(labels))
+        del out
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= live + param_bytes
+    assert all(p.grad is not None for p in net.parameters())
