@@ -113,11 +113,14 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a gradient for t can reach a leaf that requires one."""
+    return t.requires_grad or t._grad_fn is not None
+
+
 def _tracked(parents) -> bool:
     """Whether an op over these parents records a graph node."""
-    return grad_enabled() and any(
-        p.requires_grad or p._grad_fn is not None for p in parents
-    )
+    return grad_enabled() and any(_needs_grad(p) for p in parents)
 
 
 def _make(data, parents, grad_fn) -> Tensor:
@@ -455,7 +458,8 @@ def conv_bn_relu(
             np.multiply(x_hat, mean_gx, out=x_hat)
             h -= x_hat
         h *= inv
-        _accumulate(x, h @ weight.data.T)
+        if _needs_grad(x):  # a network's input features need none
+            _accumulate(x, h @ weight.data.T)
         _accumulate(weight, x.data.T @ h)
         _accumulate(bias, h.sum(axis=0))
 
@@ -552,7 +556,8 @@ def edge_conv(
             da = da - k * mean_g - mean_gx * out_hat
             dp += cnt * mean_g + mean_gx * in_hat
         dp += da
-        _accumulate(x, dp @ w_diff.T + da @ w_center.T)
+        if _needs_grad(x):
+            _accumulate(x, dp @ w_diff.T + da @ w_center.T)
         _accumulate(weight, np.vstack([x.data.T @ dp, x.data.T @ da]))
         _accumulate(bias, np.sum(da, axis=0))
 

@@ -1,14 +1,15 @@
 """Mesh geometry operations feeding the learning pipeline.
 
-Covers quadric edge-collapse decimation with a fine-to-coarse cell map,
-15-column per-cell feature extraction, edge-sharing cell pairs, kNN graph
-construction, per-tooth ROI extraction, and the random rigid augmentation
-the training loops draw from.
+Covers quadric edge-collapse decimation, run in rounds of independent
+collapses, with a fine-to-coarse cell map; edge-sharing cell pairs, built
+from the same sorted cell sides as the decimation's edges; 15-column
+per-cell feature extraction, kNN graph construction, per-tooth ROI
+extraction, and the random rigid augmentation the training loops draw
+from.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 
@@ -29,42 +30,35 @@ AUGMENT_ACTIVE_PROB = 0.5
 # ---------------------------------------------------------------------------
 # edge-sharing cell pairs
 
+def _cell_sides(cells: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell side as the key u * num_vertices + v (u < v), with its cell.
+
+    Sorted by (key, cell), so the cells that share an edge form one run.
+    """
+    sides = np.sort(cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    key = sides[:, 0] * np.int64(num_vertices) + sides[:, 1]
+    order = np.argsort(key, kind="stable")
+    return key[order], order // 3
+
+
 def cell_adjacency(mesh: TriMesh) -> np.ndarray:
     """Unordered pairs (i, j), i < j, of cells sharing an edge.
 
     Returned lexicographically sorted, one row per pair. Edges shared by
     more than two cells (non-manifold) contribute all pairwise combinations.
     """
-    cells = mesh.cells
-    n = mesh.num_cells
-    edges = np.concatenate(
-        [cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]], axis=0
-    )
-    edges.sort(axis=1)
-    owner = np.tile(np.arange(n, dtype=np.int64), 3)
-    key = edges[:, 0] * np.int64(mesh.num_vertices) + edges[:, 1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    owner = owner[order]
-    pairs = []
-    start = 0
-    for end in range(1, key.size + 1):
-        if end == key.size or key[end] != key[start]:
-            group = owner[start:end]
-            if group.size == 2:
-                a, b = int(group[0]), int(group[1])
-                if a != b:
-                    pairs.append((min(a, b), max(a, b)))
-            elif group.size > 2:
-                g = sorted(set(int(x) for x in group))
-                for ai in range(len(g)):
-                    for bi in range(ai + 1, len(g)):
-                        pairs.append((g[ai], g[bi]))
-            start = end
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    out = np.array(sorted(set(pairs)), dtype=np.int64)
-    return out
+    key, cell = _cell_sides(mesh.cells, mesh.num_vertices)
+    n = np.int64(mesh.num_cells)
+    pairs = [np.empty(0, dtype=np.int64)]
+    # cells in a run ascend, so lag d pairs each cell with the one d later
+    for lag in range(1, key.size):
+        same = key[lag:] == key[:-lag]
+        if not same.any():
+            break
+        a, b = cell[:-lag][same], cell[lag:][same]
+        pairs.append(a[a != b] * n + b[a != b])
+    flat = np.unique(np.concatenate(pairs))
+    return np.stack([flat // n, flat % n], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +206,8 @@ def _collapse_costs(positions: np.ndarray, quadrics: np.ndarray,
     """QEM cost and target position of collapsing each edge (a[e], b[e]).
 
     The candidates are the midpoint and the two endpoints; ties go to the
-    earlier one. Every cost the decimation uses, for the heap and for the
-    collapse position alike, comes from this one batched evaluation.
+    earlier one. Each edge gets the same bits in any batch, so a cost
+    carried over from an earlier round equals a fresh one.
     """
     pa, pb = positions[a], positions[b]
     cand = np.ones((a.size, 3, 4), dtype=np.float64)
@@ -226,13 +220,6 @@ def _collapse_costs(positions: np.ndarray, quadrics: np.ndarray,
     return costs[rows, best], cand[rows, best, :3]
 
 
-def _cross(p0, p1, p2) -> tuple[float, float, float]:
-    """(p1 - p0) x (p2 - p0) over Python floats, in np.cross's operation order."""
-    ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
-    bx, by, bz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
-    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-
-
 def decimate(
     mesh: TriMesh, target_cells: int
 ) -> tuple[TriMesh, np.ndarray]:
@@ -242,16 +229,30 @@ def decimate(
     every original cell to exactly one coarse cell (nearest coarse
     barycenter), so fine labels can be pooled per coarse cell and coarse
     predictions projected back. Targets at or above the current cell count
-    are an identity pass. The collapse stops at the first count <= target,
-    which lands within 2 cells of it.
+    are an identity pass.
 
-    Edges are collapsed cheapest first from a lazy heap (Garland & Heckbert
-    1997). Costs are evaluated in batches: every edge up front, then the
-    edges around the surviving vertex after each collapse; a batch gives
-    each edge the same bits it would get alone. The flip test computes face
-    normals on Python floats, in np.cross's operation order, and keeps
-    np.dot for their dot products, whose BLAS summation order a Python sum
-    would not reproduce.
+    Collapses run in rounds of independent edges (QEM costs after Garland &
+    Heckbert 1997; per-round selection in the spirit of Wu & Kobbelt's
+    multiple-choice decimation, 2002). Each round:
+
+    - costs: every live edge (u, v), u < v, has its QEM cost and target;
+      only edges with an endpoint moved in the last round are recomputed;
+    - rank: edges are ordered by (cost, u, v);
+    - select: an edge is taken when its rank is the least over all edges
+      with an endpoint on a cell around u or v, so no two taken edges
+      share a cell or a vertex and their collapses commute;
+    - check: a taken edge passes the link condition (every common neighbor
+      of u and v lies on a cell with both) and the flip test (no other
+      cell around u or v reverses its normal or shrinks to zero area when u
+      and v move to the target);
+    - apply: every passing collapse at once moves u to the target, adds
+      v's quadric to u's, remaps v to u and drops the cells holding both.
+
+    An edge that fails a check stays out until one of its endpoints
+    survives a later collapse. When applying every passing collapse would
+    reach the target, they are applied cheapest first up to the first cell
+    count <= target, which lands within 2 cells of it. DecimationError is
+    raised when no edge is left to take above the target.
     """
     if target_cells < MIN_DECIMATION_TARGET:
         raise DecimationError(
@@ -260,112 +261,94 @@ def decimate(
     if target_cells >= mesh.num_cells:
         return mesh, np.arange(mesh.num_cells, dtype=np.int64)
 
+    nv = mesh.num_vertices
     positions = mesh.vertices.copy()
-    coords = positions.tolist()  # the same values as Python floats, for the flip test
-    faces = [list(c) for c in mesh.cells.tolist()]
-    face_alive = np.ones(len(faces), dtype=bool)
-    quadrics = np.zeros((mesh.num_vertices, 4, 4), dtype=np.float64)
-    face_q = _face_quadrics(mesh)
-    vertex_faces: list[set[int]] = [set() for _ in range(mesh.num_vertices)]
-    for fi, (a, b, c) in enumerate(faces):
-        quadrics[a] += face_q[fi]
-        quadrics[b] += face_q[fi]
-        quadrics[c] += face_q[fi]
-        vertex_faces[a].add(fi)
-        vertex_faces[b].add(fi)
-        vertex_faces[c].add(fi)
-    version = np.zeros(mesh.num_vertices, dtype=np.int64)
-    vertex_alive = np.ones(mesh.num_vertices, dtype=bool)
+    cells = mesh.cells  # the live cells, in their original order
+    quadrics = np.zeros((nv, 4, 4), dtype=np.float64)
+    np.add.at(quadrics, cells.ravel(), np.repeat(_face_quadrics(mesh), 3, axis=0))
+    # the last round's edge keys, with the cost, target and rejection of each
+    keys = np.empty(0, dtype=np.int64)
+    costs, targets = np.empty(0), np.empty((0, 3))
+    rejected = np.empty(0, dtype=bool)
+    moved = np.ones(nv, dtype=bool)
 
-    def neighbors_of(u: int) -> set[int]:
-        out = set()
-        for fi in vertex_faces[u]:
-            out.update(faces[fi])
-        out.discard(u)
-        return out
+    while cells.shape[0] > target_cells:
+        side_key, _ = _cell_sides(cells, nv)
+        edge_key = side_key[np.r_[True, side_key[1:] != side_key[:-1]]]
+        u, v = np.divmod(edge_key, nv)
+        fresh = moved[u] | moved[v]
+        old = np.searchsorted(keys, edge_key[~fresh])
+        carried = costs[old], targets[old], rejected[old]
+        keys = edge_key
+        costs, targets = np.empty(keys.size), np.empty((keys.size, 3))
+        rejected = np.zeros(keys.size, dtype=bool)
+        costs[~fresh], targets[~fresh], rejected[~fresh] = carried
+        costs[fresh], targets[fresh] = _collapse_costs(positions, quadrics, u[fresh], v[fresh])
 
-    def push_edges(u: int, heap) -> None:
-        w = np.fromiter(neighbors_of(u), dtype=np.int64)
-        a, b = np.minimum(u, w), np.maximum(u, w)
-        costs, _ = _collapse_costs(positions, quadrics, a, b)
-        for entry in zip(costs.tolist(), a.tolist(), b.tolist(),
-                         version[a].tolist(), version[b].tolist()):
-            heapq.heappush(heap, entry)
+        live = np.flatnonzero(~rejected)
+        if live.size == 0:
+            raise DecimationError(
+                f"no valid collapses left at {cells.shape[0]} cells (target {target_cells})"
+            )
+        # keys ascend in (u, v), so a stable sort on cost ranks (cost, u, v)
+        unranked = keys.size
+        rank = np.full(unranked, unranked)
+        rank[live[np.argsort(costs[live], kind="stable")]] = np.arange(live.size)
+        least = np.full(nv, unranked)
+        np.minimum.at(least, u, rank)
+        np.minimum.at(least, v, rank)
+        around = np.full(nv, unranked)
+        np.minimum.at(around, cells, least[cells].min(axis=1, keepdims=True))
+        picked = live[rank[live] == np.minimum(around[u[live]], around[v[live]])]
 
-    # every (cost, u, v, version_u, version_v) entry is distinct, so the pop
-    # order depends only on the entries, not on how the heap was built
-    edges = np.unique(np.sort(mesh.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1),
-                      axis=0)
-    costs, _ = _collapse_costs(positions, quadrics, edges[:, 0], edges[:, 1])
-    heap = [(cost, u, v, 0, 0) for cost, (u, v) in zip(costs.tolist(), edges.tolist())]
-    heapq.heapify(heap)
+        pu, pv = u[picked], v[picked]
+        pick_of = np.full(nv, -1)
+        pick_of[pu] = pick_of[pv] = np.arange(picked.size)
+        corner_pick = pick_of[cells].max(axis=1)
+        touched = np.flatnonzero(corner_pick >= 0)
+        tp, tc = corner_pick[touched], cells[touched]
+        is_u, is_v = tc == pu[tp, None], tc == pv[tp, None]
+        has_u, has_v = is_u.any(axis=1), is_v.any(axis=1)
+        shared = has_u & has_v
+        # link condition: every common neighbor of u and v is on a shared cell
+        other = ~(is_u | is_v)
+        per_cell = other.sum(axis=1)
+        groups, inv = np.unique(np.repeat(tp, per_cell) * nv + tc[other], return_inverse=True)
+        near_u = np.bincount(inv, np.repeat(has_u, per_cell), groups.size) > 0
+        near_v = np.bincount(inv, np.repeat(has_v, per_cell), groups.size) > 0
+        opposite = np.bincount(inv, np.repeat(shared, per_cell), groups.size) > 0
+        bad = np.bincount(groups[near_u & near_v & ~opposite] // nv, minlength=picked.size) > 0
+        # flip test over the cells that survive the collapse
+        corners = positions[tc]
+        after = np.where((is_u | is_v)[:, :, None], targets[picked][tp, None, :], corners)
+        old_n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        new_n = np.cross(after[:, 1] - after[:, 0], after[:, 2] - after[:, 0])
+        flips = ~shared & ((np.einsum("ij,ij->i", old_n, new_n) <= 0.0)
+                           | (np.einsum("ij,ij->i", new_n, new_n) < 1e-24))
+        bad |= np.bincount(tp[flips], minlength=picked.size) > 0
+        rejected[picked[bad]] = True
 
-    remaining = mesh.num_cells
-    while remaining > target_cells and heap:
-        cost, u, v, ver_u, ver_v = heapq.heappop(heap)
-        if not (vertex_alive[u] and vertex_alive[v]):
-            continue
-        if ver_u != version[u] or ver_v != version[v]:
-            continue
-        shared_faces = vertex_faces[u] & vertex_faces[v]
-        if not shared_faces:
-            continue
-        # link condition: every common neighbor must come from a shared face,
-        # otherwise the collapse pinches the surface
-        common = neighbors_of(u) & neighbors_of(v)
-        opposite = set()
-        for fi in shared_faces:
-            opposite.update(w for w in faces[fi] if w != u and w != v)
-        if common != opposite:
-            continue
-        _, new_pos = _collapse_costs(positions, quadrics, np.array([u]), np.array([v]))
-        new_pos = new_pos[0]
-        new_coords = new_pos.tolist()
-        # reject collapses that flip or squash any surviving incident face
-        ok = True
-        for fi in (vertex_faces[u] | vertex_faces[v]) - shared_faces:
-            tri = faces[fi]
-            old_n = np.array(_cross(*(coords[w] for w in tri)))
-            new_n = np.array(_cross(*(new_coords if w in (u, v) else coords[w]
-                                      for w in tri)))
-            if float(np.dot(old_n, new_n)) <= 0.0 or float(
-                np.dot(new_n, new_n)
-            ) < 1e-24:
-                ok = False
-                break
-        if not ok:
-            continue
+        ok = np.flatnonzero(~bad)
+        ok = ok[np.argsort(rank[picked[ok]])]
+        left = cells.shape[0] - np.cumsum(np.bincount(tp[shared], minlength=picked.size)[ok])
+        if left.size and left[-1] <= target_cells:
+            ok = ok[: np.argmax(left <= target_cells) + 1]
+        positions[pu[ok]] = targets[picked[ok]]
+        quadrics[pu[ok]] += quadrics[pv[ok]]
+        applied = np.zeros(picked.size, dtype=bool)
+        applied[ok] = True
+        alive = np.ones(cells.shape[0], dtype=bool)
+        alive[touched[shared & applied[tp]]] = False
+        remap = np.arange(nv)
+        remap[pv[ok]] = pu[ok]
+        cells = remap[cells[alive]]
+        moved = np.zeros(nv, dtype=bool)
+        moved[pu[ok]] = True
 
-        positions[u] = new_pos
-        coords[u] = new_coords
-        quadrics[u] += quadrics[v]
-        for fi in shared_faces:
-            face_alive[fi] = False
-            for w in faces[fi]:
-                vertex_faces[w].discard(fi)
-        remaining -= len(shared_faces)
-        for fi in list(vertex_faces[v]):
-            faces[fi] = [u if w == v else w for w in faces[fi]]
-            vertex_faces[u].add(fi)
-        vertex_faces[v] = set()
-        vertex_alive[v] = False
-        # only u's position/quadric changed; entries touching u are stale and
-        # get re-pushed, entries between untouched vertices stay valid
-        version[u] += 1
-        version[v] += 1
-        push_edges(u, heap)
-
-    if remaining > target_cells:
-        raise DecimationError(
-            f"no valid collapses left at {remaining} cells (target {target_cells})"
-        )
-
-    kept = [faces[fi] for fi in range(len(faces)) if face_alive[fi]]
-    kept_arr = np.asarray(kept, dtype=np.int64)
-    used = np.unique(kept_arr)
-    remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    used = np.unique(cells)
+    remap = np.full(nv, -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
-    coarse = TriMesh(positions[used], remap[kept_arr])
+    coarse = TriMesh(positions[used], remap[cells])
     origin_map = nearest_rows(mesh.cell_barycenters, coarse.cell_barycenters)
     return coarse, origin_map
 

@@ -485,3 +485,114 @@ def edge_cost(mesh: TriMesh, i: int, j: int) -> float:
     )
     dot = abs(float(np.dot(mesh.cell_normals[i], mesh.cell_normals[j])))
     return smoothness_cost(theta, phi, kind, beta=CONVEX_BETA * (1.0 + dot))
+
+
+# ---------------------------------------------------------------------------
+# geometry.decimate's rounds, edge by edge
+
+def reference_decimate(mesh: TriMesh, target: int):
+    """geometry.decimate written over Python sets, one edge at a time.
+
+    Every round recomputes every live edge's cost, finds each edge's
+    neighbourhood minimum by walking the cells around its endpoints, runs
+    the link and flip checks per edge and applies the passing collapses
+    one by one, cheapest first, while the count is above target. An edge
+    that fails a check goes into `rejected` and leaves it only when one of
+    its endpoints survives a collapse. Returns (vertices, cells, stats),
+    stats counting rounds, link and flip rejections, and collapses of an
+    edge that the flip test had rejected before.
+    """
+    from dentalmesh.errors import DecimationError
+    from dentalmesh.geometry import _collapse_costs, _face_quadrics
+
+    positions = mesh.vertices.copy()
+    quadrics = np.zeros((mesh.num_vertices, 4, 4))
+    for cell, q in zip(mesh.cells.tolist(), _face_quadrics(mesh)):
+        for w in cell:
+            quadrics[w] += q
+    faces = dict(enumerate(mesh.cells.tolist()))
+    rejected: set[tuple[int, int]] = set()
+    flipped: set[tuple[int, int]] = set()
+    stats = {"rounds": 0, "link": 0, "flip": 0, "readmitted": 0}
+    while len(faces) > target:
+        stats["rounds"] += 1
+        vertex_faces: dict[int, set[int]] = {}
+        for fi, cell in faces.items():
+            for w in cell:
+                vertex_faces.setdefault(w, set()).add(fi)
+
+        def around(e):
+            return vertex_faces[e[0]] | vertex_faces[e[1]]
+
+        def neighbours(w):
+            return {x for fi in vertex_faces[w] for x in faces[fi]} - {w}
+
+        edges = sorted({(min(a, b), max(a, b)) for cell in faces.values()
+                        for a, b in ((cell[0], cell[1]), (cell[1], cell[2]), (cell[2], cell[0]))})
+        live = [e for e in edges if e not in rejected]
+        if not live:
+            raise DecimationError("no valid collapses left")
+        costs, targets = _collapse_costs(positions, quadrics, np.array([e[0] for e in live]),
+                                         np.array([e[1] for e in live]))
+        ranked = sorted(range(len(live)), key=lambda i: (costs[i], live[i]))
+        rank = {live[i]: r for r, i in enumerate(ranked)}
+        target_of = dict(zip(live, targets))
+        edges_at: dict[int, list[tuple[int, int]]] = {}
+        for e in live:
+            edges_at.setdefault(e[0], []).append(e)
+            edges_at.setdefault(e[1], []).append(e)
+        picked = []
+        for e in live:
+            touching = {w for fi in around(e) for w in faces[fi]}
+            if rank[e] == min(rank[g] for w in touching for g in edges_at.get(w, ())):
+                picked.append(e)
+        passing = []
+        for e in sorted(picked, key=rank.get):
+            u, v = e
+            shared = vertex_faces[u] & vertex_faces[v]
+            opposite = {w for fi in shared for w in faces[fi]} - {u, v}
+            if neighbours(u) & neighbours(v) != opposite:
+                stats["link"] += 1
+                rejected.add(e)
+                continue
+            moved = positions.copy()
+            moved[u] = moved[v] = target_of[e]
+            for fi in around(e) - shared:
+                old, new = positions[faces[fi]], moved[faces[fi]]
+                old_n = np.cross(old[1] - old[0], old[2] - old[0])[None]
+                new_n = np.cross(new[1] - new[0], new[2] - new[0])[None]
+                if (np.einsum("ij,ij->i", old_n, new_n)[0] <= 0.0
+                        or np.einsum("ij,ij->i", new_n, new_n)[0] < 1e-24):
+                    stats["flip"] += 1
+                    rejected.add(e)
+                    flipped.add(e)
+                    break
+            else:
+                passing.append((e, shared))
+        for (u, v), shared in passing:
+            if len(faces) <= target:
+                break
+            stats["readmitted"] += (u, v) in flipped
+            positions[u] = target_of[(u, v)]
+            quadrics[u] += quadrics[v]
+            for fi in shared:
+                del faces[fi]
+            for fi in vertex_faces[v] - shared:
+                faces[fi] = [u if w == v else w for w in faces[fi]]
+            rejected = {e for e in rejected if u not in e}
+    kept = np.array([faces[fi] for fi in sorted(faces)], dtype=np.int64)
+    used = np.unique(kept)
+    remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    return positions[used], remap[kept], stats
+
+
+def torus7() -> TriMesh:
+    """The 7-vertex torus: every two vertices share an edge, so each edge
+    has five common neighbours but two opposite vertices, and every
+    collapse breaks the link condition."""
+    cells = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    cells += [(i, (i + 3) % 7, (i + 2) % 7) for i in range(7)]
+    angle = 2.0 * np.pi * np.arange(7) / 7.0
+    vertices = np.stack([np.cos(angle), np.sin(angle), np.cos(3.0 * angle)], axis=1)
+    return TriMesh(vertices, np.array(cells))

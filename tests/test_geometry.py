@@ -15,7 +15,17 @@ from dentalmesh.errors import (
     ShapeError,
 )
 
-from helpers import dihedral_class, grid_mesh, hinge_mesh, shared_edge, sphere_mesh
+from dentalmesh.mesh_io import TriMesh
+
+from helpers import (
+    dihedral_class,
+    grid_mesh,
+    hinge_mesh,
+    reference_decimate,
+    shared_edge,
+    sphere_mesh,
+    torus7,
+)
 
 
 def test_extract_features_matches_hand_computation(rng):
@@ -146,6 +156,22 @@ def test_cell_adjacency_grid():
         shared_edge(mesh, 0, mesh.num_cells - 1)
 
 
+def test_cell_adjacency_matches_brute_force():
+    # a fan of four cells on the edge (0, 1), cell 4 a duplicate of cell 1,
+    # and cell 5 touching the fan at vertex 0 only
+    vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                         [0, 0, -1], [-1, 0, 0], [-1, 1, 0]], dtype=np.float64)
+    cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4], [1, 0, 5], [1, 0, 3], [0, 6, 7]])
+    mesh = TriMesh(vertices, cells)
+    expected = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
+                if len(set(cells[i]) & set(cells[j])) >= 2]
+    adj = geo.cell_adjacency(mesh)
+    assert adj.dtype == np.int64
+    assert adj.tolist() == [list(p) for p in expected]
+    assert [1, 4] in adj.tolist() and len(expected) == 10
+    assert geo.cell_adjacency(TriMesh(vertices, cells[5:])).shape == (0, 2)
+
+
 def test_dihedral_flat_and_fold_angle():
     theta, kind = dihedral_class(hinge_mesh(0.0), 0, 1)
     assert kind == "flat"
@@ -169,13 +195,13 @@ def test_decimate_reaches_target(small_arch):
     assert origin.min() >= 0 and origin.max() < coarse.num_cells
 
 
-# outputs of the per-edge decimation that the batched one replaced, on the
-# small_arch fixture (4,500 -> 400 cells): the integer cells and origin map,
-# and the float64 coarse vertices
-DECIMATE_VERTICES_SHA256 = "d32679096724e7a55272951f4b68aae8c46cccbb43d1fd01e4f0c64d3d13fffd"
-DECIMATE_CELLS_SHA256 = "a69000991b9e44c946e6574c8610890ad4085dc5062b154583acbf2ac9512eec"
-DECIMATE_ORIGIN_SHA256 = "3df140114663a8d00143ad4acecd92b128b0bc99757b544fb17a11051a6fd1ea"
-DECIMATE_COLLAPSES = 2180
+# outputs of the round-based decimation on the small_arch fixture
+# (4,500 -> 400 cells): the integer cells and origin map, and the float64
+# coarse vertices
+DECIMATE_VERTICES_SHA256 = "59b4c8e86ad3dc8ab0231e705f3261d699d6701bb061e2dab87ecd827db5f5e9"
+DECIMATE_CELLS_SHA256 = "e4ada6b1c916f0ebcb4238d6c111cf3786b433edd2e655d11e0ee4f01d85dad3"
+DECIMATE_ORIGIN_SHA256 = "07a2f37ee854bc2e333c5508140cfc7ff5ff886406c0403d45af422b2a7af94b"
+DECIMATE_COLLAPSES = 2179
 
 
 def test_decimate_reproduces_recorded_collapse_sequence(small_arch):
@@ -187,6 +213,65 @@ def test_decimate_reproduces_recorded_collapse_sequence(small_arch):
     assert hashlib.sha256(coarse.cells.tobytes()).hexdigest() == DECIMATE_CELLS_SHA256
     assert hashlib.sha256(coarse.vertices.tobytes()).hexdigest() == DECIMATE_VERTICES_SHA256
     assert hashlib.sha256(origin.tobytes()).hexdigest() == DECIMATE_ORIGIN_SHA256
+
+
+@pytest.mark.parametrize("target", [400, 1500, 3000, 4499])
+def test_decimate_lands_on_target_deterministically(small_arch, target):
+    mesh, _ = small_arch
+    coarse, origin = geo.decimate(mesh, target)
+    again, origin_again = geo.decimate(mesh, target)
+    assert np.array_equal(coarse.cells, again.cells)
+    assert coarse.vertices.tobytes() == again.vertices.tobytes()
+    assert np.array_equal(origin, origin_again)
+    assert target - 2 <= coarse.num_cells <= target
+    cells = np.sort(coarse.cells, axis=1)
+    assert np.all(cells[:, :2] != cells[:, 1:])  # three distinct corners
+    assert coarse.cell_areas.min() > 1e-12
+
+
+def _with_fin(mesh: TriMesh) -> TriMesh:
+    """mesh plus one cell on the interior diagonal (0, 13) of a 12 x 12
+    grid, which three cells then share."""
+    assert len({c for c in range(mesh.num_cells)
+                if {0, 13} <= set(mesh.cells[c].tolist())}) == 2
+    apex = 0.5 * (mesh.vertices[0] + mesh.vertices[13]) + np.array([0.0, 0.0, 0.7])
+    return TriMesh(np.vstack([mesh.vertices, apex]),
+                   np.vstack([mesh.cells, [[0, 13, mesh.num_vertices]]]))
+
+
+def _with_torus(mesh: TriMesh) -> TriMesh:
+    """mesh plus a far-off 7-vertex torus, whose every collapse fails the
+    link condition."""
+    torus = torus7()
+    return TriMesh(np.vstack([mesh.vertices, torus.vertices + 100.0]),
+                   np.vstack([mesh.cells, torus.cells + mesh.num_vertices]))
+
+
+ROUGH_GRID = grid_mesh(12, 12, height=np.random.default_rng(1).normal(0.0, 0.8, (12, 12)))
+
+
+@pytest.mark.parametrize("case", ["open grid and torus", "non-manifold edge", "closed sphere"])
+def test_decimate_matches_edge_by_edge_rounds(case):
+    mesh = {"open grid and torus": _with_torus(ROUGH_GRID),
+            "non-manifold edge": _with_fin(grid_mesh(12, 12, seed=4)),
+            "closed sphere": sphere_mesh(12, 16)}[case]
+    coarse, _ = geo.decimate(mesh, 100)
+    vertices, cells, stats = reference_decimate(mesh, 100)
+    assert np.array_equal(coarse.cells, cells)
+    assert coarse.vertices.tobytes() == vertices.tobytes()
+    assert 98 <= coarse.num_cells <= 100
+    if case == "open grid and torus":
+        # both checks reject edges, and a flip-rejected edge is collapsed
+        # after one of its endpoints survived another collapse
+        assert stats["link"] > 0 and stats["flip"] > 0 and stats["readmitted"] > 0
+
+
+def test_decimate_raises_when_every_collapse_fails():
+    torus = torus7()
+    mesh = TriMesh(np.vstack([torus.vertices + 10.0 * i for i in range(8)]),
+                   np.vstack([torus.cells + 7 * i for i in range(8)]))
+    with pytest.raises(DecimationError, match="no valid collapses left at 112 cells"):
+        geo.decimate(mesh, 100)
 
 
 def test_decimate_sphere_keeps_area():

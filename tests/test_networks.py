@@ -366,3 +366,20 @@ def test_training_step_backward_frees_the_graph_as_it_goes():
         tracemalloc.stop()
     assert peak <= live + param_bytes
     assert all(p.grad is not None for p in net.parameters())
+
+
+def test_input_features_get_no_gradient():
+    # the first layer of each net and a bare EdgeConv skip the gradient of
+    # an input tensor that neither requires one nor comes from an op
+    feats, g6, g12, _ = _features_and_graphs(n=20, seed=40)
+    seg, heat = nets.ToothSegNet(seed=41), nets.PointHeatmapNet(seed=42, out_channels=2)
+    edge = _random_edge_conv(np.random.default_rng(43), 15, 6)
+    for run, params in ((lambda x: seg(x, g6, g12, training=True), seg.parameters()),
+                        (lambda x: heat(x, training=True), heat.parameters()),
+                        (lambda x: edge(x, g6.neighbors, True),
+                         [edge.weight, edge.bias, edge.bn.gamma, edge.bn.beta])):
+        x = Tensor(feats)
+        out = run(x)
+        ad.backward(ad.reduce_sum(out * np.cos(np.arange(out.data.size)).reshape(out.shape)))
+        assert x.grad is None
+        assert all(p.grad is not None for p in params)
