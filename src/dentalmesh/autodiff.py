@@ -13,6 +13,11 @@ activations for the backward. Gradient tracking can be switched off with
 no_grad() for inference; a no-grad conv_bn_relu then works in its one
 output buffer and keeps nothing.
 
+Batch norm has one path: both fused ops normalize each channel by the
+statistics of the cloud they are given, with or without a recorded graph.
+There are no running buffers, and nothing differs between training and
+inference but whether the graph is recorded.
+
 The optimizer is AMSGrad: Adam moments plus a running elementwise maximum
 of the second moment in the denominator, updated in place.
 """
@@ -27,9 +32,7 @@ import numpy as np
 from .errors import NonFiniteGradientError, ShapeError
 
 _MAX_RANK = 3
-# running-buffer momentum and variance floor of conv_bn_relu and edge_conv
-BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
+BN_EPS = 1e-5  # variance floor of conv_bn_relu and edge_conv
 _state = threading.local()
 
 
@@ -354,19 +357,6 @@ def global_max_pool(x) -> Tensor:
     return _make(data, (x,), grad_fn)
 
 
-def broadcast_tile(x, rows: int) -> Tensor:
-    """Tile a (1, C) tensor to (rows, C)."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[0] != 1:
-        raise ShapeError(f"broadcast_tile needs (1, C), got {x.data.shape}")
-    data = np.repeat(x.data, rows, axis=0)
-
-    def grad_fn(g):
-        _accumulate(x, g.sum(axis=0, keepdims=True))
-
-    return _make(data, (x,), grad_fn)
-
-
 def reduce_sum(x, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     data = x.data.sum(axis=axis)
@@ -386,60 +376,31 @@ def reduce_mean(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # batch normalization
 
-class BatchNormState:
-    """Running statistics buffer for one batch-norm layer."""
+def conv_bn_relu(x, weight: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """relu(bn(x @ weight)), a pointwise conv block, as one op.
 
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels, dtype=np.float64)
-        self.var = np.ones(channels, dtype=np.float64)
-        self.steps = 0
+    Batch norm is per column over the rows: it subtracts the column's mean
+    and divides by its biased standard deviation, both taken over the x it
+    is given, on every call. It therefore cancels any term that is the same
+    for every row, such as a conv bias, which is why the conv has none.
 
-
-def conv_bn_relu(
-    x,
-    weight: Tensor,
-    bias: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    training: bool,
-) -> Tensor:
-    """relu(bn(x @ weight + bias)), a pointwise conv block, as one op.
-
-    Batch norm is per column over the rows. Training mode normalizes by
-    batch statistics and folds them into the running buffers (momentum
-    BN_MOMENTUM, unbiased variance in the buffer, biased in the
-    normalization, matching common framework semantics). Inference mode
-    uses the frozen buffers only. The mode flag is explicit; nothing
-    switches implicitly.
-
-    The matmul writes one fresh buffer; bias and normalization run in
-    place on it, leaving x_hat, the only array the backward keeps besides
-    the output, from which it reads the ReLU mask. With no gradient tracked
-    the affine step and ReLU run in place too, so x_hat and the output are
-    the one buffer and nothing is kept. The arithmetic is the unfused
-    composition's, operation for operation.
+    The matmul writes one fresh buffer; centring, the variance and the
+    normalization run in place on it, leaving x_hat, the only array the
+    backward keeps besides the output, from which it reads the ReLU mask.
+    With no gradient tracked the affine step and ReLU run in place too, so
+    x_hat and the output are the one buffer and nothing is kept. The
+    arithmetic is the unfused composition's, operation for operation.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise ShapeError(f"conv_bn_relu of x {x.data.shape} with weight {weight.data.shape}")
-    n = x.data.shape[0]
-    if training and n < 2:
-        raise ShapeError("conv_bn_relu training mode needs at least 2 rows")
-    parents = (x, weight, bias, gamma, beta)
+    if x.data.shape[0] < 2:
+        raise ShapeError("conv_bn_relu needs at least 2 rows")
+    parents = (x, weight, gamma, beta)
     x_hat = x.data @ weight.data
-    x_hat += bias.data
-    if training:
-        mu = x_hat.mean(axis=0)
-        var = x_hat.var(axis=0)
-        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
-        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var * n / (n - 1)
-        state.steps += 1
-    else:
-        mu = state.mean
-        var = state.var
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat -= mu
+    x_hat -= x_hat.mean(axis=0)
+    # the biased variance as np.var forms it, without its (N, C) temporary
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->j", x_hat, x_hat) / x_hat.shape[0] + BN_EPS)
     x_hat *= inv
     data = np.multiply(x_hat, gamma.data, out=None if _tracked(parents) else x_hat)
     data += beta.data
@@ -450,18 +411,16 @@ def conv_bn_relu(
         _accumulate(gamma, np.sum(h * x_hat, axis=0))
         _accumulate(beta, np.sum(h, axis=0))
         h *= gamma.data
-        if training:
-            # dx = inv * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)),
-            # built in h; x_hat is spent, since the graph runs backward once
-            mean_gx = np.mean(h * x_hat, axis=0)
-            h -= h.mean(axis=0)
-            np.multiply(x_hat, mean_gx, out=x_hat)
-            h -= x_hat
+        # dx = inv * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)),
+        # built in h; x_hat is spent, since the graph runs backward once
+        mean_gx = np.mean(h * x_hat, axis=0)
+        h -= h.mean(axis=0)
+        np.multiply(x_hat, mean_gx, out=x_hat)
+        h -= x_hat
         h *= inv
         if _needs_grad(x):  # a network's input features need none
             _accumulate(x, h @ weight.data.T)
         _accumulate(weight, x.data.T @ h)
-        _accumulate(bias, h.sum(axis=0))
 
     return _make(data, parents, grad_fn)
 
@@ -469,34 +428,26 @@ def conv_bn_relu(
 # ---------------------------------------------------------------------------
 # fused EdgeConv
 
-def edge_conv(
-    x,
-    weight: Tensor,
-    bias: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    neighbors: np.ndarray,
-    training: bool,
-) -> Tensor:
+def edge_conv(x, weight: Tensor, gamma: Tensor, beta: Tensor,
+              neighbors: np.ndarray) -> Tensor:
     """EdgeConv, batch norm over its edges, ReLU and the max over each
     cell's neighbors, as one op: out_i = max_j relu(bn(a_i - p_j)).
 
     weight rows 0..C_in-1 act on the (center - neighbor) difference, the
-    rest on the center, so with p = x W[:C_in] and a = p + x W[C_in:] + bias
-    the edge i -> j carries a_i - p_j. Batch norm is affine per channel and
+    rest on the center, so with p = x W[:C_in] and a = p + x W[C_in:] the
+    edge i -> j carries a_i - p_j. Batch norm is affine per channel and
     ReLU monotone, so the max is attained at the neighbor with the least
     sign(gamma) * p_j: the least p_j where gamma > 0, the greatest where
     gamma < 0, slot 0 where gamma == 0. Ties go to the lowest slot, which is
     where a lowest-index argmax over the edges would send the gradient.
 
-    Training-mode statistics cover all N*k edges, with the running buffers
-    updated as conv_bn_relu does. They come from per-cell sums of the centred
-    u = a - mean(a) and v = p - mean(p): the count cnt_j of edges into j and
-    Sv_i, the sum of v over the neighbors of i. The backward adds the
-    reverse-neighbor sum of u and one scatter of the selected edges'
-    gradient. Every array is (N, C): no edge-sized tensor is formed. The
-    backward reads the ReLU mask from the output.
+    The statistics cover all N*k edges of this x on every call, so a conv
+    bias would cancel and the conv has none. They come from per-cell sums
+    of the centred u = a - mean(a) and v = p - mean(p): the count cnt_j of
+    edges into j and Sv_i, the sum of v over the neighbors of i. The
+    backward adds the reverse-neighbor sum of u and one scatter of the
+    selected edges' gradient. Every array is (N, C): no edge-sized tensor is
+    formed. The backward reads the ReLU mask from the output.
     """
     x = _as_tensor(x)
     nbrs = np.asarray(neighbors, dtype=np.int64)
@@ -508,34 +459,26 @@ def edge_conv(
         )
     n, k = nbrs.shape
     m = n * k
+    if m < 2:
+        raise ShapeError("edge_conv needs at least 2 edges")
     w_diff, w_center = weight.data[:cin], weight.data[cin:]
     p = x.data @ w_diff
-    a = p + x.data @ w_center + bias.data
+    a = p + x.data @ w_center
     cells = _select_neighbors(p, nbrs, np.sign(gamma.data))
     p_sel = p[cells, np.arange(p.shape[1])]
-    if training:
-        if m < 2:
-            raise ShapeError("edge_conv training mode needs at least 2 edges")
-        cnt = np.bincount(nbrs.ravel(), minlength=n).astype(np.float64)[:, None]
-        a_mean, p_mean = a.mean(axis=0), p.mean(axis=0)
-        u, v = a - a_mean, p - p_mean
-        sv = _neighbor_sum(v, nbrs)
-        d_mean = (k * u.sum(axis=0) - np.sum(cnt * v, axis=0)) / m
-        sq_sum = (k * np.sum(u * u, axis=0) - 2.0 * np.sum(u * sv, axis=0)
-                  + np.sum(cnt * v * v, axis=0))
-        mu = a_mean - p_mean + d_mean
-        var = sq_sum / m - d_mean * d_mean
-        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
-        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var * m / (m - 1)
-        state.steps += 1
-    else:
-        mu = state.mean
-        var = state.var
-    inv = 1.0 / np.sqrt(var + BN_EPS)
+    cnt = np.bincount(nbrs.ravel(), minlength=n).astype(np.float64)[:, None]
+    a_mean, p_mean = a.mean(axis=0), p.mean(axis=0)
+    u, v = a - a_mean, p - p_mean
+    sv = _neighbor_sum(v, nbrs)
+    d_mean = (k * u.sum(axis=0) - np.sum(cnt * v, axis=0)) / m
+    sq_sum = (k * np.sum(u * u, axis=0) - 2.0 * np.sum(u * sv, axis=0)
+              + np.sum(cnt * v * v, axis=0))
+    mu = a_mean - p_mean + d_mean
+    inv = 1.0 / np.sqrt(sq_sum / m - d_mean * d_mean + BN_EPS)
     x_hat = a - p_sel
     x_hat -= mu
     x_hat *= inv
-    parents = (x, weight, bias, gamma, beta)
+    parents = (x, weight, gamma, beta)
     data = np.multiply(x_hat, gamma.data, out=None if _tracked(parents) else x_hat)
     data += beta.data
     np.maximum(data, 0.0, out=data)
@@ -545,21 +488,17 @@ def edge_conv(
         _accumulate(gamma, np.sum(h * x_hat, axis=0))
         _accumulate(beta, np.sum(h, axis=0))
         g_edge = h * gamma.data * inv
-        da = g_edge
-        dp = -_scatter_columns(g_edge, cells)
-        if training:
-            mean_g = np.sum(g_edge, axis=0) / m
-            mean_gx = np.sum(g_edge * x_hat, axis=0) / m
-            # sums of x_hat over the edges out of each cell and into each cell
-            out_hat = (k * (u - d_mean) - sv) * inv
-            in_hat = (_reverse_neighbor_sum(u, nbrs) - cnt * (v + d_mean)) * inv
-            da = da - k * mean_g - mean_gx * out_hat
-            dp += cnt * mean_g + mean_gx * in_hat
+        mean_g = np.sum(g_edge, axis=0) / m
+        mean_gx = np.sum(g_edge * x_hat, axis=0) / m
+        # sums of x_hat over the edges out of each cell and into each cell
+        out_hat = (k * (u - d_mean) - sv) * inv
+        in_hat = (_reverse_neighbor_sum(u, nbrs) - cnt * (v + d_mean)) * inv
+        da = g_edge - k * mean_g - mean_gx * out_hat
+        dp = cnt * mean_g + mean_gx * in_hat - _scatter_columns(g_edge, cells)
         dp += da
         if _needs_grad(x):
             _accumulate(x, dp @ w_diff.T + da @ w_center.T)
         _accumulate(weight, np.vstack([x.data.T @ dp, x.data.T @ da]))
-        _accumulate(bias, np.sum(da, axis=0))
 
     return _make(data, parents, grad_fn)
 

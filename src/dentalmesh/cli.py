@@ -12,7 +12,8 @@ Exit codes:
      each named in the message; also a missed evaluation threshold;
   2  data errors: unreadable meshes, schema violations (including an
      `infer --probs` matrix that is not (cells, 15), finite and
-     non-negative), missing or incompatible checkpoints;
+     non-negative), missing or incompatible checkpoints, including one
+     written by an earlier version of a net, which must be retrained;
   3  training divergence; the diverged net's last good state is saved as
      checkpoints/<name>_lastgood.ckpt first.
 
@@ -65,6 +66,7 @@ from .mesh_io import (
     save_mesh,
 )
 from .networks import (
+    ARCH_VERSION,
     NUM_CLASSES,
     PointHeatmapNet,
     ToothSegNet,
@@ -170,12 +172,11 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
                          knn: tuple[int, int] | None = None):
     """The net saved at path, checked before any compute runs on it.
 
-    It must be a `family` net with out_channels outputs, and a segmentation
-    net must end in a softmax. A checkpoint that records the (k_small,
-    k_large) it was trained with must match knn; older ones without the
-    keys are taken as they are. A net trained on graphs rebuilt in feature
-    space, which no longer exist, is refused. Anything else is a
-    CheckpointError.
+    It must be a `family` net of the current ARCH_VERSION with out_channels
+    outputs, and a segmentation net must end in a softmax and have been
+    trained with the (k_small, k_large) of knn. A net of an earlier version
+    cannot load: v1 nets kept batch-norm running buffers and the layers
+    that batch norm cancels. Anything else is a CheckpointError.
     """
     if not Path(path).exists():
         raise CheckpointError(
@@ -183,28 +184,33 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
             f"command first)"
         )
     arch, arrays, meta = load_checkpoint(path)
-    if not arch.startswith(family + "/"):
+    name = arch.split(" ", 1)[0]
+    if not name.startswith(family + "/"):
         raise CheckpointError(f"{path}: {stage} needs a {family}, found {arch!r}")
-    if meta.get("adjacency") == "dynamic" or "adjacency=dynamic" in arch:
+    if name != f"{family}/{ARCH_VERSION}":
         raise CheckpointError(
-            f"{path}: trained with dynamic kNN graphs, which are no longer "
-            f"supported; retrain it"
+            f"{path}: {name} is an earlier version of the network than "
+            f"{family}/{ARCH_VERSION} and cannot be loaded; retrain it"
         )
-    head = meta.get("head", "softmax")
-    if family == SEG_ARCH and head != "softmax":
-        raise CheckpointError(f"{path}: {stage} needs a softmax head, found {head!r}")
-    width = int(meta.get("out_channels", NUM_CLASSES if family == SEG_ARCH else 1))
-    if width != out_channels:
-        raise CheckpointError(
-            f"{path}: {width} output channels, {stage} needs {out_channels}"
-        )
-    if knn is not None and "k_small" in meta:
-        trained = (int(meta["k_small"]), int(meta["k_large"]))
-        if trained != knn:
+    try:
+        if family == SEG_ARCH and meta["head"] != "softmax":
             raise CheckpointError(
-                f"{path}: trained with k_small={trained[0]}, k_large={trained[1]}; "
-                f"this run uses k_small={knn[0]}, k_large={knn[1]}"
+                f"{path}: {stage} needs a softmax head, found {meta['head']!r}"
             )
+        width = int(meta["out_channels"])
+        if width != out_channels:
+            raise CheckpointError(
+                f"{path}: {width} output channels, {stage} needs {out_channels}"
+            )
+        if knn is not None:
+            trained = (int(meta["k_small"]), int(meta["k_large"]))
+            if trained != knn:
+                raise CheckpointError(
+                    f"{path}: trained with k_small={trained[0]}, k_large={trained[1]}; "
+                    f"this run uses k_small={knn[0]}, k_large={knn[1]}"
+                )
+    except KeyError as err:
+        raise CheckpointError(f"{path}: checkpoint meta has no {err} entry") from err
     if family == SEG_ARCH:
         net = ToothSegNet(seed=0, out_channels=width)
     else:
@@ -343,7 +349,7 @@ def _train_heatmap_net(config: RunConfig, run: Path, net, samples, val_samples,
 
 
 def _train_stage2(config: RunConfig, run: Path, scans: list, train_idx, val_idx,
-                  graph_trunk: bool = False, tag: str = "lmk"):
+                  graph_net: bool = False, tag: str = "lmk"):
     """One regressor per landmark-bearing position type.
 
     scans holds (full-resolution mesh, Annotation) pairs. Yields
@@ -356,7 +362,7 @@ def _train_stage2(config: RunConfig, run: Path, scans: list, train_idx, val_idx,
             log.warning("no training ROIs for position type %d; skipping its net", t)
             continue
         out_channels = len(lm.landmark_names(t))
-        if graph_trunk:
+        if graph_net:
             net = make_graph_heatmap_net(config.seed + 100 + t, out_channels)
         else:
             net = PointHeatmapNet(seed=config.seed + 100 + t,
@@ -660,7 +666,7 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 
 def cmd_ablate(args, config: RunConfig) -> int:
-    """Landmark strategy comparison: one vs two stages, point vs graph trunk."""
+    """Landmark strategy comparison: one vs two stages, point vs graph net."""
     run = _ensure_run_dir(config)
     scans = [_load_preprocessed(m, a, config.target_cells)
              for m, a in _discover_scans(config.data_dir)]
@@ -714,10 +720,10 @@ def cmd_ablate(args, config: RunConfig) -> int:
                                       k_large=config.k_large).fine_labels
 
     fine = [(scan.fine, ann) for scan, ann in scans]
-    for name, graph_trunk in (("two-stage-pointnet", False),
+    for name, graph_net in (("two-stage-pointnet", False),
                               ("two-stage-graphnet", True)):
         nets = {t: net for t, net, _ in _train_stage2(
-            config, run, fine, train_idx, val_idx, graph_trunk=graph_trunk,
+            config, run, fine, train_idx, val_idx, graph_net=graph_net,
             tag=name)}
         add_row(name, [
             (locate_landmarks(nets, scans[i][0].fine, fine_labels[i],

@@ -4,78 +4,80 @@ ToothSegNet is the stage-1 graph segmentation network: a shared MLP lifts
 the 15 per-cell features to 64 channels, a learned 64x64 feature transform
 canonicalizes them, then two graph-pooling stages (EdgeConv over kNN
 graphs, k=6 and a parallel k=6/k=12 pair at 512 channels) feed a dense
-fusion of local, transformed, and globally pooled features into the
-per-cell classification head. All pointwise convs carry batch norm and
-ReLU except the final one.
+fusion of local, transformed and graph-pooled features into the per-cell
+classification head. All pointwise convs carry batch norm and ReLU except
+the final one.
+
+Batch norm normalizes every cloud (one scan, or one tooth ROI) by its own
+statistics, in training and inference alike, and keeps no running
+buffers. It subtracts whatever is the same for every cell of the cloud, so
+the nets hold nothing of that kind: no conv in front of a batch norm has a
+bias, and neither net tiles a globally pooled row back onto the cells as
+MeshSegNet and PointNet do, since the next batch norm would cancel it.
+Only the two output convs and the dense layers of the feature transform
+keep a bias. A forward's `training` flag means "record the graph for
+backward"; with it off the forward runs under no_grad and computes the
+same values.
 
 Each ConvBlock (pointwise conv, batch norm, ReLU) is one fused op, like
 each EdgeConv: autodiff.conv_bn_relu works in the conv's output buffer
 and keeps only the normalized activations for the backward. BatchNorm
-only holds a layer's scale, shift and running buffers.
+only holds a layer's scale and shift.
 
 Each EdgeConv is one fused op: conv, batch norm over the edges, ReLU and
 the max over a cell's neighbors. Because BN is affine per channel and ReLU
 monotone, the max is the response to a single neighbor per channel (the
 least or greatest neighbor term by the sign of the BN scale, the lowest
-slot on ties), so no (N*k, C) edge tensor is built in training or in
-inference.
+slot on ties), so no (N*k, C) edge tensor is built.
 
-PointHeatmapNet is the stage-2 regressor: a PointNet-style segmentation
-trunk over the same 15 features with a sigmoid head, one output column per
-landmark heatmap. GraphHeatmapNet reuses the ToothSegNet trunk with the
+PointHeatmapNet is the stage-2 regressor: a PointNet-style pointwise net
+over the same 15 features with a sigmoid head, one output column per
+landmark heatmap. GraphHeatmapNet reuses the ToothSegNet layers with the
 sigmoid head for the architecture comparison.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from . import autodiff as ad
 from . import geometry
-from .autodiff import BatchNormState, Parameter, Tensor
+from .autodiff import Parameter, Tensor
 from .errors import CheckpointError, ShapeError
 
 NUM_CLASSES = 15  # gingiva + 14 teeth
 GDL_SMOOTH = 1e-5
+ARCH_VERSION = "v2"  # of both nets' arch tags; v1 nets carried running buffers
 
 
 # ---------------------------------------------------------------------------
 # module plumbing
 
 class Module:
-    """Base with recursive parameter/buffer discovery in insertion order."""
+    """Base with recursive parameter discovery in insertion order."""
 
-    def _named(self, kind: type, prefix: str = "") -> list:
-        """(dotted path, value) of every `kind` attribute, depth first."""
+    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
+        """(dotted path, parameter) of every parameter, depth first."""
         out = []
         for attr, value in vars(self).items():
             path = f"{prefix}{attr}"
-            if isinstance(value, kind):
+            if isinstance(value, Parameter):
                 out.append((path, value))
             elif isinstance(value, Module):
-                out.extend(value._named(kind, f"{path}."))
+                out.extend(value.named_parameters(f"{path}."))
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        out.extend(item._named(kind, f"{path}.{i}."))
+                        out.extend(item.named_parameters(f"{path}.{i}."))
         return out
-
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        return self._named(Parameter)
-
-    def named_buffers(self) -> list[tuple[str, BatchNormState]]:
-        return self._named(BatchNormState)
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: p.data for name, p in self.named_parameters()}
-        for name, state in self.named_buffers():
-            out[f"{name}.running_mean"] = state.mean
-            out[f"{name}.running_var"] = state.var
-            out[f"{name}.steps"] = np.array([float(state.steps)])
-        return out
+        return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         expected = self.state_arrays()
@@ -92,10 +94,6 @@ class Module:
                     f"!= model shape {p.data.shape}"
                 )
             p.data = arrays[name].astype(np.float64).copy()
-        for name, state in self.named_buffers():
-            state.mean = arrays[f"{name}.running_mean"].reshape(state.mean.shape).copy()
-            state.var = arrays[f"{name}.running_var"].reshape(state.var.shape).copy()
-            state.steps = int(arrays[f"{name}.steps"][0])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -103,8 +101,14 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _recording(training: bool):
+    """The context of a net's forward: a graph is recorded only in training."""
+    return nullcontext() if training else ad.no_grad()
+
+
 class Conv1x1(Module):
-    """Shared pointwise linear layer: every cell through the same weights."""
+    """Shared pointwise linear layer with a bias: an output head, the one
+    pointwise conv that no batch norm follows."""
 
     def __init__(self, rng, cin: int, cout: int, name: str = "conv"):
         self.weight = Parameter(_glorot(rng, cin, cout), f"{name}.weight")
@@ -115,26 +119,24 @@ class Conv1x1(Module):
 
 
 class BatchNorm(Module):
-    """Scale, shift and running buffers of one batch norm; the fused op
-    that owns it (conv_bn_relu or edge_conv) applies it."""
+    """Scale and shift of one batch norm; the fused op that owns it
+    (conv_bn_relu or edge_conv) applies it."""
 
     def __init__(self, channels: int, name: str = "bn"):
         self.gamma = Parameter(np.ones(channels), f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels), f"{name}.beta")
-        self.state = BatchNormState(channels)
 
 
 class ConvBlock(Module):
-    """Pointwise conv + batch norm + ReLU, one fused op (autodiff.conv_bn_relu)."""
+    """Pointwise conv (no bias) + batch norm + ReLU, one fused op
+    (autodiff.conv_bn_relu)."""
 
     def __init__(self, rng, cin: int, cout: int, name: str = "block"):
-        self.conv = Conv1x1(rng, cin, cout, name)
+        self.weight = Parameter(_glorot(rng, cin, cout), f"{name}.weight")
         self.bn = BatchNorm(cout, name)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        conv, bn = self.conv, self.bn
-        return ad.conv_bn_relu(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.state,
-                               training)
+    def __call__(self, x: Tensor) -> Tensor:
+        return ad.conv_bn_relu(x, self.weight, self.bn.gamma, self.bn.beta)
 
 
 class Dense(Module):
@@ -156,27 +158,24 @@ class EdgeConv(Module):
     then a per-cell max over the neighbor list, as one fused op.
 
     The conv is evaluated at cell level (a linear map distributes over the
-    subtraction): p = x W_diff and a = p + x W_center + bias, so the edge to
+    subtraction): p = x W_diff and a = p + x W_center, so the edge to
     neighbor j carries a_i - p_j. BN is affine per channel and ReLU
     monotone, so the max over the neighbors is the response to the one
     neighbor with the least p_j where gamma > 0, the greatest where
     gamma < 0, and slot 0 where gamma == 0, ties going to the lowest slot.
-    Training-mode BN statistics over all N*k edges come from per-cell sums.
-    Training and inference share this path, and neither forms an (N*k, C)
-    edge tensor (see autodiff.edge_conv).
+    BN statistics over all N*k edges come from per-cell sums, and no
+    (N*k, C) edge tensor is formed (see autodiff.edge_conv). The conv has
+    no bias, since BN over the edges would cancel it.
     """
 
     def __init__(self, rng, cin: int, cout: int, name: str = "edgeconv"):
         # rows 0..cin-1 act on the difference, rows cin..2cin-1 on the center
         self.weight = Parameter(_glorot(rng, 2 * cin, cout), f"{name}.weight")
-        self.bias = Parameter(np.zeros(cout), f"{name}.bias")
         self.bn = BatchNorm(cout, name)
 
-    def __call__(self, x: Tensor, graph, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, graph) -> Tensor:
         nbrs = getattr(graph, "neighbors", graph)
-        bn = self.bn
-        return ad.edge_conv(x, self.weight, self.bias, bn.gamma, bn.beta, bn.state,
-                            nbrs, training)
+        return ad.edge_conv(x, self.weight, self.bn.gamma, self.bn.beta, nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,8 @@ class FeatureTransform(Module):
         self.out.weight.data[:] = 0.0
         self.out.bias.data = np.eye(channels, dtype=np.float64).reshape(-1)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        h = self.conv3(self.conv2(self.conv1(x, training), training), training)
+    def __call__(self, x: Tensor) -> Tensor:
+        h = self.conv3(self.conv2(self.conv1(x)))
         g = ad.global_max_pool(h)
         t = self.out(self.fc2(self.fc1(g)))
         return ad.reshape(t, (self.channels, self.channels))
@@ -217,7 +216,10 @@ class ToothSegNet(Module):
     (k_small and k_large, 6 and 12 by default) and returns (N, out_channels).
     With the softmax head the rows are probability distributions over
     gingiva + 14 teeth. The graphs are fixed for a scan: both come from the
-    cell barycenters, not from the features.
+    cell barycenters, not from the features. mlp3 fuses the transformed
+    features with both graph-pooling stages' outputs (64 + 64 + 512
+    channels); MeshSegNet's tiled global max pool of glm2 is left out,
+    because mlp3's batch norm cancels it.
     """
 
     uses_graphs = True
@@ -239,13 +241,13 @@ class ToothSegNet(Module):
         self.glm2_k6 = EdgeConv(rng, 512, 512, name="glm2.k6")
         self.glm2_k12 = EdgeConv(rng, 512, 512, name="glm2.k12")
         self.glm2_fuse = ConvBlock(rng, 1024, 512, "glm2.fuse")
-        self.mlp3 = [ConvBlock(rng, 1152, 256, "mlp3.0"),
+        self.mlp3 = [ConvBlock(rng, 640, 256, "mlp3.0"),
                      ConvBlock(rng, 256, 128, "mlp3.1")]
         self.head_conv = Conv1x1(rng, 128, out_channels, "head")
 
     def arch_tag(self) -> str:
-        return (f"tooth-seg-net/v1 in={geometry.FEATURE_DIM} out={self.out_channels} "
-                f"head={self.head}")
+        return (f"tooth-seg-net/{ARCH_VERSION} in={geometry.FEATURE_DIM} "
+                f"out={self.out_channels} head={self.head}")
 
     def forward(self, features: Tensor, graph6, graph12,
                 training: bool = False) -> Tensor:
@@ -256,36 +258,36 @@ class ToothSegNet(Module):
                 raise ShapeError(
                     f"k={graph.k} graph has {graph.num_cells} rows for {n} feature rows"
                 )
-        for block in self.mlp1:
-            x = block(x, training)
-        transform = self.ftm(x, training)
-        x = ad.matmul(x, transform)
-        g1 = self.glm1(x, graph6, training)
-        h = g1
-        for block in self.mlp2:
-            h = block(h, training)
-        e6 = self.glm2_k6(h, graph6, training)
-        e12 = self.glm2_k12(h, graph12, training)
-        g2 = self.glm2_fuse(ad.concat([e6, e12], axis=1), training)
-        pooled = ad.broadcast_tile(ad.global_max_pool(g2), n)
-        fused = ad.concat([x, g1, g2, pooled], axis=1)
-        for block in self.mlp3:
-            fused = block(fused, training)
-        logits = self.head_conv(fused)
-        if self.head == "softmax":
-            return ad.softmax_rows(logits)
-        return ad.sigmoid(logits)
+        with _recording(training):
+            for block in self.mlp1:
+                x = block(x)
+            x = ad.matmul(x, self.ftm(x))
+            g1 = self.glm1(x, graph6)
+            h = g1
+            for block in self.mlp2:
+                h = block(h)
+            e6 = self.glm2_k6(h, graph6)
+            e12 = self.glm2_k12(h, graph12)
+            g2 = self.glm2_fuse(ad.concat([e6, e12], axis=1))
+            fused = ad.concat([x, g1, g2], axis=1)
+            for block in self.mlp3:
+                fused = block(fused)
+            logits = self.head_conv(fused)
+            if self.head == "softmax":
+                return ad.softmax_rows(logits)
+            return ad.sigmoid(logits)
 
     __call__ = forward
 
 
 class PointHeatmapNet(Module):
-    """Stage-2 heatmap regressor: pointwise trunk, global context, sigmoid.
+    """Stage-2 heatmap regressor: pointwise convs and a sigmoid head.
 
-    Local convs (64, 64), trunk convs (64, 128, 1024), global max pool
-    tiled back and concatenated with the 64-channel local features, head
-    convs (512, 256, 128) and a final conv with sigmoid, one column per
-    landmark of the tooth the model serves.
+    Local convs (64, 64), head convs (512, 256, 128) and a final conv with
+    sigmoid, one column per landmark of the tooth the model serves.
+    PointNet's global branch (convs to 1,024 channels, max pool, tiled
+    back onto the cells) is left out, because head.0's batch norm cancels
+    it.
     """
 
     uses_graphs = False
@@ -295,36 +297,27 @@ class PointHeatmapNet(Module):
         self.out_channels = out_channels
         self.local = [ConvBlock(rng, geometry.FEATURE_DIM, 64, "local.0"),
                       ConvBlock(rng, 64, 64, "local.1")]
-        self.trunk = [ConvBlock(rng, 64, 64, "trunk.0"),
-                      ConvBlock(rng, 64, 128, "trunk.1"),
-                      ConvBlock(rng, 128, 1024, "trunk.2")]
-        self.headc = [ConvBlock(rng, 1088, 512, "head.0"),
+        self.headc = [ConvBlock(rng, 64, 512, "head.0"),
                       ConvBlock(rng, 512, 256, "head.1"),
                       ConvBlock(rng, 256, 128, "head.2")]
         self.out = Conv1x1(rng, 128, out_channels, "out")
 
     def arch_tag(self) -> str:
-        return f"point-heatmap-net/v1 in={geometry.FEATURE_DIM} out={self.out_channels}"
+        return (f"point-heatmap-net/{ARCH_VERSION} in={geometry.FEATURE_DIM} "
+                f"out={self.out_channels}")
 
     def forward(self, features: Tensor, training: bool = False) -> Tensor:
-        x = features if isinstance(features, Tensor) else Tensor(features)
-        n = x.data.shape[0]
-        for block in self.local:
-            x = block(x, training)
-        h = x
-        for block in self.trunk:
-            h = block(h, training)
-        pooled = ad.broadcast_tile(ad.global_max_pool(h), n)
-        h = ad.concat([x, pooled], axis=1)
-        for block in self.headc:
-            h = block(h, training)
-        return ad.sigmoid(self.out(h))
+        h = features if isinstance(features, Tensor) else Tensor(features)
+        with _recording(training):
+            for block in self.local + self.headc:
+                h = block(h)
+            return ad.sigmoid(self.out(h))
 
     __call__ = forward
 
 
 def make_graph_heatmap_net(seed: int, out_channels: int) -> ToothSegNet:
-    """Segmentation trunk with a sigmoid heatmap head (architecture ablation)."""
+    """ToothSegNet with a sigmoid heatmap head (architecture ablation)."""
     return ToothSegNet(seed=seed, out_channels=out_channels, head="sigmoid")
 
 

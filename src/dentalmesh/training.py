@@ -7,6 +7,12 @@ train_heatmap bind only what differs, the per-step loss and the validation
 score. Every random draw comes from a single seeded generator, so a config
 plus a seed reproduces the loss curve bit for bit.
 
+A net's forward takes `training` to mean "record the graph for
+backward": a training step passes True, and scoring (validation, inference)
+passes False, which runs the same arithmetic under no_grad. Batch norm
+normalizes each cloud by its own statistics either way, so the nets carry
+no running buffers and their whole state is their parameters.
+
 A non-finite loss or gradient aborts the run; the raised error carries the
 parameter state captured at the end of the last completed epoch so callers
 can checkpoint what was still healthy.
@@ -96,7 +102,7 @@ def _heatmap_target(tooth_id: int | None, barycenters: np.ndarray,
 
 def _forward(net, features: np.ndarray, points: np.ndarray,
              k_small: int, k_large: int, training: bool):
-    """Dispatch on trunk type: graph trunks need the two kNN graphs.
+    """Dispatch on net type: graph nets need the two kNN graphs.
 
     One graph is built at the larger k; the other is its first columns.
     """
@@ -112,9 +118,8 @@ def network_output(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
                    k_large: int = RunConfig.k_large) -> np.ndarray:
     """Per-cell output of a frozen network on one whole mesh."""
     feats = extract_features(mesh)
-    with ad.no_grad():
-        out = _forward(net, feats.matrix, mesh.cell_barycenters, k_small, k_large,
-                       training=False)
+    out = _forward(net, feats.matrix, mesh.cell_barycenters, k_small, k_large,
+                   training=False)
     return out.data
 
 
@@ -140,7 +145,7 @@ def _train(net, samples: list, step_loss, val_score, larger_is_better: bool, *,
 
     Each step draws one of the sample's augmented variants (index 0 is the
     untransformed sample), recomputes features on the transformed geometry,
-    subsamples cells and runs the training-mode forward on the subset;
+    subsamples cells and runs the graph-recording forward on the subset;
     step_loss(out, sample, idx, mesh, aug) turns that output into the loss,
     with aug None for the untransformed variant. Every val_every epochs
     val_score(val_samples) scores the net; patience > 0 stops training after

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
 
 from dentalmesh import autodiff as ad
+from dentalmesh import networks as nets
 from dentalmesh.autodiff import Tensor, _accumulate, _as_tensor, _make
 from dentalmesh.errors import ShapeError
 from dentalmesh.mesh_io import TriMesh
@@ -210,20 +212,22 @@ def max_over_axis(x, axis: int) -> Tensor:
     return _make(data, (x,), grad_fn)
 
 
-def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, training: bool) -> Tensor:
+def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, bias=None) -> Tensor:
     """EdgeConv edge by edge: gather the (N*k, C) edge tensor, batch-norm
-    it, ReLU, then max over each cell's k edges."""
+    it, ReLU, then max over each cell's k edges; bias, if given, is added
+    to every edge before the batch norm."""
     cin = conv.weight.data.shape[0] // 2
     idx = np.arange(2 * cin)
     w_diff = gather_rows(conv.weight, idx[:cin])
     w_center = gather_rows(conv.weight, idx[cin:])
     p = ad.matmul(x, w_diff)
-    a = ad.add(ad.add(p, ad.matmul(x, w_center)), conv.bias)
+    a = ad.add(p, ad.matmul(x, w_center))
+    if bias is not None:
+        a = ad.add(a, bias)
     n, k = nbrs.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edge = ad.sub(gather_rows(a, src), gather_rows(p, nbrs.reshape(-1)))
-    bn = conv.bn
-    edge = ad.relu(reference_batch_norm(edge, bn.gamma, bn.beta, bn.state, training))
+    edge = ad.relu(reference_batch_norm(edge, conv.bn.gamma, conv.bn.beta))
     cout = edge.data.shape[1]
     return max_over_axis(ad.reshape(edge, (n, k, cout)), axis=1)
 
@@ -231,25 +235,15 @@ def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, training: bool) -> Te
 # ---------------------------------------------------------------------------
 # the unfused conv block that autodiff.conv_bn_relu replaced
 
-def reference_batch_norm(x, gamma: Tensor, beta: Tensor, state: ad.BatchNormState,
-                         training: bool) -> Tensor:
+def reference_batch_norm(x, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-column batch norm over the rows as its own graph node."""
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"batch_norm needs a 2-D tensor, got {x.data.shape}")
-    n = x.data.shape[0]
-    if training:
-        if n < 2:
-            raise ShapeError("batch_norm training mode needs at least 2 rows")
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        state.mean = (1.0 - ad.BN_MOMENTUM) * state.mean + ad.BN_MOMENTUM * mu
-        state.var = ((1.0 - ad.BN_MOMENTUM) * state.var
-                     + ad.BN_MOMENTUM * var * n / (n - 1))
-        state.steps += 1
-    else:
-        mu = state.mean
-        var = state.var
+    if x.data.shape[0] < 2:
+        raise ShapeError("batch_norm needs at least 2 rows")
+    mu = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
     inv = 1.0 / np.sqrt(var + ad.BN_EPS)
     x_hat = (x.data - mu) * inv
     data = gamma.data * x_hat + beta.data
@@ -257,25 +251,114 @@ def reference_batch_norm(x, gamma: Tensor, beta: Tensor, state: ad.BatchNormStat
     def grad_fn(g):
         _accumulate(gamma, np.sum(g * x_hat, axis=0))
         _accumulate(beta, np.sum(g, axis=0))
-        if training:
-            g_hat = g * gamma.data
-            dx = inv * (
-                g_hat
-                - g_hat.mean(axis=0)
-                - x_hat * np.mean(g_hat * x_hat, axis=0)
-            )
-            _accumulate(x, dx)
-        else:
-            _accumulate(x, g * gamma.data * inv)
+        g_hat = g * gamma.data
+        dx = inv * (
+            g_hat
+            - g_hat.mean(axis=0)
+            - x_hat * np.mean(g_hat * x_hat, axis=0)
+        )
+        _accumulate(x, dx)
 
     return _make(data, (x, gamma, beta), grad_fn)
 
 
-def reference_conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
-                           state: ad.BatchNormState, training: bool) -> Tensor:
-    """Conv1x1 -> add -> batch norm -> relu, four graph nodes."""
-    conv = ad.add(ad.matmul(x, weight), bias)
-    return ad.relu(reference_batch_norm(conv, gamma, beta, state, training))
+def reference_conv_bn_relu(x, weight: Tensor, gamma: Tensor, beta: Tensor,
+                           bias=None) -> Tensor:
+    """Conv1x1 -> (add bias) -> batch norm -> relu, one graph node each."""
+    conv = ad.matmul(x, weight)
+    if bias is not None:
+        conv = ad.add(conv, bias)
+    return ad.relu(reference_batch_norm(conv, gamma, beta))
+
+
+# ---------------------------------------------------------------------------
+# the full nets, with every part that per-cloud batch norm cancels
+
+class _FullNet:
+    """Shared plumbing of the full reference nets.
+
+    Each draws its cancelled parts from rng: a random bias in front of every
+    batch norm and the extra input rows of the layer that took a tiled
+    global pool. params maps the reduced net's parameter names to the
+    reference's own parameters; a widened weight keeps the reduced rows
+    first, so its gradient's leading rows compare with the reduced one's.
+    """
+
+    def __init__(self, net, rng: np.random.Generator):
+        self.net = copy.deepcopy(net)
+        self.rng = rng
+        self.params = dict(self.net.named_parameters())
+
+    def bias(self, channels: int) -> Tensor:
+        return Tensor(self.rng.normal(size=channels))
+
+    def block(self, block, x, extra_rows: int = 0) -> Tensor:
+        weight = block.weight
+        if extra_rows:
+            name = next(k for k, v in self.params.items() if v is weight)
+            rows = self.rng.normal(scale=0.05, size=(extra_rows, weight.data.shape[1]))
+            weight = ad.Parameter(np.vstack([weight.data, rows]))
+            self.params[name] = weight
+        return reference_conv_bn_relu(x, weight, block.bn.gamma, block.bn.beta,
+                                      self.bias(weight.data.shape[1]))
+
+    def edge(self, conv, x, graph) -> Tensor:
+        return reference_edge_conv(conv, x, graph.neighbors,
+                                   self.bias(conv.weight.data.shape[1]))
+
+    def tiled_pool(self, x: Tensor) -> Tensor:
+        """The (1, C) global max pool of x repeated on every row."""
+        ones = Tensor(np.ones((x.data.shape[0], 1)))
+        return ad.matmul(ones, ad.global_max_pool(x))
+
+
+def reference_seg_forward(net, features, graph6, graph12, rng) -> tuple:
+    """ToothSegNet (either head) as MeshSegNet has it, from the unfused ops:
+    conv biases before every batch norm, and glm2's tiled global max pool
+    fed to mlp3.0. Returns (output, {reduced name: reference parameter})."""
+    full = _FullNet(net, rng)
+    net = full.net
+    x = Tensor(features)
+    for block in net.mlp1:
+        x = full.block(block, x)
+    ftm = net.ftm
+    h = full.block(ftm.conv3, full.block(ftm.conv2, full.block(ftm.conv1, x)))
+    transform = ftm.out(ftm.fc2(ftm.fc1(ad.global_max_pool(h))))
+    x = ad.matmul(x, ad.reshape(transform, (ftm.channels, ftm.channels)))
+    g1 = full.edge(net.glm1, x, graph6)
+    h = g1
+    for block in net.mlp2:
+        h = full.block(block, h)
+    e6 = full.edge(net.glm2_k6, h, graph6)
+    e12 = full.edge(net.glm2_k12, h, graph12)
+    g2 = full.block(net.glm2_fuse, ad.concat([e6, e12], axis=1))
+    fused = ad.concat([x, g1, g2, full.tiled_pool(g2)], axis=1)
+    fused = full.block(net.mlp3[0], fused, extra_rows=g2.data.shape[1])
+    fused = full.block(net.mlp3[1], fused)
+    logits = net.head_conv(fused)
+    out = ad.softmax_rows(logits) if net.head == "softmax" else ad.sigmoid(logits)
+    return out, full.params
+
+
+def reference_heatmap_forward(net, features, rng) -> tuple:
+    """PointHeatmapNet as PointNet's segmentation net has it, from the
+    unfused ops: conv biases before every batch norm, and the trunk (64,
+    128, 1,024 channels) whose tiled global max pool feeds head.0. Returns
+    (output, {reduced name: reference parameter})."""
+    full = _FullNet(net, rng)
+    net = full.net
+    x = Tensor(features)
+    for block in net.local:
+        x = full.block(block, x)
+    h = x
+    for cin, cout in ((64, 64), (64, 128), (128, 1024)):
+        trunk = nets.ConvBlock(rng, cin, cout)
+        h = full.block(trunk, h)
+    h = ad.concat([x, full.tiled_pool(h)], axis=1)
+    h = full.block(net.headc[0], h, extra_rows=1024)
+    for block in net.headc[1:]:
+        h = full.block(block, h)
+    return ad.sigmoid(net.out(h)), full.params
 
 
 # ---------------------------------------------------------------------------

@@ -60,107 +60,90 @@ def test_pooling_gradients(rng):
     def build():
         ap = ad.Parameter(a, name="a")
         pooled = ad.global_max_pool(ap)
-        tiled = ad.broadcast_tile(pooled, 6)
         m = max_over_axis(ad.reshape(ap * 1.5, (2, 3, 4)), axis=1)
         weights = np.arange(m.data.size, dtype=np.float64).reshape(m.shape)
-        return ad.reduce_sum(tiled) + ad.reduce_sum(m * weights), [ap]
+        return ad.reduce_sum(pooled * 6.0) + ad.reduce_sum(m * weights), [ap]
 
     check_grads(build, [a])
 
 
 def _conv_bn_relu_arrays(rng, n=9, cin=4, cout=5):
-    """x, weight, bias, gamma (both signs), beta, running mean and variance."""
+    """x, weight, gamma (both signs) and beta."""
     return (rng.normal(size=(n, cin)), rng.normal(size=(cin, cout)),
-            rng.normal(size=cout),
             rng.uniform(0.5, 1.5, size=cout) * rng.choice([-1.0, 1.0], cout),
-            rng.normal(size=cout), rng.normal(size=cout), rng.uniform(0.5, 2.0, size=cout))
-
-
-def _state(mean, var):
-    state = ad.BatchNormState(mean.size)
-    state.mean, state.var = mean.copy(), var.copy()
-    return state
+            rng.normal(size=cout))
 
 
 def test_conv_bn_relu_gradients(rng):
-    *arrays, mean, var = _conv_bn_relu_arrays(rng)
-    names = ("x", "weight", "bias", "gamma", "beta")
+    arrays = _conv_bn_relu_arrays(rng)
+    names = ("x", "weight", "gamma", "beta")
 
-    def build(training):
-        def inner():
-            params = [ad.Parameter(a, name=n) for a, n in zip(arrays, names)]
-            out = ad.conv_bn_relu(*params, _state(mean, var), training=training)
-            weights = np.sin(np.arange(out.data.size)).reshape(out.shape)
-            return ad.reduce_sum(out * weights), params
+    def build():
+        params = [ad.Parameter(a, name=n) for a, n in zip(arrays, names)]
+        out = ad.conv_bn_relu(*params)
+        weights = np.sin(np.arange(out.data.size)).reshape(out.shape)
+        return ad.reduce_sum(out * weights), params
 
-        return inner
-
-    check_grads(build(True), arrays)
-    check_grads(build(False), arrays)
+    check_grads(build, arrays)
 
 
-@pytest.mark.parametrize("training", [True, False])
-def test_conv_bn_relu_matches_unfused_composition_bitwise(rng, training):
-    *arrays, mean, var = _conv_bn_relu_arrays(rng, n=40, cin=6, cout=8)
+@pytest.mark.parametrize("record", [True, False])
+def test_conv_bn_relu_matches_unfused_composition_bitwise(rng, record):
+    """Both paths of the op, a recorded graph (fresh output buffer, then the
+    backward) and no_grad (all in place), against the four-node composition."""
+    arrays = _conv_bn_relu_arrays(rng, n=40, cin=6, cout=8)
 
     def run(op):
         params = [ad.Parameter(a.copy()) for a in arrays]
-        state = _state(mean, var)
-        out = op(*params, state, training)
+        if not record:
+            with ad.no_grad():
+                return op(*params).data, []
+        out = op(*params)
         weights = np.cos(np.arange(out.data.size)).reshape(out.shape)
         ad.backward(ad.reduce_sum(out * weights))
-        return out.data, state, [p.grad for p in params]
+        return out.data, [p.grad for p in params]
 
-    out, state, grads = run(ad.conv_bn_relu)
-    ref_out, ref_state, ref_grads = run(reference_conv_bn_relu)
+    out, grads = run(ad.conv_bn_relu)
+    ref_out, ref_grads = run(reference_conv_bn_relu)
     assert np.array_equal(out, ref_out)
     assert 0.0 < np.mean(out > 0.0) < 1.0  # the ReLU masks some entries
-    assert np.array_equal(state.mean, ref_state.mean)
-    assert np.array_equal(state.var, ref_state.var)
-    assert state.steps == ref_state.steps == int(training)
-    for name, g, ref in zip(("x", "weight", "bias", "gamma", "beta"), grads, ref_grads):
+    assert len(grads) == (4 if record else 0)
+    for name, g, ref in zip(("x", "weight", "gamma", "beta"), grads, ref_grads):
         assert np.array_equal(g, ref), name
 
 
-def test_conv_bn_relu_running_stats(rng):
+def test_conv_bn_relu_normalizes_by_each_clouds_own_statistics(rng):
     x = rng.normal(size=(8, 2)) * 2.0 + 1.0
-    state = ad.BatchNormState(2)
     weight = ad.Parameter(np.eye(2))
-    bias = ad.Parameter(np.zeros(2))
     gamma = ad.Parameter(np.ones(2))
     beta = ad.Parameter(np.full(2, 10.0))  # keeps every entry above the ReLU kink
-    out = ad.conv_bn_relu(ad.Tensor(x), weight, bias, gamma, beta, state, training=True)
-    # batch statistics must normalize the output itself
-    assert np.allclose(out.data.mean(axis=0), 10.0, atol=1e-12)
-    assert np.allclose(out.data.var(axis=0), 1.0, atol=1e-4)
-    # buffers blend in with momentum 0.1, variance stored unbiased
-    assert np.allclose(state.mean, 0.1 * x.mean(axis=0))
-    assert np.allclose(state.var, 0.9 + 0.1 * x.var(axis=0, ddof=1))
-    assert state.steps == 1
-    # inference mode uses the buffers and never touches them
-    frozen_mean = state.mean.copy()
-    expected = (x - state.mean) / np.sqrt(state.var + 1e-5) + 10.0
-    out_eval = ad.conv_bn_relu(ad.Tensor(x), weight, bias, gamma, beta, state,
-                               training=False)
-    assert np.allclose(out_eval.data, expected)
-    assert np.array_equal(state.mean, frozen_mean)
+    expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + ad.BN_EPS) + 10.0
+    for _ in range(2):  # nothing carries over from one call to the next
+        out = ad.conv_bn_relu(ad.Tensor(x), weight, gamma, beta)
+        assert np.allclose(out.data, expected, rtol=0.0, atol=1e-12)
+        with ad.no_grad():
+            assert np.array_equal(ad.conv_bn_relu(x, weight, gamma, beta).data, out.data)
+    # a constant row added to every cell cancels
+    shifted = ad.conv_bn_relu(ad.Tensor(x + [3.0, -7.0]), weight, gamma, beta)
+    assert np.allclose(shifted.data, expected, rtol=0.0, atol=1e-12)
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="at least 2 rows"):
+            ad.conv_bn_relu(ad.Tensor(x[:1]), weight, gamma, beta)
+        with ad.no_grad(), pytest.raises(ShapeError, match="at least 2 rows"):
+            ad.conv_bn_relu(ad.Tensor(x[:1]), weight, gamma, beta)
     with pytest.raises(ShapeError):
-        ad.conv_bn_relu(ad.Tensor(x[:1]), weight, bias, gamma, beta, state, training=True)
-    with pytest.raises(ShapeError):
-        ad.conv_bn_relu(ad.Tensor(x[:, :1]), weight, bias, gamma, beta, state,
-                        training=False)
+        ad.conv_bn_relu(ad.Tensor(x[:, :1]), weight, gamma, beta)
 
 
 def test_no_grad_conv_bn_relu_keeps_nothing(rng):
     """Without a tracked gradient the op allocates its output and masks only."""
-    *arrays, mean, var = _conv_bn_relu_arrays(rng, n=2000, cin=16, cout=64)
+    arrays = _conv_bn_relu_arrays(rng, n=2000, cin=16, cout=64)
     params = [ad.Parameter(a) for a in arrays]
-    state = _state(mean, var)
-    with_grad = ad.conv_bn_relu(*params, state, training=False)
+    with_grad = ad.conv_bn_relu(*params)
     tracemalloc.start()
     try:
         with ad.no_grad():
-            out = ad.conv_bn_relu(*params, state, training=False)
+            out = ad.conv_bn_relu(*params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,7 +19,7 @@ from dentalmesh.mesh_io import (
     save_mesh,
 )
 from dentalmesh.mesh_io import Annotation
-from dentalmesh.networks import PointHeatmapNet, ToothSegNet, make_graph_heatmap_net
+from dentalmesh.networks import PointHeatmapNet, make_graph_heatmap_net
 from dentalmesh.pipeline import preprocess
 
 from helpers import bump_scene
@@ -399,42 +399,48 @@ def test_infer_rejects_mismatched_checkpoints_before_compute(trained_run, tmp_pa
         assert cli.main(command + args) == 2
         assert ("seg.ckpt: trained with k_small=4, k_large=8; this run uses "
                 "k_small=6, k_large=12") in caplog.text
-    # a checkpoint from before the widths were recorded loads as before
+    # every v2 segmentation checkpoint records its widths
     del meta["k_small"], meta["k_large"]
     save_checkpoint(run / "checkpoints" / "seg.ckpt", arch, arrays, meta)
-    assert isinstance(cli._load_seg_net(run, RunConfig()), ToothSegNet)
+    caplog.clear()
+    assert cli.main(["infer", "--mesh", mesh] + args) == 2
+    assert "seg.ckpt: checkpoint meta has no 'k_small' entry" in caplog.text
 
 
-def test_artifacts_of_dynamic_graphs_fail_loudly(trained_run, tmp_path, monkeypatch,
-                                                caplog):
+def test_artifacts_of_dynamic_graphs_fail_loudly(tmp_path, caplog):
     """Dynamic kNN graphs are gone: a config that names the adjacency key is a
-    usage error, and a net trained on dynamic graphs is refused before any
-    scan is decimated."""
-    root, args = trained_run
+    usage error."""
     old_cfg = tmp_path / "resolved.cfg"
     old_cfg.write_text(format_config(RunConfig()) + 'adjacency = "static"\n')
     assert cli.main(["synth", "--config", str(old_cfg), "--data", str(tmp_path / "d"),
                      "--run", str(tmp_path / "r")]) == 1
     assert "unknown config key 'adjacency'" in caplog.text
 
-    run = tmp_path / "run"
-    shutil.copytree(root / "run" / "checkpoints", run / "checkpoints")
-    args = args + ["--run", str(run)]
+
+def test_checkpoints_of_an_earlier_net_version_are_refused(trained_run, tmp_path,
+                                                           monkeypatch, caplog):
+    """A v1 net, which kept batch-norm running buffers, stops infer and
+    eval --ceiling with exit 2 and a request to retrain, before any scan is
+    decimated."""
+    root, args = trained_run
     mesh = str(root / "data" / "arch_000.off")
 
     def stage1(*_, **__):
         raise AssertionError("decimation ran before the checkpoints were checked")
 
     monkeypatch.setattr(cli, "preprocess", stage1)
-    seg = run / "checkpoints" / "seg.ckpt"
-    arch, arrays, meta = load_checkpoint(seg)
-    for tag, key in ((f"{arch} adjacency=dynamic", "static"), (arch, "dynamic")):
-        save_checkpoint(seg, tag, arrays, dict(meta, adjacency=key))
+    monkeypatch.setattr(cli, "_load_preprocessed", stage1)
+    for name in ("seg.ckpt", "lmk_pos6.ckpt"):
+        run = tmp_path / name.split(".")[0]
+        shutil.copytree(root / "run" / "checkpoints", run / "checkpoints")
+        path = run / "checkpoints" / name
+        arch, arrays, meta = load_checkpoint(path)
+        assert arch.split()[0].endswith("/v2")
+        old = arch.replace("/v2", "/v1", 1)
+        save_checkpoint(path, old, arrays, meta)
         for command in (["infer", "--mesh", mesh], ["eval", "--ceiling"]):
             caplog.clear()
-            assert cli.main(command + args) == 2
-            assert f"{seg}: trained with dynamic kNN graphs" in caplog.text
-    # a static checkpoint written before the key was dropped loads as before
-    save_checkpoint(seg, f"{arch} adjacency=static", arrays,
-                    dict(meta, adjacency="static"))
-    assert isinstance(cli._load_seg_net(run, RunConfig()), ToothSegNet)
+            assert cli.main(command + args + ["--run", str(run)]) == 2
+            assert (f"{path}: {old.split()[0]} is an earlier version of the network"
+                    in caplog.text)
+            assert "retrain it" in caplog.text

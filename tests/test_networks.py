@@ -12,7 +12,12 @@ from dentalmesh import networks as nets
 from dentalmesh.autodiff import Tensor
 from dentalmesh.errors import CheckpointError, DentalMeshError, ShapeError
 
-from helpers import check_grads, reference_edge_conv
+from helpers import (
+    check_grads,
+    reference_edge_conv,
+    reference_heatmap_forward,
+    reference_seg_forward,
+)
 
 
 def _features_and_graphs(n=24, seed=0, dim=15):
@@ -69,7 +74,8 @@ def test_heatmap_net_shapes():
 
 
 def test_seg_net_permutation_equivariance():
-    # relabeling the cells must permute the output rows and nothing else
+    # relabeling the cells must permute the output rows and nothing else;
+    # batch statistics sum the rows in the new order, so to rounding
     feats, _, _, points = _features_and_graphs(n=30, seed=8)
     net = nets.ToothSegNet(seed=9)
     out = net(Tensor(feats), geo.knn_graph(points, 6), geo.knn_graph(points, 12))
@@ -80,7 +86,7 @@ def test_seg_net_permutation_equivariance():
         geo.knn_graph(points[perm], 6),
         geo.knn_graph(points[perm], 12),
     )
-    assert np.array_equal(out_p.data, out.data[perm])
+    assert _rel(out_p.data, out.data[perm]) < 1e-12
 
 
 def test_heatmap_net_permutation_equivariance():
@@ -90,14 +96,14 @@ def test_heatmap_net_permutation_equivariance():
     out = net(Tensor(feats))
     perm = rng.permutation(25)
     out_p = net(Tensor(feats[perm]))
-    assert np.array_equal(out_p.data, out.data[perm])
+    assert _rel(out_p.data, out.data[perm]) < 1e-12  # to rounding, as above
 
 
 def test_feature_transform_starts_at_identity():
     rng = np.random.default_rng(13)
     ftm = nets.FeatureTransform(rng)
     x = Tensor(np.random.default_rng(14).normal(size=(10, 64)))
-    t = ftm(x, training=False)
+    t = ftm(x)
     assert np.array_equal(t.data, np.eye(64))
 
 
@@ -205,57 +211,71 @@ def test_arch_tags_encode_configuration():
     assert nets.PointHeatmapNet().arch_tag().startswith("point-heatmap-net/")
 
 
-def test_training_flag_changes_batch_norm_path():
+@pytest.mark.parametrize("kind", ["seg", "graph-heatmap", "point-heatmap"])
+def test_training_flag_only_switches_graph_recording(kind):
+    """One batch-norm path: training=False gives training=True's output bit
+    for bit, records no graph and leaves the state as it was."""
     feats, g6, g12, _ = _features_and_graphs(n=12, seed=22)
-    net = nets.ToothSegNet(seed=23)
-    eval_out = net(Tensor(feats), g6, g12, training=False)
-    train_out = net(Tensor(feats), g6, g12, training=True)
-    assert not np.allclose(eval_out.data, train_out.data)
-    # training passes update the running stats
-    state = net.state_arrays()
-    assert state["mlp1.0.bn.state.steps"][0] == 1.0
+    if kind == "point-heatmap":
+        net = nets.PointHeatmapNet(seed=23, out_channels=3)
+        graphs = ()
+    else:
+        net = nets.ToothSegNet(seed=23) if kind == "seg" else nets.make_graph_heatmap_net(23, 3)
+        graphs = (g6, g12)
+    before = copy.deepcopy(net.state_arrays())
+    eval_out = net(Tensor(feats), *graphs, training=False)
+    train_out = net(Tensor(feats), *graphs, training=True)
+    assert np.array_equal(eval_out.data, train_out.data)
+    assert eval_out._grad_fn is None and eval_out._parents == ()
+    assert not eval_out.requires_grad
+    assert train_out._grad_fn is not None
+    after = net.state_arrays()
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[k], before[k]) for k in before)
+    # no layer keeps anything but its parameters
+    assert set(after) == {name for name, _ in net.named_parameters()}
 
 
 def test_edge_conv_gradients_in_training_mode():
     """Finite differences through gather, subtract, BN, ReLU and max."""
     rng = np.random.default_rng(4)
     conv = nets.EdgeConv(rng, cin=3, cout=4, name="ec")
-    conv.bias.data[:] = rng.normal(size=4)
     conv.bn.gamma.data[:] = [1.3, -0.7, 0.4, -1.1]  # both signs of the max
     conv.bn.beta.data[:] = rng.normal(size=4)
     x = rng.normal(size=(6, 3))
     graph = geo.knn_graph(rng.normal(size=(6, 3)), 3)
-    params = [conv.weight, conv.bias, conv.bn.gamma, conv.bn.beta]
+    params = [conv.weight, conv.bn.gamma, conv.bn.beta]
     weights = np.cos(np.arange(6 * 4)).reshape(6, 4)
 
     def build():
         xp = ad.Parameter(x, name="x")
-        out = conv(xp, graph, training=True)
+        out = conv(xp, graph)
         return ad.reduce_sum(out * weights), [xp] + params
 
     check_grads(build, [x] + [p.data for p in params])
 
 
 def _random_edge_conv(rng, cin, cout):
-    """EdgeConv with gamma of both signs, one gamma == 0 channel and
-    non-trivial bias, beta and running statistics."""
+    """EdgeConv with gamma of both signs, one gamma == 0 channel and a
+    non-trivial beta."""
     conv = nets.EdgeConv(rng, cin=cin, cout=cout, name="ec")
-    conv.bias.data[:] = rng.normal(size=cout)
     conv.bn.gamma.data[:] = rng.uniform(0.3, 1.5, size=cout) * rng.choice([-1.0, 1.0], cout)
     conv.bn.beta.data[:] = rng.normal(size=cout)
     # gamma == 0 with beta > 0: the response is flat and the gradient must
     # still reach the slot-0 neighbor
     conv.bn.gamma.data[0], conv.bn.beta.data[0] = 0.0, 0.5
-    conv.bn.state.mean[:] = rng.normal(size=cout)
-    conv.bn.state.var[:] = rng.uniform(0.5, 2.0, size=cout)
     return conv
 
 
-def _edge_conv_run(conv, x, nbrs, training, op):
-    """Forward and backward of a copy of conv; returns the copy, output and x grad."""
+def _edge_conv_run(conv, x, nbrs, record, op):
+    """Forward, and with record the backward, of a copy of conv; returns the
+    copy, the output and the x gradient (None without record)."""
     conv = copy.deepcopy(conv)
     xp = ad.Parameter(x, name="x")
-    out = op(conv, xp, nbrs, training)
+    if not record:
+        with ad.no_grad():
+            return conv, op(conv, xp, nbrs).data, None
+    out = op(conv, xp, nbrs)
     weights = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
     ad.backward(ad.reduce_sum(out * weights))
     return conv, out.data, xp.gradient()
@@ -282,50 +302,48 @@ def _arch_case(small_arch):
     return conv, feats, geo.knn_graph(mesh, 12).neighbors
 
 
-@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("record", [True, False])
 @pytest.mark.parametrize("case", ["random", "arch"])
-def test_fused_edge_conv_matches_per_edge_reference(case, training, small_arch):
+def test_fused_edge_conv_matches_per_edge_reference(case, record, small_arch):
+    """Both paths of the fused op, a recorded graph and no_grad, against
+    the (N*k, C) edge tensor batch-normed, ReLU'd and maxed edge by edge."""
     conv, x, nbrs = _random_case() if case == "random" else _arch_case(small_arch)
-    new, out, gx = _edge_conv_run(conv, x, nbrs, training, nets.EdgeConv.__call__)
-    old, ref_out, ref_gx = _edge_conv_run(conv, x, nbrs, training, reference_edge_conv)
+    new, out, gx = _edge_conv_run(conv, x, nbrs, record, nets.EdgeConv.__call__)
+    old, ref_out, ref_gx = _edge_conv_run(conv, x, nbrs, record, reference_edge_conv)
     assert _rel(out, ref_out) < 1e-12
-    assert _rel(new.bn.state.mean, old.bn.state.mean) < 1e-12
-    assert _rel(new.bn.state.var, old.bn.state.var) < 1e-12
-    assert new.bn.state.steps == old.bn.state.steps == int(training)
-    assert _rel(gx, ref_gx) < 1e-9
-    for p_new, p_old in ((new.weight, old.weight), (new.bn.gamma, old.bn.gamma),
-                         (new.bn.beta, old.bn.beta)):
-        assert _rel(p_new.grad, p_old.grad) < 1e-9, p_new.name
-    # training-mode BN cancels the bias, so there both paths give rounding
-    # noise only: bound it by the scale of the weight gradient
-    bias_err = np.max(np.abs(new.bias.grad - old.bias.grad))
-    assert bias_err < 1e-9 * np.linalg.norm(old.weight.grad)
-    if not training:
-        # the eval-mode output equals the edge-by-edge max bit for bit
-        w = conv.weight.data
-        cin = w.shape[0] // 2
-        p = x @ w[:cin]
-        a = p + x @ w[cin:] + conv.bias.data
-        inv = 1.0 / np.sqrt(conv.bn.state.var + 1e-5)
-        e = conv.bn.gamma.data * ((a[:, None, :] - p[nbrs] - conv.bn.state.mean) * inv)
-        expected = np.maximum(e + conv.bn.beta.data, 0.0).max(axis=1)
-        assert np.array_equal(out, expected)
+    if record:
+        assert _rel(gx, ref_gx) < 1e-9
+        for p_new, p_old in ((new.weight, old.weight), (new.bn.gamma, old.bn.gamma),
+                             (new.bn.beta, old.bn.beta)):
+            assert _rel(p_new.grad, p_old.grad) < 1e-9, p_new.name
 
 
 def test_edge_conv_no_grad_path_is_the_autodiff_path():
     """Inference under no_grad runs the op that training runs, at a size
-    (N*k*C > 2**22) that the former inference path split into two chunks."""
+    (N*k*C > 2**22) that a per-edge inference path would split into chunks."""
     rng = np.random.default_rng(5)
     n, k, cout = 1100, 16, 256
     conv = _random_edge_conv(rng, 8, cout)
     x = Tensor(rng.normal(size=(n, 8)))
     graph = geo.knn_graph(rng.normal(size=(n, 3)), k)
-    with_grad = conv(x, graph, training=False).data
+    with_grad = conv(x, graph).data
     with ad.no_grad():
-        fast = conv(x, graph, training=False).data
+        fast = conv(x, graph).data
     assert np.array_equal(fast, with_grad)
-    reference = reference_edge_conv(conv, x, graph.neighbors, training=False).data
+    reference = reference_edge_conv(conv, x, graph.neighbors).data
     assert _rel(fast, reference) < 1e-12
+
+
+def test_edge_conv_needs_two_edges_on_every_call():
+    conv = _random_edge_conv(np.random.default_rng(7), 3, 4)
+    x = Tensor(np.ones((1, 3)))
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="at least 2 edges"):
+            conv(x, np.zeros((1, 1), dtype=np.int64))
+        with ad.no_grad(), pytest.raises(ShapeError, match="at least 2 edges"):
+            conv(x, np.zeros((1, 1), dtype=np.int64))
+    # two edges out of one cell are a cloud
+    assert conv(x, np.zeros((1, 2), dtype=np.int64)).data.shape == (1, 4)
 
 
 def test_edge_conv_training_step_never_forms_edge_tensors():
@@ -338,7 +356,7 @@ def test_edge_conv_training_step_never_forms_edge_tensors():
     graph = geo.knn_graph(rng.normal(size=(n, 3)), k)
     tracemalloc.start()
     try:
-        out = conv(ad.Parameter(x), graph, training=True)
+        out = conv(ad.Parameter(x), graph)
         ad.backward(ad.reduce_sum(out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -376,10 +394,41 @@ def test_input_features_get_no_gradient():
     edge = _random_edge_conv(np.random.default_rng(43), 15, 6)
     for run, params in ((lambda x: seg(x, g6, g12, training=True), seg.parameters()),
                         (lambda x: heat(x, training=True), heat.parameters()),
-                        (lambda x: edge(x, g6.neighbors, True),
-                         [edge.weight, edge.bias, edge.bn.gamma, edge.bn.beta])):
+                        (lambda x: edge(x, g6.neighbors),
+                         [edge.weight, edge.bn.gamma, edge.bn.beta])):
         x = Tensor(feats)
         out = run(x)
         ad.backward(ad.reduce_sum(out * np.cos(np.arange(out.data.size)).reshape(out.shape)))
         assert x.grad is None
         assert all(p.grad is not None for p in params)
+
+
+@pytest.mark.parametrize("kind", ["seg", "graph-heatmap", "point-heatmap"])
+def test_reduced_nets_equal_the_full_nets_they_came_from(kind):
+    """What per-cloud batch norm cancels was deleted exactly: with the
+    reduced net's weights copied into the full net (random conv biases in
+    front of every batch norm, PointHeatmapNet's trunk and tiled pool,
+    ToothSegNet's tiled pooled block), outputs and every shared parameter's
+    gradient agree to rounding."""
+    feats, g6, g12, _ = _features_and_graphs(n=40, seed=50)
+    rng = np.random.default_rng(51)
+    if kind == "point-heatmap":
+        net = nets.PointHeatmapNet(seed=52, out_channels=3)
+        out = net(Tensor(feats), training=True)
+        ref, ref_params = reference_heatmap_forward(net, feats, rng)
+    else:
+        net = nets.ToothSegNet(seed=52) if kind == "seg" else nets.make_graph_heatmap_net(52, 3)
+        # off its zero init, so gradients reach the feature transform's convs
+        out_weight = net.ftm.out.weight.data
+        out_weight[:] = rng.normal(scale=0.01, size=out_weight.shape)
+        out = net(Tensor(feats), g6, g12, training=True)
+        ref, ref_params = reference_seg_forward(net, feats, g6, g12, rng)
+    assert _rel(out.data, ref.data) < 1e-10
+    weights = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
+    ad.backward(ad.reduce_sum(out * weights))
+    ad.backward(ad.reduce_sum(ref * weights))
+    params = dict(net.named_parameters())
+    assert params.keys() <= ref_params.keys()
+    for name, p in params.items():
+        shared = ref_params[name].gradient()[: p.data.shape[0]]
+        assert _rel(p.grad, shared) < 1e-8, name

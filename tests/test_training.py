@@ -11,6 +11,7 @@ from dentalmesh import training as tr
 from dentalmesh.config import RunConfig
 from dentalmesh.errors import TrainingDivergenceError
 from dentalmesh.evaluation import seg_metrics
+from dentalmesh.geometry import extract_roi
 from dentalmesh.mesh_io import TriMesh
 from dentalmesh.networks import PointHeatmapNet, ToothSegNet
 from dentalmesh.training import HeatmapSample, SegSample
@@ -260,3 +261,37 @@ def test_subsample_indices():
     assert picked.shape == (30,)
     assert np.array_equal(picked, np.sort(picked))
     assert np.unique(picked).size == 30
+
+
+@pytest.mark.parametrize("stage", ["seg", "heatmap"])
+def test_no_parameter_is_cancelled_by_batch_norm(stage, small_arch, monkeypatch):
+    """Every parameter tensor of both nets gets a gradient above 1e-10 on a
+    synthetic arch, so none is silently cancelled. A conv bias in front of
+    a batch norm, or a pooled row tiled onto every cell, is the same for
+    every cell of the cloud that batch norm normalizes, and gets rounding
+    noise (1e-16) instead. The gradient checked is the second step's: the
+    feature transform's last layer starts at zero weights, so the first
+    step's gradient cannot reach the layers below it."""
+    mesh, ann = small_arch
+    if stage == "seg":
+        net = ToothSegNet(seed=0)
+        fit, sample = tr.train_segmentation, SegSample(mesh, ann.labels)
+    else:
+        tooth = lm.landmark_teeth()[0]
+        names = lm.landmark_names(tooth)
+        positions = {name: ann.landmarks[(tooth, name)] for name in names}
+        net = PointHeatmapNet(seed=0, out_channels=len(names))
+        fit = tr.train_heatmap
+        sample = HeatmapSample(extract_roi(mesh, ann.labels, tooth).mesh, tooth, positions)
+    steps = []
+    step = ad.AmsGrad.step
+
+    def recording_step(opt):
+        steps.append([np.max(np.abs(p.gradient())) for p in opt.params])
+        step(opt)
+
+    monkeypatch.setattr(ad.AmsGrad, "step", recording_step)
+    fit(net, [sample], epochs=2, seed=0, subsample=300, augment_count=0)
+    assert len(steps) == 2
+    names = [name for name, _ in net.named_parameters()]
+    assert {name: g for name, g in zip(names, steps[1]) if not g > 1e-10} == {}
