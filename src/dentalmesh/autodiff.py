@@ -1,4 +1,5 @@
-"""Minimal reverse-mode automatic differentiation on float64 numpy arrays.
+"""Minimal reverse-mode automatic differentiation on float32 or float64
+numpy arrays.
 
 Tensors form a DAG as ops run; backward(loss) walks it once in reverse
 topological order and accumulates gradients. A graph is backpropagated
@@ -18,12 +19,21 @@ statistics of the cloud they are given, with or without a recorded graph.
 There are no running buffers, and nothing differs between training and
 inference but whether the graph is recorded.
 
+Ops keep the dtype they are given. A Tensor holds a float32 or float64
+array as it is and any other input as float64; a non-Tensor operand of a
+binary op (a constant, a target, a weight array) takes the dtype of the
+Tensor operand, so one float64 constant cannot widen a float32 graph. The
+networks hold float32 parameters, and the op-level reference tests run in
+float64.
+
 The optimizer is AMSGrad: Adam moments plus a running elementwise maximum
-of the second moment in the denominator, updated in place.
+of the second moment in the denominator, updated in place in the
+parameters' dtype.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
@@ -32,6 +42,7 @@ import numpy as np
 from .errors import NonFiniteGradientError, ShapeError
 
 _MAX_RANK = 3
+_FLOATS = (np.float32, np.float64)  # the dtypes a Tensor keeps as given
 BN_EPS = 1e-5  # variance floor of conv_bn_relu and edge_conv
 _state = threading.local()
 
@@ -54,7 +65,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         if self.data.ndim > _MAX_RANK:
             raise ShapeError(f"rank {self.data.ndim} exceeds maximum {_MAX_RANK}")
         self.grad: np.ndarray | None = None
@@ -87,7 +99,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -112,8 +124,14 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name)
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _as_tensor(value, like=None) -> Tensor:
+    """value as a Tensor. A non-Tensor operand takes the dtype of the op's
+    Tensor operand like, so a float64 constant keeps a float32 graph float32."""
+    if isinstance(value, Tensor):
+        return value
+    if isinstance(like, Tensor):
+        return Tensor(np.asarray(value, dtype=like.data.dtype))
+    return Tensor(value)
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -194,7 +212,7 @@ def backward(loss: Tensor) -> None:
 # elementwise and arithmetic ops
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data + b.data
     if data.shape != a.data.shape and a.data.size != 1 and not _bias_like(a, data.shape):
         raise ShapeError(f"add broadcast from {a.data.shape} to {data.shape}")
@@ -226,11 +244,12 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     return add(a, mul(b, -1.0))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
         raise ShapeError(f"mul shapes {a.data.shape} and {b.data.shape} differ")
     data = a.data * b.data
@@ -243,7 +262,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
         raise ShapeError(f"div shapes {a.data.shape} and {b.data.shape} differ")
     data = a.data / b.data
@@ -256,7 +275,7 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape}")
     data = a.data @ b.data
@@ -446,8 +465,9 @@ def edge_conv(x, weight: Tensor, gamma: Tensor, beta: Tensor,
     of the centred u = a - mean(a) and v = p - mean(p): the count cnt_j of
     edges into j and Sv_i, the sum of v over the neighbors of i. The
     backward adds the reverse-neighbor sum of u and one scatter of the
-    selected edges' gradient. Every array is (N, C): no edge-sized tensor is
-    formed. The backward reads the ReLU mask from the output.
+    selected edges' gradient. Every array is (N, C) and in x's dtype: no
+    edge-sized tensor is formed. The backward reads the ReLU mask from the
+    output.
     """
     x = _as_tensor(x)
     nbrs = np.asarray(neighbors, dtype=np.int64)
@@ -466,7 +486,7 @@ def edge_conv(x, weight: Tensor, gamma: Tensor, beta: Tensor,
     a = p + x.data @ w_center
     cells = _select_neighbors(p, nbrs, np.sign(gamma.data))
     p_sel = p[cells, np.arange(p.shape[1])]
-    cnt = np.bincount(nbrs.ravel(), minlength=n).astype(np.float64)[:, None]
+    cnt = np.bincount(nbrs.ravel(), minlength=n).astype(p.dtype)[:, None]
     a_mean, p_mean = a.mean(axis=0), p.mean(axis=0)
     u, v = a - a_mean, p - p_mean
     sv = _neighbor_sum(v, nbrs)
@@ -524,18 +544,40 @@ def _neighbor_sum(v: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
 
 
 def _reverse_neighbor_sum(u: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-    """Row j: the sum of u over the cells that list j as a neighbor."""
+    """Row j: the sum of u over the cells that list j as a neighbor, in u's
+    dtype.
+
+    The targets are ranked by descending in-degree, so for every slot t the
+    t-th in-edges of all targets with more than t of them land on a prefix
+    of the ranking: each slot is one row gather and one slice add. The
+    table is built from nbrs on every call and nothing outlives it. Each
+    row sums its sources in ascending order.
+    """
+    k = nbrs.shape[1]
+    targets = nbrs.ravel()
+    degree = np.bincount(targets, minlength=u.shape[0])
+    order = np.argsort(-degree, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    edges = np.argsort(rank[targets], kind="stable")  # by target rank, then source
+    ranked = degree[order]
+    slot = np.arange(edges.size) - np.repeat(np.cumsum(ranked) - ranked, ranked)
+    table = (edges // k)[np.argsort(slot, kind="stable")]  # sources, slot by slot
     out = np.zeros_like(u)
-    for slot in range(nbrs.shape[1]):
-        out += _scatter_columns(u, nbrs[:, slot : slot + 1])
-    return out
+    stop = 0
+    for width in np.bincount(slot):
+        start, stop = stop, stop + width
+        out[:width] += u[table[start:stop]]
+    return out[rank]
 
 
 def _scatter_columns(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """out[rows[i, c], c] += values[i, c]; rows may be one column for all c."""
+    """out[rows[i, c], c] += values[i, c], summed in float64 and returned
+    in values' dtype."""
     n, c = values.shape
     flat = rows * c + np.arange(c)
-    return np.bincount(flat.ravel(), weights=values.ravel(), minlength=n * c).reshape(n, c)
+    out = np.bincount(flat.ravel(), weights=values.ravel(), minlength=n * c)
+    return out.reshape(n, c).astype(values.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +630,6 @@ class AmsGrad:
             v += scratch
             np.maximum(v_hat, v, out=v_hat)
             np.sqrt(v_hat, out=scratch)
-            scratch /= np.sqrt(bc2)
+            scratch /= math.sqrt(bc2)
             scratch += self.eps
             p.data -= np.divide(m * (self.lr / bc1), scratch, out=scratch)

@@ -565,15 +565,30 @@ def _parse_indices(text: str, n: int) -> list[int]:
 
 
 def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
-    """Landmark error with predicted vs ground-truth segmentation."""
-    seg_net = _load_seg_net(run, config)
-    heatmap_nets = _load_heatmap_nets(run)
+    """Landmark error with predicted vs ground-truth segmentation.
+
+    By default it scores the scans that train-seg and train-lmk held out
+    for validation, the only ones the checkpoints did not train on.
+    --indices picks other scans; the training scans among them are logged
+    and listed under trained_on in the report.
+    """
+    train_idx, held_out = _train_val_split(len(pairs), config.val_count, config.seed)
     if args.indices:
         test_idx = _parse_indices(args.indices, len(pairs))
+    elif held_out:
+        test_idx = held_out
     else:
-        split = fold_splits(len(pairs), config.folds, config.val_count,
-                            config.seed)[0]
-        test_idx = [int(i) for i in split.test]
+        raise ConfigError(
+            f"val_count={config.val_count} holds no scan out of training on "
+            f"{len(pairs)} scans; name the scans to score with --indices"
+        )
+    trained_on = sorted(set(test_idx) & set(train_idx))
+    if trained_on:
+        log.warning("scans %s are training scans of train-seg and train-lmk; "
+                    "their errors are training-set errors",
+                    ", ".join(map(str, trained_on)))
+    seg_net = _load_seg_net(run, config)
+    heatmap_nets = _load_heatmap_nets(run)
     full_pairs = []
     oracle_pairs = []
     for i in test_idx:
@@ -593,6 +608,7 @@ def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
     oracle = _pooled_mae(oracle_pairs)
     report = ceiling_report(overall, oracle)
     report["test_scans"] = test_idx
+    report["trained_on"] = trained_on
     write_json_report(run / "reports" / "ceiling.json", report)
     for row in report["rows"]:
         log.info("%-12s mae %.4f mm", row["row"], row["mae"])
@@ -774,7 +790,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("eval", cmd_eval, "cross-validated metrics, or the oracle ceiling")
     p.add_argument("--ceiling", action="store_true",
-                   help="compare full-pipeline vs oracle-segmentation landmarks")
+                   help="compare full-pipeline vs oracle-segmentation landmarks "
+                        "on the scans train-seg and train-lmk held out")
     p.add_argument("--indices", help="comma-separated test scan indices "
                                      "(ceiling mode)")
 

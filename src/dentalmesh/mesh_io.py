@@ -409,10 +409,13 @@ def _read_container(path, magic: bytes) -> tuple[dict, bytes]:
 
 
 def save_checkpoint(path, arch: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Self-describing checkpoint: arch tag, named float64 arrays, JSON meta.
+    """Self-describing checkpoint: arch tag, named arrays, JSON meta.
 
     Array order and shapes are recorded in the header; the payload is the
-    arrays' raw little-endian float64 bytes in that order.
+    arrays' raw little-endian float64 bytes in that order. The float32
+    parameters of a net widen exactly, so loading them back into the net
+    (Module.load_state_arrays casts to each parameter's dtype) restores
+    them bit for bit, and the file format is the same for either dtype.
     """
     names = list(arrays.keys())
     header = {

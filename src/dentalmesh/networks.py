@@ -30,6 +30,15 @@ monotone, the max is the response to a single neighbor per channel (the
 least or greatest neighbor term by the sign of the BN scale, the lowest
 slot on ties), so no (N*k, C) edge tensor is built.
 
+Both nets hold float32 parameters and compute forward, backward and the
+optimizer step in float32: the constructors draw every Glorot weight in
+float64, as the init stream always has, and round it once, and forward
+casts the features to the parameters' dtype. A layer built on its own
+keeps float64, and a net whose parameters are widened computes in
+float64, which is how the tests compare a net with its float64
+reference. Checkpoints store the values as float64 and load them in the
+parameters' dtype.
+
 PointHeatmapNet is the stage-2 regressor: a PointNet-style pointwise net
 over the same 15 features with a sigmoid head, one output column per
 landmark heatmap. GraphHeatmapNet reuses the ToothSegNet layers with the
@@ -50,6 +59,7 @@ from .errors import CheckpointError, ShapeError
 NUM_CLASSES = 15  # gingiva + 14 teeth
 GDL_SMOOTH = 1e-5
 ARCH_VERSION = "v2"  # of both nets' arch tags; v1 nets carried running buffers
+PARAM_DTYPE = np.float32  # what both nets hold and compute in
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +103,24 @@ class Module:
                     f"parameter {name}: checkpoint shape {arrays[name].shape} "
                     f"!= model shape {p.data.shape}"
                 )
-            p.data = arrays[name].astype(np.float64).copy()
+            p.data = arrays[name].astype(p.data.dtype)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def _round_parameters(net: Module) -> None:
+    """Rounds a new net's float64 draws once to PARAM_DTYPE."""
+    for p in net.parameters():
+        p.data = p.data.astype(PARAM_DTYPE)
+
+
+def _input(features, net: Module) -> Tensor:
+    """The features as a tensor in the dtype of the net's parameters."""
+    data = features.data if isinstance(features, Tensor) else features
+    return Tensor(np.asarray(data, dtype=net.parameters()[0].data.dtype))
 
 
 def _recording(training: bool):
@@ -244,6 +266,7 @@ class ToothSegNet(Module):
         self.mlp3 = [ConvBlock(rng, 640, 256, "mlp3.0"),
                      ConvBlock(rng, 256, 128, "mlp3.1")]
         self.head_conv = Conv1x1(rng, 128, out_channels, "head")
+        _round_parameters(self)
 
     def arch_tag(self) -> str:
         return (f"tooth-seg-net/{ARCH_VERSION} in={geometry.FEATURE_DIM} "
@@ -251,7 +274,7 @@ class ToothSegNet(Module):
 
     def forward(self, features: Tensor, graph6, graph12,
                 training: bool = False) -> Tensor:
-        x = features if isinstance(features, Tensor) else Tensor(features)
+        x = _input(features, self)
         n = x.data.shape[0]
         for graph in (graph6, graph12):
             if graph.num_cells != n:
@@ -301,13 +324,14 @@ class PointHeatmapNet(Module):
                       ConvBlock(rng, 512, 256, "head.1"),
                       ConvBlock(rng, 256, 128, "head.2")]
         self.out = Conv1x1(rng, 128, out_channels, "out")
+        _round_parameters(self)
 
     def arch_tag(self) -> str:
         return (f"point-heatmap-net/{ARCH_VERSION} in={geometry.FEATURE_DIM} "
                 f"out={self.out_channels}")
 
     def forward(self, features: Tensor, training: bool = False) -> Tensor:
-        h = features if isinstance(features, Tensor) else Tensor(features)
+        h = _input(features, self)
         with _recording(training):
             for block in self.local + self.headc:
                 h = block(h)

@@ -13,6 +13,11 @@ passes False, which runs the same arithmetic under no_grad. Batch norm
 normalizes each cloud by its own statistics either way, so the nets carry
 no running buffers and their whole state is their parameters.
 
+The nets train in float32 (see networks); everything around them stays
+float64. Losses and targets are built in float64 and enter the graph in
+the net's dtype, and network_output hands every frozen output back as
+float64 to the graph cut, the decoders and the reports.
+
 A non-finite loss or gradient aborts the run; the raised error carries the
 parameter state captured at the end of the last completed epoch so callers
 can checkpoint what was still healthy.
@@ -116,11 +121,11 @@ def _forward(net, features: np.ndarray, points: np.ndarray,
 
 def network_output(net, mesh: TriMesh, k_small: int = RunConfig.k_small,
                    k_large: int = RunConfig.k_large) -> np.ndarray:
-    """Per-cell output of a frozen network on one whole mesh."""
+    """Per-cell output of a frozen network on one whole mesh, as float64."""
     feats = extract_features(mesh)
     out = _forward(net, feats.matrix, mesh.cell_barycenters, k_small, k_large,
                    training=False)
-    return out.data
+    return np.asarray(out.data, dtype=np.float64)
 
 
 def segmentation_probabilities(net, mesh: TriMesh, k_small: int = RunConfig.k_small,

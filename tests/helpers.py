@@ -18,6 +18,15 @@ FD_STEP = 1e-6
 FD_TOL = 1e-6
 
 
+def widened(net):
+    """A copy of a net with float64 parameters, which computes in float64:
+    the nets' float32 arithmetic checked at float64 bounds."""
+    net = copy.deepcopy(net)
+    for p in net.parameters():
+        p.data = p.data.astype(np.float64)
+    return net
+
+
 def grid_mesh(nx: int, ny: int, spacing: float = 1.0,
               height=None, seed: int | None = None) -> TriMesh:
     """Triangulated height field on an (nx x ny) vertex grid.

@@ -342,12 +342,28 @@ def test_eval_reruns_byte_identical(trained_run, tmp_path, caplog):
             == (reports / "eval.json").read_bytes())
 
 
-def test_eval_ceiling(trained_run):
+def test_eval_ceiling(trained_run, caplog):
+    """By default the ceiling scores the scans train-seg and train-lmk held
+    out; a training scan named with --indices is logged and listed."""
     root, args = trained_run
-    assert cli.main(["eval", "--ceiling", "--indices", "1"] + args) == 0
-    report = json.loads((root / "run" / "reports" / "ceiling.json").read_text())
+    path = root / "run" / "reports" / "ceiling.json"
+    train, held_out = cli._train_val_split(4, 1, RunConfig.seed)  # TINY's val_count
+    assert cli.main(["eval", "--ceiling"] + args) == 0
+    report = json.loads(path.read_text())
     assert [r["row"] for r in report["rows"]] == ["overall", "stage1", "improvement"]
-    assert report["test_scans"] == [1]
+    assert report["test_scans"] == held_out
+    assert not set(report["test_scans"]) & set(train)
+    assert report["trained_on"] == []
+
+    caplog.clear()
+    assert cli.main(["eval", "--ceiling", "--indices", str(train[0])] + args) == 0
+    report = json.loads(path.read_text())
+    assert report["test_scans"] == report["trained_on"] == [train[0]]
+    assert f"scans {train[0]} are training scans" in caplog.text
+
+    caplog.clear()
+    assert cli.main(["eval", "--ceiling"] + args + ["--set", "val_count=0"]) == 1
+    assert "--indices" in caplog.text
 
 
 def test_ablate_table(trained_run):

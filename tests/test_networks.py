@@ -8,15 +8,19 @@ import pytest
 
 from dentalmesh import autodiff as ad
 from dentalmesh import geometry as geo
+from dentalmesh import landmarks as lm
 from dentalmesh import networks as nets
 from dentalmesh.autodiff import Tensor
 from dentalmesh.errors import CheckpointError, DentalMeshError, ShapeError
+from dentalmesh.mesh_io import load_checkpoint, save_checkpoint
+from dentalmesh.training import network_output
 
 from helpers import (
     check_grads,
     reference_edge_conv,
     reference_heatmap_forward,
     reference_seg_forward,
+    widened,
 )
 
 
@@ -29,7 +33,7 @@ def _features_and_graphs(n=24, seed=0, dim=15):
 
 def test_seg_net_softmax_rows(rng):
     feats, g6, g12, _ = _features_and_graphs()
-    net = nets.ToothSegNet(seed=1)
+    net = widened(nets.ToothSegNet(seed=1))
     out = net(Tensor(feats), g6, g12)
     assert out.data.shape == (24, nets.NUM_CLASSES)
     assert np.all(out.data > 0.0)
@@ -75,9 +79,9 @@ def test_heatmap_net_shapes():
 
 def test_seg_net_permutation_equivariance():
     # relabeling the cells must permute the output rows and nothing else;
-    # batch statistics sum the rows in the new order, so to rounding
+    # batch statistics sum the rows in the new order, so to float64 rounding
     feats, _, _, points = _features_and_graphs(n=30, seed=8)
-    net = nets.ToothSegNet(seed=9)
+    net = widened(nets.ToothSegNet(seed=9))
     out = net(Tensor(feats), geo.knn_graph(points, 6), geo.knn_graph(points, 12))
 
     perm = np.random.default_rng(10).permutation(30)
@@ -92,7 +96,7 @@ def test_seg_net_permutation_equivariance():
 def test_heatmap_net_permutation_equivariance():
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(25, 15))
-    net = nets.PointHeatmapNet(seed=12, out_channels=3)
+    net = widened(nets.PointHeatmapNet(seed=12, out_channels=3))
     out = net(Tensor(feats))
     perm = rng.permutation(25)
     out_p = net(Tensor(feats[perm]))
@@ -185,6 +189,45 @@ def test_state_round_trip_heatmap_net():
     clone = nets.PointHeatmapNet(seed=19, out_channels=6)
     clone.load_state_arrays(net.state_arrays())
     assert np.array_equal(clone(Tensor(feats)).data, net(Tensor(feats)).data)
+
+
+def test_float64_checkpoint_loads_rounded_and_round_trips(tmp_path):
+    """A checkpoint stores float64. Values a float32 net cannot hold load
+    rounded to float32; a float32 net's own values widen and come back
+    exactly, so save -> load -> save writes the same bytes."""
+    net = nets.PointHeatmapNet(seed=24, out_channels=2)
+    rng = np.random.default_rng(25)
+    wide = {name: rng.normal(size=a.shape) for name, a in net.state_arrays().items()}
+    assert all(np.any(a.astype(np.float32) != a) for a in wide.values())
+    save_checkpoint(tmp_path / "wide.ckpt", net.arch_tag(), wide, {})
+    net.load_state_arrays(load_checkpoint(tmp_path / "wide.ckpt")[1])
+    for name, p in net.named_parameters():
+        assert p.data.dtype == np.float32
+        assert np.array_equal(p.data, wide[name].astype(np.float32)), name
+
+    save_checkpoint(tmp_path / "a.ckpt", net.arch_tag(), net.state_arrays(), {})
+    clone = nets.PointHeatmapNet(seed=26, out_channels=2)
+    clone.load_state_arrays(load_checkpoint(tmp_path / "a.ckpt")[1])
+    save_checkpoint(tmp_path / "b.ckpt", clone.arch_tag(), clone.state_arrays(), {})
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["seg", "point-heatmap"])
+def test_float32_nets_match_their_float64_copies(kind, small_arch):
+    """Each net computes in float32 and stays within 1e-4 of the same net
+    widened to float64: ToothSegNet on the whole 4,500-cell arch, the
+    heatmap net on one tooth's ROI."""
+    mesh, ann = small_arch
+    if kind == "seg":
+        net = nets.ToothSegNet(seed=0)
+    else:
+        tooth = lm.landmark_teeth()[0]
+        mesh = geo.extract_roi(mesh, ann.labels, tooth).mesh
+        net = nets.PointHeatmapNet(seed=0, out_channels=len(lm.landmark_names(tooth)))
+    out = network_output(net, mesh)
+    ref = network_output(widened(net), mesh)
+    assert not np.array_equal(out, ref)  # the nets did compute in float32
+    assert np.max(np.abs(out - ref)) < 1e-4
 
 
 def test_load_state_arrays_rejects_mismatch():
@@ -295,6 +338,17 @@ def _random_case():
     return _random_edge_conv(rng, cin, cout), x, geo.knn_graph(points, k).neighbors
 
 
+def _coincident_case():
+    """Every point at the origin: each cell's neighbors are itself and the
+    lowest-index cells, so cells 0..k-2 have in-degree N, the longest slot
+    lists the backward's reverse-neighbor sum can meet."""
+    rng = np.random.default_rng(33)
+    n, k = 300, 12
+    nbrs = geo.knn_graph(np.zeros((n, 3)), k).neighbors
+    assert np.bincount(nbrs.ravel()).max() == n
+    return _random_edge_conv(rng, 6, 10), rng.normal(size=(n, 6)), nbrs
+
+
 def _arch_case(small_arch):
     mesh, _ = small_arch
     conv = _random_edge_conv(np.random.default_rng(32), 15, 8)
@@ -303,11 +357,13 @@ def _arch_case(small_arch):
 
 
 @pytest.mark.parametrize("record", [True, False])
-@pytest.mark.parametrize("case", ["random", "arch"])
+@pytest.mark.parametrize("case", ["random", "coincident", "arch"])
 def test_fused_edge_conv_matches_per_edge_reference(case, record, small_arch):
     """Both paths of the fused op, a recorded graph and no_grad, against
     the (N*k, C) edge tensor batch-normed, ReLU'd and maxed edge by edge."""
-    conv, x, nbrs = _random_case() if case == "random" else _arch_case(small_arch)
+    cases = {"random": _random_case, "coincident": _coincident_case,
+             "arch": lambda: _arch_case(small_arch)}
+    conv, x, nbrs = cases[case]()
     new, out, gx = _edge_conv_run(conv, x, nbrs, record, nets.EdgeConv.__call__)
     old, ref_out, ref_gx = _edge_conv_run(conv, x, nbrs, record, reference_edge_conv)
     assert _rel(out, ref_out) < 1e-12
@@ -409,15 +465,16 @@ def test_reduced_nets_equal_the_full_nets_they_came_from(kind):
     reduced net's weights copied into the full net (random conv biases in
     front of every batch norm, PointHeatmapNet's trunk and tiled pool,
     ToothSegNet's tiled pooled block), outputs and every shared parameter's
-    gradient agree to rounding."""
+    gradient agree to float64 rounding, on float64 copies of the nets."""
     feats, g6, g12, _ = _features_and_graphs(n=40, seed=50)
     rng = np.random.default_rng(51)
     if kind == "point-heatmap":
-        net = nets.PointHeatmapNet(seed=52, out_channels=3)
+        net = widened(nets.PointHeatmapNet(seed=52, out_channels=3))
         out = net(Tensor(feats), training=True)
         ref, ref_params = reference_heatmap_forward(net, feats, rng)
     else:
-        net = nets.ToothSegNet(seed=52) if kind == "seg" else nets.make_graph_heatmap_net(52, 3)
+        net = widened(nets.ToothSegNet(seed=52) if kind == "seg"
+                      else nets.make_graph_heatmap_net(52, 3))
         # off its zero init, so gradients reach the feature transform's convs
         out_weight = net.ftm.out.weight.data
         out_weight[:] = rng.normal(scale=0.01, size=out_weight.shape)

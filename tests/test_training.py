@@ -263,6 +263,18 @@ def test_subsample_indices():
     assert np.unique(picked).size == 30
 
 
+def _arch_stage(stage: str, small_arch):
+    """(net, training loop, sample) of one stage on the synthetic arch."""
+    mesh, ann = small_arch
+    if stage == "seg":
+        return ToothSegNet(seed=0), tr.train_segmentation, SegSample(mesh, ann.labels)
+    tooth = lm.landmark_teeth()[0]
+    names = lm.landmark_names(tooth)
+    positions = {name: ann.landmarks[(tooth, name)] for name in names}
+    sample = HeatmapSample(extract_roi(mesh, ann.labels, tooth).mesh, tooth, positions)
+    return PointHeatmapNet(seed=0, out_channels=len(names)), tr.train_heatmap, sample
+
+
 @pytest.mark.parametrize("stage", ["seg", "heatmap"])
 def test_no_parameter_is_cancelled_by_batch_norm(stage, small_arch, monkeypatch):
     """Every parameter tensor of both nets gets a gradient above 1e-10 on a
@@ -272,17 +284,7 @@ def test_no_parameter_is_cancelled_by_batch_norm(stage, small_arch, monkeypatch)
     noise (1e-16) instead. The gradient checked is the second step's: the
     feature transform's last layer starts at zero weights, so the first
     step's gradient cannot reach the layers below it."""
-    mesh, ann = small_arch
-    if stage == "seg":
-        net = ToothSegNet(seed=0)
-        fit, sample = tr.train_segmentation, SegSample(mesh, ann.labels)
-    else:
-        tooth = lm.landmark_teeth()[0]
-        names = lm.landmark_names(tooth)
-        positions = {name: ann.landmarks[(tooth, name)] for name in names}
-        net = PointHeatmapNet(seed=0, out_channels=len(names))
-        fit = tr.train_heatmap
-        sample = HeatmapSample(extract_roi(mesh, ann.labels, tooth).mesh, tooth, positions)
+    net, fit, sample = _arch_stage(stage, small_arch)
     steps = []
     step = ad.AmsGrad.step
 
@@ -295,3 +297,44 @@ def test_no_parameter_is_cancelled_by_batch_norm(stage, small_arch, monkeypatch)
     assert len(steps) == 2
     names = [name for name, _ in net.named_parameters()]
     assert {name: g for name, g in zip(names, steps[1]) if not g > 1e-10} == {}
+
+
+@pytest.mark.parametrize("stage", ["seg", "heatmap"])
+def test_training_step_stays_float32(stage, small_arch, monkeypatch):
+    """A recorded training step of each net is float32 throughout: every
+    node of the graph, every gradient piece handed to _accumulate, every
+    parameter gradient and every AMSGrad moment. One float64 constant in a
+    loss would widen the backward from there on, while the parameter
+    gradients, cast on accumulation, would still read float32. A frozen
+    net's output comes back as float64."""
+    net, fit, sample = _arch_stage(stage, small_arch)
+    seen = {"graph": set(), "pieces": set(), "grads": set(), "moments": set()}
+    backward, accumulate, step = ad.backward, ad._accumulate, ad.AmsGrad.step
+
+    def recording_backward(loss):
+        stack, visited = [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in visited:
+                visited.add(id(node))
+                seen["graph"].add(node.data.dtype)
+                stack.extend(node._parents)
+        assert len(visited) > 20  # the whole net's graph, not a detached output
+        backward(loss)
+
+    def recording_accumulate(parent, piece):
+        seen["pieces"].add(piece.dtype)
+        accumulate(parent, piece)
+
+    def recording_step(opt):
+        seen["grads"].update(p.gradient().dtype for p in opt.params)
+        step(opt)
+        seen["moments"].update(a.dtype for a in opt.m + opt.v + opt.v_hat)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(ad, "_accumulate", recording_accumulate)
+    monkeypatch.setattr(ad.AmsGrad, "step", recording_step)
+    fit(net, [sample], epochs=1, seed=0, subsample=300, augment_count=0)
+    assert seen == {key: {np.dtype(np.float32)} for key in seen}
+    assert {p.data.dtype for p in net.parameters()} == {np.dtype(np.float32)}
+    assert tr.network_output(net, sample.mesh).dtype == np.float64
