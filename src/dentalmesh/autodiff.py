@@ -287,13 +287,23 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), grad_fn)
 
 
+def _relu(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ReLU: bit for bit np.where(values > 0.0, values, 0.0).
+
+    fmax sends negatives and NaN to 0.0, and adding +0.0 turns a -0.0 into
+    +0.0; both are plain passes, unlike a masked copy.
+    """
+    out = np.fmax(values, 0.0, out=out)
+    out += 0.0
+    return out
+
+
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    mask = x.data > 0.0
-    data = np.where(mask, x.data, 0.0)
+    data = _relu(x.data)
 
     def grad_fn(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (data > 0.0))
 
     return _make(data, (x,), grad_fn)
 
@@ -361,11 +371,20 @@ def concat(tensors, axis: int = 1) -> Tensor:
 # pooling
 
 def global_max_pool(x) -> Tensor:
-    """Column-wise max of a 2-D tensor, kept as shape (1, C)."""
+    """Column-wise max of a 2-D tensor, kept as shape (1, C).
+
+    Each column's max and its gradient go to the first row holding it, as
+    argmax picks it (see _first_rows_at). A column with a NaN takes its
+    first NaN, as argmax does.
+    """
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"global_max_pool needs a 2-D tensor, got {x.data.shape}")
-    arg = x.data.argmax(axis=0)
+    top = x.data.max(axis=0)
+    if np.isnan(top).any():
+        arg = x.data.argmax(axis=0)
+    else:
+        arg = _first_rows_at(x.data, top)
     data = x.data[arg, np.arange(x.data.shape[1])][None, :]
 
     def grad_fn(g):
@@ -374,6 +393,24 @@ def global_max_pool(x) -> Tensor:
         x.grad[arg, np.arange(x.data.shape[1])] += g[0]
 
     return _make(data, (x,), grad_fn)
+
+
+def _first_rows_at(values: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per column c, the first row r with values[r, c] == top[c], where
+    every column holds its top.
+
+    argmax over a float column is several times slower than max, so the
+    row is the first True of values == top, searched in blocks of 2^20
+    entries from the last block to the first: numpy's argmax over axis 0
+    slows about fourfold once the boolean block outgrows the cache.
+    """
+    n, c = values.shape
+    step = max(1, 2**20 // max(c, 1))
+    rows = np.zeros(c, dtype=np.intp)
+    for lo in reversed(range(0, n, step)):
+        hit = values[lo:lo + step] == top
+        rows = np.where(hit.any(axis=0), lo + hit.argmax(axis=0), rows)
+    return rows
 
 
 def reduce_sum(x, axis: int | None = None) -> Tensor:
@@ -408,7 +445,9 @@ def conv_bn_relu(x, weight: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     backward keeps besides the output, from which it reads the ReLU mask.
     With no gradient tracked the affine step and ReLU run in place too, so
     x_hat and the output are the one buffer and nothing is kept. The
-    arithmetic is the unfused composition's, operation for operation.
+    arithmetic is the unfused composition's, operation for operation; its
+    ReLU is the fmax form of relu, which equals the composition's bit for
+    bit.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
@@ -423,7 +462,7 @@ def conv_bn_relu(x, weight: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     x_hat *= inv
     data = np.multiply(x_hat, gamma.data, out=None if _tracked(parents) else x_hat)
     data += beta.data
-    np.copyto(data, 0.0, where=~(data > 0.0))  # as relu: -0.0 and NaN become 0.0
+    _relu(data, out=data)
 
     def grad_fn(g):
         h = g * (data > 0.0)
@@ -524,14 +563,25 @@ def edge_conv(x, weight: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def _select_neighbors(p: np.ndarray, nbrs: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Per cell and channel, the neighbor with the least sign * p, first slot on ties."""
+    """Per cell and channel, the neighbor with the least sign * p, first slot on ties.
+
+    A first pass of k gathers finds the least value. The first slot holding
+    it equals the number of slots before it whose value differs, so a
+    second pass over the first k - 1 slots keeps a mask of entries not
+    matched yet and adds it to a slot count, held in the narrowest unsigned
+    type that reaches k - 1. An entry whose neighbors include a NaN may
+    pick another slot; its output is NaN either way.
+    """
+    k = nbrs.shape[1]
     signed = p * sign
     least = signed[nbrs[:, 0]]
-    for slot in range(1, nbrs.shape[1]):
+    for slot in range(1, k):
         np.minimum(least, signed[nbrs[:, slot]], out=least)
-    slots = np.zeros(p.shape, dtype=np.int64)
-    for slot in range(nbrs.shape[1] - 1, -1, -1):  # downwards: the lowest slot wins
-        np.copyto(slots, slot, where=signed[nbrs[:, slot]] == least)
+    slots = np.zeros(p.shape, dtype=np.min_scalar_type(k - 1))
+    missing = np.ones(p.shape, dtype=bool)  # no slot so far holds the least
+    for slot in range(k - 1):
+        missing &= signed[nbrs[:, slot]] != least
+        slots += missing
     return np.take_along_axis(nbrs, slots, axis=1)
 
 

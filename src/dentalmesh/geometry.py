@@ -1,11 +1,17 @@
 """Mesh geometry operations feeding the learning pipeline.
 
 Covers quadric edge-collapse decimation, run in rounds of independent
-collapses, with a fine-to-coarse cell map; edge-sharing cell pairs, built
-from the same sorted cell sides as the decimation's edges; 15-column
-per-cell feature extraction, kNN graph construction, per-tooth ROI
-extraction, and the random rigid augmentation the training loops draw
+collapses, with a fine-to-coarse cell map; edge-sharing cell pairs;
+15-column per-cell feature extraction, kNN graph construction, per-tooth
+ROI extraction, and the random rigid augmentation the training loops draw
 from.
+
+The kNN graphs and the fine-to-coarse map are exhaustive searches over
+dense distance blocks of at most DISTANCE_BLOCK entries (or one row), so
+their memory stays bounded at any mesh size. A block's cross term is one
+BLAS product, whose last bit can depend on the block's shape: distances
+that tie only to within rounding may order differently under another
+block size.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .mesh_io import TriMesh
 
 MIN_DECIMATION_TARGET = 100
 FEATURE_DIM = 15
+DISTANCE_BLOCK = 2**20  # entries per block of a pairwise distance matrix (8 MB in float64)
 
 TRANSLATION_RANGE = 10.0  # mm
 SCALE_RANGE = (0.8, 1.2)
@@ -90,14 +97,15 @@ class KnnGraph:
 def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """Per row, the first k columns of a stable argsort of the distances.
 
-    argpartition finds k smallest distances. Where more than k reach the
+    Rows are taken in blocks of at most DISTANCE_BLOCK distances (or one
+    row). argpartition finds k smallest distances. Where more than k reach the
     k-th smallest value, the lowest indices at that value are kept, as the
     stable sort keeps them; the k are then ordered by (distance, index).
     """
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
     out = np.empty((n, k), dtype=np.int64)
-    chunk = max(1, int(2**24 // max(n, 1)))
+    chunk = max(1, DISTANCE_BLOCK // n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (points[lo:hi] @ points.T)
@@ -140,12 +148,16 @@ def knn_graph(mesh_or_points, k: int) -> KnnGraph:
 
 
 def nearest_rows(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Index of the nearest row of refs for each query row (ties: lower index)."""
+    """Index of the nearest row of refs for each query row (ties: lower index).
+
+    Queries are taken in blocks of at most DISTANCE_BLOCK distances (or
+    one query).
+    """
     refs = np.asarray(refs, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     sq = np.einsum("ij,ij->i", refs, refs)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    chunk = max(1, int(2**24 // max(refs.shape[0], 1)))
+    chunk = max(1, DISTANCE_BLOCK // max(refs.shape[0], 1))
     for lo in range(0, queries.shape[0], chunk):
         hi = min(lo + chunk, queries.shape[0])
         d2 = sq[None, :] - 2.0 * (queries[lo:hi] @ refs.T)
@@ -220,6 +232,15 @@ def _collapse_costs(positions: np.ndarray, quadrics: np.ndarray,
     return costs[rows, best], cand[rows, best, :3]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (M, 3) arrays: np.cross's products and differences."""
+    out = np.empty_like(a)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
 def decimate(
     mesh: TriMesh, target_cells: int
 ) -> tuple[TriMesh, np.ndarray]:
@@ -273,7 +294,9 @@ def decimate(
     moved = np.ones(nv, dtype=bool)
 
     while cells.shape[0] > target_cells:
-        side_key, _ = _cell_sides(cells, nv)
+        nxt = cells[:, [1, 2, 0]]  # each cell side as (corner, next corner)
+        side_key = np.minimum(cells, nxt) * np.int64(nv) + np.maximum(cells, nxt)
+        side_key = np.sort(side_key.ravel())
         edge_key = side_key[np.r_[True, side_key[1:] != side_key[:-1]]]
         u, v = np.divmod(edge_key, nv)
         fresh = moved[u] | moved[v]
@@ -321,8 +344,8 @@ def decimate(
         # flip test over the cells that survive the collapse
         corners = positions[tc]
         after = np.where((is_u | is_v)[:, :, None], targets[picked][tp, None, :], corners)
-        old_n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-        new_n = np.cross(after[:, 1] - after[:, 0], after[:, 2] - after[:, 0])
+        old_n = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        new_n = _cross(after[:, 1] - after[:, 0], after[:, 2] - after[:, 0])
         flips = ~shared & ((np.einsum("ij,ij->i", old_n, new_n) <= 0.0)
                            | (np.einsum("ij,ij->i", new_n, new_n) < 1e-24))
         bad |= np.bincount(tp[flips], minlength=picked.size) > 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dentalmesh import autodiff as ad
+from dentalmesh import geometry as geo
 from dentalmesh.errors import NonFiniteGradientError, ShapeError
 
 from helpers import check_grads, gather_rows, max_over_axis, reference_conv_bn_relu
@@ -65,6 +66,85 @@ def test_pooling_gradients(rng):
         return ad.reduce_sum(pooled * 6.0) + ad.reduce_sum(m * weights), [ap]
 
     check_grads(build, [a])
+
+
+def test_global_max_pool_routes_tied_maxima_to_the_first_row():
+    """As argmax: a tied column max (an all-zero ReLU column, -0.0 against
+    +0.0) is taken from, and sends its gradient to, the first row holding
+    it; a column with a NaN takes its first NaN. The tall array spans
+    three row blocks of the search, with ties within and across them."""
+    ties = np.array([[0.0, 1.0, -0.0, -2.0, 3.0],
+                     [0.0, 2.0, 0.0, -1.0, 3.0],
+                     [0.0, 2.0, 0.0, 5.0, 1.0],
+                     [0.0, 0.5, -0.0, 5.0, 3.0]])
+    with_nan = ties.copy()
+    with_nan[[1, 3], 3] = np.nan
+    tall = np.maximum(np.random.default_rng(1).normal(size=(2100, 1024)), 0.0)
+    tall[:, :3] = 0.0
+    tall[0, 1], tall[1030, 1] = -0.0, 0.0  # the max is taken with row 0's sign
+    tall[[1100, 2050], 2] = 1.0
+    tall[[7, 1500], 3] = 9.0
+    tall[[1023, 1024], 4] = 9.0
+    for x in (ties, with_nan, tall):
+        xp = ad.Parameter(x)
+        out = ad.global_max_pool(xp)
+        rows, cols = x.argmax(axis=0), np.arange(x.shape[1])
+        assert out.data.tobytes() == x[rows, cols][None, :].tobytes()
+        g = np.arange(1.0, x.shape[1] + 1.0)[None, :]
+        ad.backward(ad.reduce_sum(out * g))
+        expected = np.zeros_like(x)
+        expected[rows, cols] = g[0]
+        assert np.array_equal(xp.grad, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_equals_the_masked_where_bytewise(dtype):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.smallest_subnormal,
+               -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max]
+    table = np.concatenate([np.array(special, dtype=dtype),
+                            np.random.default_rng(0).normal(size=1000).astype(dtype)])
+    # numpy's fmax keeps or drops the sign of -0.0 depending on the loop
+    # it takes, so each special value also goes through alone
+    for x in [table] + [np.array([v], dtype=dtype) for v in special]:
+        expected = np.where(x > 0.0, x, 0.0)
+        assert expected.dtype == dtype
+        assert ad._relu(x).tobytes() == expected.tobytes()
+        in_place = x.copy()
+        ad._relu(in_place, out=in_place)
+        assert in_place.tobytes() == expected.tobytes()
+        assert ad.relu(ad.Tensor(x)).data.tobytes() == expected.tobytes()
+
+
+def _first_least_neighbors(p, nbrs, sign):
+    """Per cell and channel, a loop over the slots: the first neighbor whose
+    sign * p is least (-0.0 and +0.0 tie)."""
+    signed = p * sign
+    out = np.empty(p.shape, dtype=np.int64)
+    for i, row in enumerate(nbrs):
+        for c in range(p.shape[1]):
+            values = [signed[j, c] for j in row]
+            out[i, c] = row[values.index(min(values))]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 12, 257])
+def test_select_neighbors_takes_the_first_least_slot(k):
+    """Few distinct values, +-0.0 among them, duplicated rows and every
+    gamma sign: most picks are ties, which go to the lowest slot. k = 257
+    needs a slot count wider than 8 bits."""
+    rng = np.random.default_rng(k)
+    n = max(30, k + 3)
+    p = rng.choice([-1.5, -0.0, 0.0, 0.75, 2.0], size=(n, 9))
+    p[10:20] = p[:10]
+    sign = np.array([1.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0, -1.0, 1.0])
+    graphs = (geo.knn_graph(rng.normal(size=(n, 3)), k).neighbors,
+              geo.knn_graph(np.zeros((n, 3)), k).neighbors)  # coincident points
+    for nbrs in graphs:
+        expected = _first_least_neighbors(p, nbrs, sign)
+        for dtype in (np.float32, np.float64):
+            picked = ad._select_neighbors(p.astype(dtype), nbrs, sign.astype(dtype))
+            assert np.array_equal(picked, expected)
 
 
 def _conv_bn_relu_arrays(rng, n=9, cin=4, cout=5):

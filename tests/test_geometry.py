@@ -142,6 +142,32 @@ def test_nearest_rows_oracle(rng):
     assert np.array_equal(idx, np.argmin(d2, axis=1))
 
 
+def test_distance_blocks_do_not_change_the_result(monkeypatch):
+    """Blocks of one row and of several rows give the one-block arrays, ties
+    among duplicated and coincident points included. The duplicated points
+    sit on a grid of eighths, where every distance is exact: in one block
+    numpy's symmetric product can give duplicates of random points unequal
+    distances from the same row, which breaks their tie either way."""
+    rng = np.random.default_rng(5)
+    scattered = rng.normal(size=(150, 3))
+    duplicated = rng.integers(-40, 40, size=(150, 3)) / 8.0
+    duplicated[100:] = duplicated[:50]
+    refs = rng.integers(-40, 40, size=(40, 3)) / 8.0
+    refs[20:] = refs[:20]
+    coincident = np.zeros((60, 3))
+
+    def results():
+        return [geo._knn_indices(scattered, 12), geo._knn_indices(duplicated, 12),
+                geo._knn_indices(coincident, 12), geo.nearest_rows(scattered, refs),
+                geo.nearest_rows(duplicated, refs), geo.nearest_rows(duplicated, coincident)]
+
+    one_block = results()
+    for block in (64, 1000):
+        monkeypatch.setattr(geo, "DISTANCE_BLOCK", block)
+        for got, expected in zip(results(), one_block):
+            assert np.array_equal(got, expected), block
+
+
 def test_cell_adjacency_grid():
     mesh = grid_mesh(4, 4)
     adj = geo.cell_adjacency(mesh)
