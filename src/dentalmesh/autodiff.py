@@ -298,16 +298,6 @@ def _relu(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    data = _relu(x.data)
-
-    def grad_fn(g):
-        _accumulate(x, g * (data > 0.0))
-
-    return _make(data, (x,), grad_fn)
-
-
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     data = np.empty_like(x.data)
@@ -339,19 +329,7 @@ def softmax_rows(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape ops
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    data = x.data.reshape(shape)
-    if data.ndim > _MAX_RANK:
-        raise ShapeError(f"rank {data.ndim} exceeds maximum {_MAX_RANK}")
-
-    def grad_fn(g):
-        _accumulate(x, g.reshape(x.data.shape))
-
-    return _make(data, (x,), grad_fn)
-
+# shape ops and reductions
 
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
@@ -365,52 +343,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
             _accumulate(t, piece)
 
     return _make(data, tuple(tensors), grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# pooling
-
-def global_max_pool(x) -> Tensor:
-    """Column-wise max of a 2-D tensor, kept as shape (1, C).
-
-    Each column's max and its gradient go to the first row holding it, as
-    argmax picks it (see _first_rows_at). A column with a NaN takes its
-    first NaN, as argmax does.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"global_max_pool needs a 2-D tensor, got {x.data.shape}")
-    top = x.data.max(axis=0)
-    if np.isnan(top).any():
-        arg = x.data.argmax(axis=0)
-    else:
-        arg = _first_rows_at(x.data, top)
-    data = x.data[arg, np.arange(x.data.shape[1])][None, :]
-
-    def grad_fn(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[arg, np.arange(x.data.shape[1])] += g[0]
-
-    return _make(data, (x,), grad_fn)
-
-
-def _first_rows_at(values: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Per column c, the first row r with values[r, c] == top[c], where
-    every column holds its top.
-
-    argmax over a float column is several times slower than max, so the
-    row is the first True of values == top, searched in blocks of 2^20
-    entries from the last block to the first: numpy's argmax over axis 0
-    slows about fourfold once the boolean block outgrows the cache.
-    """
-    n, c = values.shape
-    step = max(1, 2**20 // max(c, 1))
-    rows = np.zeros(c, dtype=np.intp)
-    for lo in reversed(range(0, n, step)):
-        hit = values[lo:lo + step] == top
-        rows = np.where(hit.any(axis=0), lo + hit.argmax(axis=0), rows)
-    return rows
 
 
 def reduce_sum(x, axis: int | None = None) -> Tensor:
@@ -446,8 +378,7 @@ def conv_bn_relu(x, weight: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     With no gradient tracked the affine step and ReLU run in place too, so
     x_hat and the output are the one buffer and nothing is kept. The
     arithmetic is the unfused composition's, operation for operation; its
-    ReLU is the fmax form of relu, which equals the composition's bit for
-    bit.
+    ReLU is _relu, which equals a masked np.where bit for bit.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
@@ -557,7 +488,11 @@ def edge_conv(x, weight: Tensor, gamma: Tensor, beta: Tensor,
         dp += da
         if _needs_grad(x):
             _accumulate(x, dp @ w_diff.T + da @ w_center.T)
-        _accumulate(weight, np.vstack([x.data.T @ dp, x.data.T @ da]))
+        # both halves written in place, so the gradient is never held twice
+        dw = np.empty_like(weight.data)
+        np.matmul(x.data.T, dp, out=dw[:cin])
+        np.matmul(x.data.T, da, out=dw[cin:])
+        _accumulate(weight, dw)
 
     return _make(data, parents, grad_fn)
 

@@ -176,7 +176,8 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
     outputs, and a segmentation net must end in a softmax and have been
     trained with the (k_small, k_large) of knn. A net of an earlier version
     cannot load: v1 nets kept batch-norm running buffers and the layers
-    that batch norm cancels. Anything else is a CheckpointError.
+    that batch norm cancels, and v2 segmentation nets carried the feature
+    transform. Anything else is a CheckpointError.
     """
     if not Path(path).exists():
         raise CheckpointError(

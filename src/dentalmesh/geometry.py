@@ -101,6 +101,10 @@ def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     row). argpartition finds k smallest distances. Where more than k reach the
     k-th smallest value, the lowest indices at that value are kept, as the
     stable sort keeps them; the k are then ordered by (distance, index).
+    Ties are ties of the computed distances: the BLAS cross term can give
+    exact duplicates of a point unequal distances from the same row, and
+    its rounding depends on the block shape, so duplicates and near-ties
+    may come out in either order.
     """
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
@@ -130,7 +134,8 @@ def knn_graph(mesh_or_points, k: int) -> KnnGraph:
 
     A mesh is measured between its cell barycenters; an (N, D) array between
     its rows. ToothSegNet's graphs are built once per forward from a scan's
-    cell barycenters.
+    cell barycenters. Only ties in the computed distances go to the lower
+    index; exactly duplicated points need not tie (see _knn_indices).
     """
     if isinstance(mesh_or_points, TriMesh):
         points = mesh_or_points.cell_barycenters
@@ -151,7 +156,9 @@ def nearest_rows(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Index of the nearest row of refs for each query row (ties: lower index).
 
     Queries are taken in blocks of at most DISTANCE_BLOCK distances (or
-    one query).
+    one query). The tie rule holds for ties in the computed distances:
+    exactly duplicated refs can get different BLAS cross terms, so the
+    higher index of a duplicated pair may win.
     """
     refs = np.asarray(refs, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)

@@ -1,12 +1,13 @@
 """Network architectures and training losses.
 
 ToothSegNet is the stage-1 graph segmentation network: a shared MLP lifts
-the 15 per-cell features to 64 channels, a learned 64x64 feature transform
-canonicalizes them, then two graph-pooling stages (EdgeConv over kNN
-graphs, k=6 and a parallel k=6/k=12 pair at 512 channels) feed a dense
-fusion of local, transformed and graph-pooled features into the per-cell
-classification head. All pointwise convs carry batch norm and ReLU except
-the final one.
+the 15 per-cell features to 64 channels, then two graph-pooling stages
+(EdgeConv over kNN graphs, k=6 and a parallel k=6/k=12 pair at 512
+channels) feed a dense fusion of the local and graph-pooled features into
+the per-cell classification head. MeshSegNet's 64x64 feature transform
+between the MLP and the first graph stage is left out: it held half the
+net's parameters and, measured, did not raise the held-out DSC. All
+pointwise convs carry batch norm and ReLU except the final one.
 
 Batch norm normalizes every cloud (one scan, or one tooth ROI) by its own
 statistics, in training and inference alike, and keeps no running
@@ -14,10 +15,9 @@ buffers. It subtracts whatever is the same for every cell of the cloud, so
 the nets hold nothing of that kind: no conv in front of a batch norm has a
 bias, and neither net tiles a globally pooled row back onto the cells as
 MeshSegNet and PointNet do, since the next batch norm would cancel it.
-Only the two output convs and the dense layers of the feature transform
-keep a bias. A forward's `training` flag means "record the graph for
-backward"; with it off the forward runs under no_grad and computes the
-same values.
+Only the two output convs keep a bias. A forward's `training` flag means
+"record the graph for backward"; with it off the forward runs under
+no_grad and computes the same values.
 
 Each ConvBlock (pointwise conv, batch norm, ReLU) is one fused op, like
 each EdgeConv: autodiff.conv_bn_relu works in the conv's output buffer
@@ -58,7 +58,9 @@ from .errors import CheckpointError, ShapeError
 
 NUM_CLASSES = 15  # gingiva + 14 teeth
 GDL_SMOOTH = 1e-5
-ARCH_VERSION = "v2"  # of both nets' arch tags; v1 nets carried running buffers
+# of both nets' arch tags; v1 nets carried running buffers, v2 seg nets the
+# feature transform
+ARCH_VERSION = "v3"
 PARAM_DTYPE = np.float32  # what both nets hold and compute in
 
 
@@ -161,20 +163,6 @@ class ConvBlock(Module):
         return ad.conv_bn_relu(x, self.weight, self.bn.gamma, self.bn.beta)
 
 
-class Dense(Module):
-    """Linear on the pooled (1, C) row; optionally ReLU."""
-
-    def __init__(self, rng, cin: int, cout: int, name: str = "dense",
-                 activation: bool = True):
-        self.weight = Parameter(_glorot(rng, cin, cout), f"{name}.weight")
-        self.bias = Parameter(np.zeros(cout), f"{name}.bias")
-        self.activation = activation
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = ad.add(ad.matmul(x, self.weight), self.bias)
-        return ad.relu(out) if self.activation else out
-
-
 class EdgeConv(Module):
     """Single shared conv on (center - neighbor, center) pairs, BN, ReLU,
     then a per-cell max over the neighbor list, as one fused op.
@@ -201,34 +189,6 @@ class EdgeConv(Module):
 
 
 # ---------------------------------------------------------------------------
-# feature transform
-
-class FeatureTransform(Module):
-    """Predicts a 64x64 matrix from the 64-channel features, PointNet style.
-
-    Convs (64, 128, 1024), global max pool, dense (512, 256), and a final
-    dense layer initialized to emit the identity matrix.
-    """
-
-    def __init__(self, rng, channels: int = 64):
-        self.channels = channels
-        self.conv1 = ConvBlock(rng, channels, 64, "ftm.conv1")
-        self.conv2 = ConvBlock(rng, 64, 128, "ftm.conv2")
-        self.conv3 = ConvBlock(rng, 128, 1024, "ftm.conv3")
-        self.fc1 = Dense(rng, 1024, 512, "ftm.fc1")
-        self.fc2 = Dense(rng, 512, 256, "ftm.fc2")
-        self.out = Dense(rng, 256, channels * channels, "ftm.out", activation=False)
-        self.out.weight.data[:] = 0.0
-        self.out.bias.data = np.eye(channels, dtype=np.float64).reshape(-1)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.conv3(self.conv2(self.conv1(x)))
-        g = ad.global_max_pool(h)
-        t = self.out(self.fc2(self.fc1(g)))
-        return ad.reshape(t, (self.channels, self.channels))
-
-
-# ---------------------------------------------------------------------------
 # networks
 
 class ToothSegNet(Module):
@@ -238,10 +198,11 @@ class ToothSegNet(Module):
     (k_small and k_large, 6 and 12 by default) and returns (N, out_channels).
     With the softmax head the rows are probability distributions over
     gingiva + 14 teeth. The graphs are fixed for a scan: both come from the
-    cell barycenters, not from the features. mlp3 fuses the transformed
-    features with both graph-pooling stages' outputs (64 + 64 + 512
-    channels); MeshSegNet's tiled global max pool of glm2 is left out,
-    because mlp3's batch norm cancels it.
+    cell barycenters, not from the features. mlp3 fuses mlp1's features
+    with both graph-pooling stages' outputs (64 + 64 + 512 channels).
+    MeshSegNet's tiled global max pool of glm2 is left out, because mlp3's
+    batch norm cancels it, and so is its feature transform (see the module
+    docstring).
     """
 
     uses_graphs = True
@@ -255,7 +216,6 @@ class ToothSegNet(Module):
         self.head = head
         self.mlp1 = [ConvBlock(rng, geometry.FEATURE_DIM, 64, "mlp1.0"),
                      ConvBlock(rng, 64, 64, "mlp1.1")]
-        self.ftm = FeatureTransform(rng, 64)
         self.glm1 = EdgeConv(rng, 64, 64, name="glm1")
         self.mlp2 = [ConvBlock(rng, 64, 64, "mlp2.0"),
                      ConvBlock(rng, 64, 128, "mlp2.1"),
@@ -284,7 +244,6 @@ class ToothSegNet(Module):
         with _recording(training):
             for block in self.mlp1:
                 x = block(x)
-            x = ad.matmul(x, self.ftm(x))
             g1 = self.glm1(x, graph6)
             h = g1
             for block in self.mlp2:

@@ -187,7 +187,27 @@ def svm_dual_objective(kernel: np.ndarray, y: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the per-edge EdgeConv that autodiff.edge_conv replaced
+# plain ops of the reference nets, which the fused ops replaced
+
+def relu(x) -> Tensor:
+    x = _as_tensor(x)
+    data = np.where(x.data > 0.0, x.data, 0.0)
+
+    def grad_fn(g):
+        _accumulate(x, g * (data > 0.0))
+
+    return _make(data, (x,), grad_fn)
+
+
+def reshape(x, shape) -> Tensor:
+    x = _as_tensor(x)
+    data = x.data.reshape(shape)
+
+    def grad_fn(g):
+        _accumulate(x, g.reshape(x.data.shape))
+
+    return _make(data, (x,), grad_fn)
+
 
 def gather_rows(x, idx) -> Tensor:
     x = _as_tensor(x)
@@ -221,6 +241,9 @@ def max_over_axis(x, axis: int) -> Tensor:
     return _make(data, (x,), grad_fn)
 
 
+# ---------------------------------------------------------------------------
+# the per-edge EdgeConv that autodiff.edge_conv replaced
+
 def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, bias=None) -> Tensor:
     """EdgeConv edge by edge: gather the (N*k, C) edge tensor, batch-norm
     it, ReLU, then max over each cell's k edges; bias, if given, is added
@@ -236,9 +259,9 @@ def reference_edge_conv(conv, x: Tensor, nbrs: np.ndarray, bias=None) -> Tensor:
     n, k = nbrs.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edge = ad.sub(gather_rows(a, src), gather_rows(p, nbrs.reshape(-1)))
-    edge = ad.relu(reference_batch_norm(edge, conv.bn.gamma, conv.bn.beta))
+    edge = relu(reference_batch_norm(edge, conv.bn.gamma, conv.bn.beta))
     cout = edge.data.shape[1]
-    return max_over_axis(ad.reshape(edge, (n, k, cout)), axis=1)
+    return max_over_axis(reshape(edge, (n, k, cout)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +300,7 @@ def reference_conv_bn_relu(x, weight: Tensor, gamma: Tensor, beta: Tensor,
     conv = ad.matmul(x, weight)
     if bias is not None:
         conv = ad.add(conv, bias)
-    return ad.relu(reference_batch_norm(conv, gamma, beta))
+    return relu(reference_batch_norm(conv, gamma, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +339,20 @@ class _FullNet:
                                    self.bias(conv.weight.data.shape[1]))
 
     def tiled_pool(self, x: Tensor) -> Tensor:
-        """The (1, C) global max pool of x repeated on every row."""
-        ones = Tensor(np.ones((x.data.shape[0], 1)))
-        return ad.matmul(ones, ad.global_max_pool(x))
+        """The column-wise max of x repeated on every row."""
+        return ad.add(np.zeros_like(x.data), max_over_axis(x, axis=0))
 
 
 def reference_seg_forward(net, features, graph6, graph12, rng) -> tuple:
-    """ToothSegNet (either head) as MeshSegNet has it, from the unfused ops:
-    conv biases before every batch norm, and glm2's tiled global max pool
-    fed to mlp3.0. Returns (output, {reduced name: reference parameter})."""
+    """ToothSegNet (either head) as MeshSegNet has it, less its feature
+    transform, from the unfused ops: conv biases before every batch norm,
+    and glm2's tiled global max pool fed to mlp3.0. Returns (output,
+    {reduced name: reference parameter})."""
     full = _FullNet(net, rng)
     net = full.net
     x = Tensor(features)
     for block in net.mlp1:
         x = full.block(block, x)
-    ftm = net.ftm
-    h = full.block(ftm.conv3, full.block(ftm.conv2, full.block(ftm.conv1, x)))
-    transform = ftm.out(ftm.fc2(ftm.fc1(ad.global_max_pool(h))))
-    x = ad.matmul(x, ad.reshape(transform, (ftm.channels, ftm.channels)))
     g1 = full.edge(net.glm1, x, graph6)
     h = g1
     for block in net.mlp2:

@@ -415,7 +415,7 @@ def test_infer_rejects_mismatched_checkpoints_before_compute(trained_run, tmp_pa
         assert cli.main(command + args) == 2
         assert ("seg.ckpt: trained with k_small=4, k_large=8; this run uses "
                 "k_small=6, k_large=12") in caplog.text
-    # every v2 segmentation checkpoint records its widths
+    # every segmentation checkpoint records its widths
     del meta["k_small"], meta["k_large"]
     save_checkpoint(run / "checkpoints" / "seg.ckpt", arch, arrays, meta)
     caplog.clear()
@@ -435,9 +435,9 @@ def test_artifacts_of_dynamic_graphs_fail_loudly(tmp_path, caplog):
 
 def test_checkpoints_of_an_earlier_net_version_are_refused(trained_run, tmp_path,
                                                            monkeypatch, caplog):
-    """A v1 net, which kept batch-norm running buffers, stops infer and
-    eval --ceiling with exit 2 and a request to retrain, before any scan is
-    decimated."""
+    """A v2 seg or lmk net (v2 segmentation nets carried the feature
+    transform) stops infer and eval --ceiling with exit 2 and a request to
+    retrain, before any scan is decimated."""
     root, args = trained_run
     mesh = str(root / "data" / "arch_000.off")
 
@@ -451,8 +451,8 @@ def test_checkpoints_of_an_earlier_net_version_are_refused(trained_run, tmp_path
         shutil.copytree(root / "run" / "checkpoints", run / "checkpoints")
         path = run / "checkpoints" / name
         arch, arrays, meta = load_checkpoint(path)
-        assert arch.split()[0].endswith("/v2")
-        old = arch.replace("/v2", "/v1", 1)
+        assert arch.split()[0].endswith("/v3")
+        old = arch.replace("/v3", "/v2", 1)
         save_checkpoint(path, old, arrays, meta)
         for command in (["infer", "--mesh", mesh], ["eval", "--ceiling"]):
             caplog.clear()

@@ -103,14 +103,6 @@ def test_heatmap_net_permutation_equivariance():
     assert _rel(out_p.data, out.data[perm]) < 1e-12  # to rounding, as above
 
 
-def test_feature_transform_starts_at_identity():
-    rng = np.random.default_rng(13)
-    ftm = nets.FeatureTransform(rng)
-    x = Tensor(np.random.default_rng(14).normal(size=(10, 64)))
-    t = ftm(x)
-    assert np.array_equal(t.data, np.eye(64))
-
-
 def test_one_hot():
     labels = np.array([0, 2, 14, 2])
     oh = nets.one_hot(labels)
@@ -244,6 +236,19 @@ def test_load_state_arrays_rejects_mismatch():
     other = nets.PointHeatmapNet(seed=21, out_channels=3)
     with pytest.raises(CheckpointError):
         net.load_state_arrays(other.state_arrays())
+
+
+def test_seg_net_layers_and_size():
+    """ToothSegNet is mlp1, one graph stage, mlp2, the k6/k12 graph stage,
+    mlp3 and the head, with no feature transform between mlp1 and glm1."""
+    net = nets.ToothSegNet()
+    prefixes = []
+    for p in net.parameters():
+        top = p.name.split(".")[0]
+        if top not in prefixes:
+            prefixes.append(top)
+    assert prefixes == ["mlp1", "glm1", "mlp2", "glm2", "mlp3", "head"]
+    assert sum(p.data.size for p in net.parameters()) == 1_868_111
 
 
 def test_arch_tags_encode_configuration():
@@ -475,9 +480,6 @@ def test_reduced_nets_equal_the_full_nets_they_came_from(kind):
     else:
         net = widened(nets.ToothSegNet(seed=52) if kind == "seg"
                       else nets.make_graph_heatmap_net(52, 3))
-        # off its zero init, so gradients reach the feature transform's convs
-        out_weight = net.ftm.out.weight.data
-        out_weight[:] = rng.normal(scale=0.01, size=out_weight.shape)
         out = net(Tensor(feats), g6, g12, training=True)
         ref, ref_params = reference_seg_forward(net, feats, g6, g12, rng)
     assert _rel(out.data, ref.data) < 1e-10
