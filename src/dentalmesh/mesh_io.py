@@ -322,31 +322,44 @@ def load_mesh(path) -> TriMesh:
     return _LOADERS[fmt](text.splitlines(), path)
 
 
+_STL_FACET = (
+    "facet normal %r %r %r\n  outer loop\n"
+    + "    vertex %r %r %r\n" * 3
+    + "  endloop\nendfacet\n"
+)
+
+
+def _values(array: np.ndarray) -> tuple:
+    return tuple(array.ravel().tolist())
+
+
 def save_mesh(mesh: TriMesh, path) -> None:
+    """Write a mesh in the format its extension names.
+
+    Each block of rows is one %-format over the block's values as Python
+    floats and ints; %r is repr, the shortest string that reads back to the
+    same float64.
+    """
     path = Path(path)
     fmt = _format_of(path)
+    nv, nf = mesh.num_vertices, mesh.num_cells
     if fmt == "off":
-        rows = ["OFF", f"{mesh.num_vertices} {mesh.num_cells} 0"]
-        rows.extend(" ".join(repr(x) for x in v) for v in mesh.vertices.tolist())
-        rows.extend(f"3 {a} {b} {c}" for a, b, c in mesh.cells.tolist())
+        text = (
+            f"OFF\n{nv} {nf} 0\n"
+            + "%r %r %r\n" * nv % _values(mesh.vertices)
+            + "3 %d %d %d\n" * nf % _values(mesh.cells)
+        )
     elif fmt == "obj":
-        rows = [" ".join(["v"] + [repr(x) for x in v]) for v in mesh.vertices.tolist()]
-        rows.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.cells.tolist())
+        text = (
+            "v %r %r %r\n" * nv % _values(mesh.vertices)
+            + "f %d %d %d\n" * nf % _values(mesh.cells + 1)
+        ) or "\n"
     else:  # stl-ascii
-        rows = ["solid mesh"]
-        normals = mesh.cell_normals
-        for i, cell in enumerate(mesh.cells):
-            n = " ".join(repr(x) for x in normals[i].tolist())
-            rows.append(f"facet normal {n}")
-            rows.append("  outer loop")
-            for vi in cell:
-                rows.append(
-                    "    vertex " + " ".join(repr(x) for x in mesh.vertices[vi].tolist())
-                )
-            rows.append("  endloop")
-            rows.append("endfacet")
-        rows.append("endsolid mesh")
-    path.write_text("\n".join(rows) + "\n")
+        facets = np.concatenate(
+            [mesh.cell_normals, mesh.vertices[mesh.cells].reshape(nf, 9)], axis=1
+        )
+        text = "solid mesh\n" + _STL_FACET * nf % _values(facets) + "endsolid mesh\n"
+    path.write_text(text)
 
 
 def load_annotation(path, num_cells: int | None = None) -> Annotation:
@@ -370,9 +383,9 @@ def load_annotation(path, num_cells: int | None = None) -> Annotation:
 
 def save_annotation(ann: Annotation, path) -> None:
     doc = {
-        "labels": [int(x) for x in ann.labels],
+        "labels": ann.labels.tolist(),
         "landmarks": {
-            lm.landmark_key(tooth, name): [float(x) for x in pos]
+            lm.landmark_key(tooth, name): pos.tolist()
             for (tooth, name), pos in sorted(ann.landmarks.items())
         },
     }

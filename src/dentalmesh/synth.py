@@ -13,10 +13,20 @@ passes through 2/3 H exactly at s = (1/3)^(1/4)), gingival points low on the
 palatal/labial walls, lingual "angle" corners on the 2/3-height level line,
 and cusp landmarks at true bump apices found by gradient ascent on the
 analytic height.
+
+"Same spec -> identical arch" holds on one machine and numpy build. The
+height of a single point (`_point_height`, used by the apex ascent and for
+every landmark's z) takes its powers from libm `pow` and its exponentials
+from numpy's vectorised `exp`, and either may round the last bit
+differently on another platform, which can move an apex and so a landmark.
+`_point_height` uses `math.pow` with `np.exp` because that is what numpy
+computes for a point held as np.float64 scalars, so a landmark keeps the
+bits it had when the height was evaluated that way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,12 +242,45 @@ def _gingiva_height(cross: np.ndarray) -> np.ndarray:
 
 
 def _surface_height(teeth, arc_pos: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Analytic height of the scan surface at band coordinates (noise-free)."""
-    total = _gingiva_height(np.asarray(cross, dtype=np.float64))
-    total = total + np.zeros_like(np.asarray(arc_pos, dtype=np.float64))
+    """Analytic height of the scan surface over a grid of band coordinates
+    (noise-free); `arc_pos` and `cross` have the same shape."""
+    total = _gingiva_height(cross)
     for tooth in teeth:
         s, t = _local_coords(tooth, arc_pos, cross)
         total = total + _crown_height(tooth, s, t)
+    return total
+
+
+def _point_height(teeth, arc_pos: float, cross: float) -> float:
+    """`_surface_height` at one band point, in Python floats.
+
+    Each term is the value numpy computes for one point as numpy scalars:
+    a power of an np.float64 scalar is libm `pow`, so powers go through
+    `math.pow` (an array's x**4 and x**2 are rounded differently), while
+    exp is numpy's own loop, so it stays `np.exp` (`math.exp` differs in
+    the last bit). A crown whose dome factor is not positive adds +0.0 to a
+    positive height and is skipped; so is one whose center lies more than
+    2 (half_width + half_depth) away along the arc, which puts |s| or |t|
+    past 2.
+    """
+    arc_pos, cross = float(arc_pos), float(cross)
+    total = GINGIVA_AMPLITUDE * float(
+        np.exp(-math.pow(cross / GINGIVA_SIGMA, 2.0))
+    )
+    for tooth in teeth:
+        da = arc_pos - tooth.center_arc
+        if abs(da) > 2.0 * (tooth.half_width + tooth.half_depth):
+            continue
+        s = (da * tooth.mesial[0] + cross * tooth.mesial[1]) / tooth.half_width
+        t = (da * tooth.buccal[0] + cross * tooth.buccal[1]) / tooth.half_depth
+        base = 1.0 - math.pow(s, 4.0) - math.pow(t, 4.0)
+        if base <= 0.0:
+            continue
+        relief = tooth.height
+        for cusp_s, cusp_t, amp in tooth.cusps:
+            d2 = math.pow(s - cusp_s, 2.0) + math.pow(t - cusp_t, 2.0)
+            relief = relief + amp * float(np.exp(-d2 / (2.0 * CUSP_SIGMA**2)))
+        total = total + base * relief
     return total
 
 
@@ -288,24 +331,27 @@ def _absorb_gum_pockets(
 
     Where dilated crowns meet at interproximal contacts they can pinch off a
     few gum cells; ground truth wants those counted as tooth wall, and the
-    single-component gingiva invariant wants them gone.
+    single-component gingiva invariant wants them gone. The largest gum
+    component stays; of equally large ones, the one holding the lowest cell
+    index does.
     """
     gum = np.where(labels == 0)[0]
     if gum.size == 0:
         return labels
-    index = {int(c): i for i, c in enumerate(gum)}
-    parent = np.arange(gum.size)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs:
-        if labels[i] == 0 and labels[j] == 0:
-            parent[find(index[int(i)])] = find(index[int(j)])
-    roots = np.array([find(i) for i in range(gum.size)])
+    # every gum cell ends up labelled with the lowest cell index of its
+    # component: pull the lesser label across each gum-gum pair, then jump
+    # each label to its label's label
+    both = (labels[pairs[:, 0]] == 0) & (labels[pairs[:, 1]] == 0)
+    a, b = pairs[both, 0], pairs[both, 1]
+    component = np.arange(labels.size)
+    while True:
+        before = component.copy()
+        np.minimum.at(component, a, component[b])
+        np.minimum.at(component, b, component[a])
+        component = component[component]
+        if np.array_equal(component, before):
+            break
+    roots = component[gum]
     main = np.argmax(np.bincount(roots))
     stranded = gum[roots != main]
     if stranded.size == 0:
@@ -338,27 +384,23 @@ def _grid_dims(spec: ArchSpec, curve: _ArchCurve) -> tuple[int, int]:
 def _refine_apex(teeth, start: np.ndarray) -> np.ndarray:
     """Gradient-ascent the analytic height to the bump apex near `start`."""
     point = start.astype(np.float64).copy()
-    value = float(_surface_height(teeth, point[0], point[1]))
+    value = _point_height(teeth, point[0], point[1])
     step = 0.1
     h = 1e-6
     for _ in range(300):
         grad = np.array(
             [
-                float(
-                    _surface_height(teeth, point[0] + h, point[1])
-                    - _surface_height(teeth, point[0] - h, point[1])
-                ),
-                float(
-                    _surface_height(teeth, point[0], point[1] + h)
-                    - _surface_height(teeth, point[0], point[1] - h)
-                ),
+                _point_height(teeth, point[0] + h, point[1])
+                - _point_height(teeth, point[0] - h, point[1]),
+                _point_height(teeth, point[0], point[1] + h)
+                - _point_height(teeth, point[0], point[1] - h),
             ]
         ) / (2.0 * h)
         norm = float(np.linalg.norm(grad))
         if norm < 1e-12 or step < 1e-10:
             break
         candidate = point + step * grad / norm
-        cand_value = float(_surface_height(teeth, candidate[0], candidate[1]))
+        cand_value = _point_height(teeth, candidate[0], candidate[1])
         if cand_value > value:
             point, value = candidate, cand_value
             step *= 1.2
@@ -406,7 +448,9 @@ def _tooth_landmarks(tooth: _ToothInstance, teeth) -> dict[str, np.ndarray]:
 
 
 def generate(spec: ArchSpec) -> tuple[TriMesh, Annotation]:
-    """Build one arch; same spec always yields the identical mesh/annotation."""
+    """Build one arch; the same spec yields the identical mesh and annotation
+    on the same machine and numpy build (libm `pow` and numpy's `exp` may
+    differ in the last bit across platforms; see the module docstring)."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     curve = _ArchCurve(spec.width, spec.depth)
@@ -453,7 +497,7 @@ def generate(spec: ArchSpec) -> tuple[TriMesh, Annotation]:
     landmark_map: dict[tuple[int, str], np.ndarray] = {}
     for tooth in teeth:
         for name, band_point in _tooth_landmarks(tooth, teeth).items():
-            z = _surface_height(teeth, band_point[0], band_point[1])
+            z = _point_height(teeth, band_point[0], band_point[1])
             landmark_map[(tooth.tooth_id, name)] = curve.embed(
                 band_point[0], band_point[1], z
             )

@@ -707,3 +707,140 @@ def torus7() -> TriMesh:
     angle = 2.0 * np.pi * np.arange(7) / 7.0
     vertices = np.stack([np.cos(angle), np.sin(angle), np.cos(3.0 * angle)], axis=1)
     return TriMesh(vertices, np.array(cells))
+
+
+# ---------------------------------------------------------------------------
+# synth's numpy-scalar ascent and union-find gum components
+
+def reference_surface_height(teeth, arc_pos, cross):
+    """synth._surface_height as it took numpy scalars as well as grids: a
+    point's height is computed on np.float64 scalars and 0-d arrays."""
+    from dentalmesh.synth import _crown_height, _gingiva_height, _local_coords
+
+    total = _gingiva_height(np.asarray(cross, dtype=np.float64))
+    total = total + np.zeros_like(np.asarray(arc_pos, dtype=np.float64))
+    for tooth in teeth:
+        s, t = _local_coords(tooth, arc_pos, cross)
+        total = total + _crown_height(tooth, s, t)
+    return total
+
+
+def reference_refine_apex(teeth, start: np.ndarray) -> np.ndarray:
+    """synth._refine_apex with every height from reference_surface_height."""
+    point = start.astype(np.float64).copy()
+    value = float(reference_surface_height(teeth, point[0], point[1]))
+    step = 0.1
+    h = 1e-6
+    for _ in range(300):
+        grad = np.array(
+            [
+                float(
+                    reference_surface_height(teeth, point[0] + h, point[1])
+                    - reference_surface_height(teeth, point[0] - h, point[1])
+                ),
+                float(
+                    reference_surface_height(teeth, point[0], point[1] + h)
+                    - reference_surface_height(teeth, point[0], point[1] - h)
+                ),
+            ]
+        ) / (2.0 * h)
+        norm = float(np.linalg.norm(grad))
+        if norm < 1e-12 or step < 1e-10:
+            break
+        candidate = point + step * grad / norm
+        cand_value = float(reference_surface_height(teeth, candidate[0], candidate[1]))
+        if cand_value > value:
+            point, value = candidate, cand_value
+            step *= 1.2
+        else:
+            step *= 0.5
+    return point
+
+
+def reference_absorb_gum_pockets(labels, pairs, teeth, arc, cross):
+    """synth._absorb_gum_pockets with a per-pair union-find over the gum
+    cells; of equally large components, the one whose union-find root
+    comes first stays gum."""
+    from dentalmesh.synth import LABEL_DILATION_MM, _local_coords
+
+    gum = np.where(labels == 0)[0]
+    if gum.size == 0:
+        return labels
+    index = {int(c): i for i, c in enumerate(gum)}
+    parent = np.arange(gum.size)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        if labels[i] == 0 and labels[j] == 0:
+            parent[find(index[int(i)])] = find(index[int(j)])
+    roots = np.array([find(i) for i in range(gum.size)])
+    main = np.argmax(np.bincount(roots))
+    stranded = gum[roots != main]
+    if stranded.size == 0:
+        return labels
+    out = labels.copy()
+    for cell in stranded:
+        best_q, best_id = np.inf, 0
+        for tooth in teeth:
+            grow = 1.0 + LABEL_DILATION_MM / min(tooth.half_width, tooth.half_depth)
+            s, t = _local_coords(tooth, arc[cell], cross[cell])
+            q = (s / grow) ** 4 + (t / grow) ** 4
+            if q < best_q:
+                best_q, best_id = q, tooth.tooth_id
+        out[cell] = best_id
+    return out
+
+
+# ---------------------------------------------------------------------------
+# mesh_io's writers, one row at a time
+
+def reference_save_mesh(mesh: TriMesh, path) -> None:
+    """mesh_io.save_mesh building one string per row, joined at the end."""
+    from pathlib import Path
+
+    path = Path(path)
+    fmt = path.suffix.lower()
+    if fmt == ".off":
+        rows = ["OFF", f"{mesh.num_vertices} {mesh.num_cells} 0"]
+        rows.extend(" ".join(repr(x) for x in v) for v in mesh.vertices.tolist())
+        rows.extend(f"3 {a} {b} {c}" for a, b, c in mesh.cells.tolist())
+    elif fmt == ".obj":
+        rows = [" ".join(["v"] + [repr(x) for x in v]) for v in mesh.vertices.tolist()]
+        rows.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.cells.tolist())
+    else:
+        rows = ["solid mesh"]
+        normals = mesh.cell_normals
+        for i, cell in enumerate(mesh.cells):
+            n = " ".join(repr(x) for x in normals[i].tolist())
+            rows.append(f"facet normal {n}")
+            rows.append("  outer loop")
+            for vi in cell:
+                rows.append(
+                    "    vertex " + " ".join(repr(x) for x in mesh.vertices[vi].tolist())
+                )
+            rows.append("  endloop")
+            rows.append("endfacet")
+        rows.append("endsolid mesh")
+    path.write_text("\n".join(rows) + "\n")
+
+
+def reference_save_annotation(ann, path) -> None:
+    """mesh_io.save_annotation converting one element at a time."""
+    import json
+    from pathlib import Path
+
+    from dentalmesh import landmarks as lm
+
+    doc = {
+        "labels": [int(x) for x in ann.labels],
+        "landmarks": {
+            lm.landmark_key(tooth, name): [float(x) for x in pos]
+            for (tooth, name), pos in sorted(ann.landmarks.items())
+        },
+    }
+    Path(path).write_text(json.dumps(doc, indent=1))

@@ -10,7 +10,7 @@ from dentalmesh import mesh_io as mio
 from dentalmesh.errors import CheckpointError, MeshFormatError, SchemaError
 from dentalmesh.mesh_io import Annotation, TriMesh
 
-from helpers import grid_mesh
+from helpers import grid_mesh, reference_save_annotation, reference_save_mesh
 
 
 def _unit_triangle():
@@ -64,6 +64,27 @@ def test_save_load_round_trip_exact(tmp_path, ext):
     # repr() of a float round-trips, so the files are lossless
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.cells, mesh.cells)
+
+
+def _awkward_mesh():
+    # signed zero, the least subnormal, a tiny normal, an inexact sum and a
+    # float whose repr switches to exponent form
+    verts = np.array([
+        [-0.0, 5e-324, 1e-300],
+        [0.1 + 0.2, 1e16, 0.0],
+        [1.0, -2.5, 3.0],
+        [2.0, 1.0, -0.0],
+    ])
+    return TriMesh(verts, np.array([[0, 1, 2], [1, 3, 2], [0, 2, 3]]))
+
+
+@pytest.mark.parametrize("ext", [".off", ".obj", ".stl"])
+def test_save_mesh_bytes_match_row_writer(tmp_path, ext, small_arch):
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    for i, mesh in enumerate([_awkward_mesh(), small_arch[0], empty]):
+        mio.save_mesh(mesh, tmp_path / f"new{i}{ext}")
+        reference_save_mesh(mesh, tmp_path / f"ref{i}{ext}")
+        assert (tmp_path / f"new{i}{ext}").read_bytes() == (tmp_path / f"ref{i}{ext}").read_bytes()
 
 
 def test_stl_round_trip_welds_back_to_shared_vertices(tmp_path):
@@ -191,6 +212,14 @@ def test_annotation_round_trip(tmp_path):
     assert set(back.landmarks) == set(landmarks)
     for key in landmarks:
         assert np.array_equal(back.landmarks[key], landmarks[key])
+
+
+def test_save_annotation_bytes_match_element_writer(tmp_path, small_arch):
+    _, ann = small_arch
+    ann = Annotation(ann.labels, {**ann.landmarks, (3, "CCT"): np.array([-0.0, 0.1 + 0.2, 1e16])})
+    mio.save_annotation(ann, tmp_path / "new.json")
+    reference_save_annotation(ann, tmp_path / "ref.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_annotation_validate_errors():

@@ -1,5 +1,7 @@
 """Synthetic arch generator: determinism, schema consistency, guard rails."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ from dentalmesh import landmarks as lm
 from dentalmesh import synth
 from dentalmesh.errors import GenerationError
 from dentalmesh.synth import ArchSpec
+
+from helpers import (
+    reference_absorb_gum_pockets,
+    reference_refine_apex,
+    reference_surface_height,
+)
+
+
+def _teeth(spec: ArchSpec):
+    curve = synth._ArchCurve(spec.width, spec.depth)
+    return curve, synth._place_teeth(spec, curve, np.random.default_rng(spec.seed))
 
 
 def test_spec_validation():
@@ -103,3 +116,92 @@ def test_sharp_arch_rejected():
     # narrow and deep bends the band past the fold limit
     with pytest.raises(GenerationError, match="bends too sharply"):
         synth.generate(ArchSpec(width=22.0, depth=60.0, target_cells=4500))
+
+
+@pytest.mark.parametrize("spec", [
+    ArchSpec(target_cells=4500, seed=3),
+    ArchSpec(target_cells=9000, seed=1, missing=(4, 11)),
+    ArchSpec(width=90.0, depth=50.0, size_jitter=0.12, rotation_jitter=10.0, seed=7),
+])
+def test_point_height_matches_numpy_scalar_path(spec):
+    # bit for bit: the landmark and ascent points, seeded band points on and
+    # around every crown and anywhere on the band, and points where a square
+    # rounds differently as x * x and as pow(x, 2) (about 1 in 1,000 draws)
+    curve, teeth = _teeth(spec)
+    points = []
+    for tooth in teeth:
+        points.extend(synth._tooth_landmarks(tooth, teeth).values())
+        points.append(np.array([tooth.center_arc, 0.0]))
+    rng = np.random.default_rng(spec.seed)
+    for tooth in teeth:
+        s, t = rng.uniform(-1.1, 1.1, size=(2, 300, 1))
+        offset = s * tooth.half_width * tooth.mesial + t * tooth.half_depth * tooth.buccal
+        arc, cross = tooth.center_arc + offset[:, 0], offset[:, 1]
+        s, t = synth._local_coords(tooth, arc, cross)
+        rounds_apart = np.zeros(arc.size, dtype=bool)
+        for cusp_s, cusp_t, _ in tooth.cusps:
+            for d in (s - cusp_s, t - cusp_t):
+                rounds_apart |= [x * x != math.pow(x, 2.0) for x in d.tolist()]
+        points.extend(np.stack([arc, cross], axis=1)[:20])
+        points.extend(np.stack([arc, cross], axis=1)[rounds_apart])
+    arc = rng.uniform(-curve.half_arc, curve.half_arc, 5000)
+    cross = rng.uniform(-synth.BAND_DEPTH / 2.0, synth.BAND_DEPTH / 2.0, 5000)
+    q = (cross / synth.GINGIVA_SIGMA).tolist()
+    gum_apart = np.array([x * x != math.pow(x, 2.0) for x in q])
+    points.extend(np.stack([arc, cross], axis=1)[:100])
+    points.extend(np.stack([arc, cross], axis=1)[gum_apart])
+    assert len(points) > 400 and gum_apart.any()
+    for arc, cross in points:
+        expected = float(reference_surface_height(teeth, arc, cross))
+        assert synth._point_height(teeth, arc, cross) == expected, (arc, cross)
+
+
+@pytest.mark.parametrize("spec", [
+    ArchSpec(target_cells=4500, seed=3),
+    ArchSpec(target_cells=9000, seed=1),
+    ArchSpec(target_cells=4500, seed=5, missing=(4, 11)),
+])
+def test_generate_matches_numpy_scalar_ascent_and_union_find(spec, monkeypatch):
+    mesh, ann = synth.generate(spec)
+    moved = []
+
+    def absorb(labels, *args):
+        out = reference_absorb_gum_pockets(labels, *args)
+        moved.append(int(np.count_nonzero(out != labels)))
+        return out
+
+    monkeypatch.setattr(synth, "_surface_height", reference_surface_height)
+    monkeypatch.setattr(synth, "_point_height",
+                        lambda teeth, a, c: float(reference_surface_height(teeth, a, c)))
+    monkeypatch.setattr(synth, "_refine_apex", reference_refine_apex)
+    monkeypatch.setattr(synth, "_absorb_gum_pockets", absorb)
+    ref_mesh, ref_ann = synth.generate(spec)
+    assert moved[0] > 0  # the arch has stranded gum cells
+    assert np.array_equal(mesh.vertices, ref_mesh.vertices)
+    assert np.array_equal(mesh.cells, ref_mesh.cells)
+    assert np.array_equal(ann.labels, ref_ann.labels)
+    assert ann.landmarks.keys() == ref_ann.landmarks.keys()
+    for key, pos in ann.landmarks.items():
+        assert np.array_equal(pos, ref_ann.landmarks[key]), key
+
+
+def test_gum_tie_goes_to_component_with_lowest_cell():
+    # cells 0..4 all gum: components {0, 3} and {1, 2} are equally large;
+    # a union-find rooting each pair at its second cell would keep {1, 2}
+    _, teeth = _teeth(ArchSpec(seed=0))
+    tooth = teeth[4]
+    arc = np.full(5, tooth.center_arc)
+    cross = np.zeros(5)
+    labels = np.zeros(5, dtype=np.int64)
+    pairs = np.array([[0, 3], [1, 2]])
+    out = synth._absorb_gum_pockets(labels, pairs, teeth, arc, cross)
+    assert out.tolist() == [0, tooth.tooth_id, tooth.tooth_id, 0, tooth.tooth_id]
+    # size still comes first: a third cell makes {1, 2, 4} the main component
+    out = synth._absorb_gum_pockets(labels, np.array([[0, 3], [1, 2], [2, 4]]),
+                                    teeth, arc, cross)
+    assert out.tolist() == [tooth.tooth_id, 0, 0, tooth.tooth_id, 0]
+    # tooth cells do not join gum cells into one component
+    labels = np.array([0, 0, 9, 0, 0])
+    out = synth._absorb_gum_pockets(labels, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]),
+                                    teeth, arc, cross)
+    assert out.tolist() == [0, 0, 9, tooth.tooth_id, tooth.tooth_id]
