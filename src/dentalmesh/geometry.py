@@ -1,10 +1,12 @@
 """Mesh geometry operations feeding the learning pipeline.
 
 Covers quadric edge-collapse decimation, run in rounds of independent
-collapses, with a fine-to-coarse cell map; edge-sharing cell pairs;
-15-column per-cell feature extraction, kNN graph construction, per-tooth
-ROI extraction, and the random rigid augmentation the training loops draw
-from.
+collapses that keep their edges, costs and rejections from one round to
+the next; the fine-to-coarse cell map (each fine cell's nearest coarse
+barycenter, nearest_rows) and majority-vote label transfer through it;
+edge-sharing cell pairs; 15-column per-cell feature extraction, kNN graph
+construction, per-tooth ROI extraction, and the random rigid augmentation
+the training loops draw from.
 
 The kNN graphs and the fine-to-coarse map are exhaustive searches over
 dense distance blocks of at most DISTANCE_BLOCK entries (or one row), so
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,13 +40,18 @@ AUGMENT_ACTIVE_PROB = 0.5
 # ---------------------------------------------------------------------------
 # edge-sharing cell pairs
 
+def _side_keys(cells: np.ndarray, num_vertices: int) -> np.ndarray:
+    """(N, 3) keys u * num_vertices + v (u < v) of each cell's sides."""
+    nxt = cells[:, [1, 2, 0]]
+    return np.minimum(cells, nxt) * np.int64(num_vertices) + np.maximum(cells, nxt)
+
+
 def _cell_sides(cells: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     """Every cell side as the key u * num_vertices + v (u < v), with its cell.
 
     Sorted by (key, cell), so the cells that share an edge form one run.
     """
-    sides = np.sort(cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    key = sides[:, 0] * np.int64(num_vertices) + sides[:, 1]
+    key = _side_keys(cells, num_vertices).ravel()
     order = np.argsort(key, kind="stable")
     return key[order], order // 3
 
@@ -220,23 +228,46 @@ def _face_quadrics(mesh: TriMesh) -> np.ndarray:
     )
 
 
+def _candidates(positions: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Homogeneous targets for collapsing each edge (a[e], b[e]): the
+    midpoint and the two endpoints, in that order. (4, 3, n): coordinate,
+    candidate, edge."""
+    pa, pb = positions[a].T, positions[b].T
+    cand = np.ones((4, 3, a.size), dtype=np.float64)
+    cand[:3, 0] = 0.5 * (pa + pb)
+    cand[:3, 1] = pa
+    cand[:3, 2] = pb
+    return cand
+
+
 def _collapse_costs(positions: np.ndarray, quadrics: np.ndarray,
                     a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QEM cost and target position of collapsing each edge (a[e], b[e]).
+    """QEM cost of collapsing each edge (a[e], b[e]), and which of its
+    _candidates attains it (ties go to the earlier one).
 
-    The candidates are the midpoint and the two endpoints; ties go to the
-    earlier one. Each edge gets the same bits in any batch, so a cost
-    carried over from an earlier round equals a fresh one.
+    A candidate c costs the sum over j, k of c[j] * Q[j, k] * c[k], Q the
+    sum of both endpoint quadrics, with the 16 terms added to zero in
+    (j, k) order: the bits of np.einsum("nij,njk,nik->ni", ...), one array
+    operation per term over every edge at once. So each edge gets the same
+    bits in any batch, and a cost kept from an earlier round equals a fresh
+    one.
     """
-    pa, pb = positions[a], positions[b]
-    cand = np.ones((a.size, 3, 4), dtype=np.float64)
-    cand[:, 0, :3] = 0.5 * (pa + pb)
-    cand[:, 1, :3] = pa
-    cand[:, 2, :3] = pb
-    costs = np.einsum("nij,njk,nik->ni", cand, quadrics[a] + quadrics[b], cand)
-    best = np.argmin(costs, axis=1)
-    rows = np.arange(a.size)
-    return costs[rows, best], cand[rows, best, :3]
+    cand = _candidates(positions, a, b)
+    q = np.ascontiguousarray((quadrics[a] + quadrics[b]).transpose(1, 2, 0))
+    costs = np.zeros((3, a.size))
+    for j in range(4):
+        terms = cand[j] * q[j, :, None, :]  # c[j] * Q[j, k], (k, candidate, edge)
+        terms *= cand
+        for term in terms:
+            costs += term
+    best = np.argmin(costs, axis=0)
+    return costs[best, np.arange(a.size)], best.astype(np.int8)
+
+
+def _collapse_targets(positions: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      choice: np.ndarray) -> np.ndarray:
+    """The (n, 3) positions that _collapse_costs chose for edges (a, b)."""
+    return _candidates(positions, a, b)[:3, choice, np.arange(a.size)].T
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,27 +279,44 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def decimate(
-    mesh: TriMesh, target_cells: int
-) -> tuple[TriMesh, np.ndarray]:
+def _per_cell(ufunc: np.ufunc, corners: np.ndarray) -> np.ndarray:
+    """ufunc over each row of an (N, 3) array, column by column (numpy
+    reduces a short last axis slowly)."""
+    return ufunc(ufunc(corners[:, 0], corners[:, 1]), corners[:, 2])
+
+
+class Decimation(NamedTuple):
+    """decimate's result: the coarse mesh.
+
+    A tuple, because benchmark/tracer.py counts collapses from element 0
+    of decimate's result.
+    """
+
+    coarse: TriMesh
+
+
+def decimate(mesh: TriMesh, target_cells: int) -> Decimation:
     """Quadric edge-collapse decimation to approximately target_cells.
 
-    Returns the coarse mesh and cell_origin_map, an (N_fine,) array mapping
-    every original cell to exactly one coarse cell (nearest coarse
-    barycenter), so fine labels can be pooled per coarse cell and coarse
-    predictions projected back. Targets at or above the current cell count
-    are an identity pass.
+    Returns the coarse mesh only (as Decimation.coarse); a fine cell's
+    coarse cell is the one with the nearest barycenter (nearest_rows),
+    which PreprocessedScan finds when it is first asked. Targets at or
+    above the current cell count are an identity pass whose coarse mesh is
+    mesh itself.
 
     Collapses run in rounds of independent edges (QEM costs after Garland &
     Heckbert 1997; per-round selection in the spirit of Wu & Kobbelt's
-    multiple-choice decimation, 2002). Each round:
+    multiple-choice decimation, 2002). The edges (u, v), u < v, of the live
+    cells are kept from round to round, ranked by (cost, u, v), with the
+    chosen target and the rejection of each. Each round:
 
-    - costs: every live edge (u, v), u < v, has its QEM cost and target;
-      only edges with an endpoint moved in the last round are recomputed;
-    - rank: edges are ordered by (cost, u, v);
+    - refresh: the edges at a vertex that the last round collapsed are
+      dropped and derived again from the cells now around it, with fresh
+      QEM costs and targets, and merged into the ranking; no other edge
+      changes, since every other edge keeps the cells it lies on;
     - select: an edge is taken when its rank is the least over all edges
-      with an endpoint on a cell around u or v, so no two taken edges
-      share a cell or a vertex and their collapses commute;
+      with an endpoint on a cell around u or v, so no two taken edges share
+      a cell or a vertex and their collapses commute;
     - check: a taken edge passes the link condition (every common neighbor
       of u and v lies on a cell with both) and the flip test (no other
       cell around u or v reverses its normal or shrinks to zero area when u
@@ -287,58 +335,75 @@ def decimate(
             f"target {target_cells} below minimum {MIN_DECIMATION_TARGET}"
         )
     if target_cells >= mesh.num_cells:
-        return mesh, np.arange(mesh.num_cells, dtype=np.int64)
+        return Decimation(mesh)
 
     nv = mesh.num_vertices
     positions = mesh.vertices.copy()
     cells = mesh.cells  # the live cells, in their original order
-    quadrics = np.zeros((nv, 4, 4), dtype=np.float64)
-    np.add.at(quadrics, cells.ravel(), np.repeat(_face_quadrics(mesh), 3, axis=0))
-    # the last round's edge keys, with the cost, target and rejection of each
-    keys = np.empty(0, dtype=np.int64)
-    costs, targets = np.empty(0), np.empty((0, 3))
+    # each vertex sums its cells' quadrics in cell order, as np.add.at would
+    entries = np.repeat(_face_quadrics(mesh).reshape(-1, 16).T, 3, axis=1)
+    quadrics = np.stack([np.bincount(cells.ravel(), entry, nv) for entry in entries],
+                        axis=1).reshape(nv, 4, 4)
+    # the edges (u, v), u < v, in (cost, u, v) order, so that an edge's
+    # position is its rank; every edge is derived afresh in the first round
+    u = v = np.empty(0, dtype=np.int64)
+    costs = np.empty(0)
+    choice = np.empty(0, dtype=np.int8)  # the target of each edge, see _candidates
     rejected = np.empty(0, dtype=bool)
-    moved = np.ones(nv, dtype=bool)
+    collapsed = np.ones(nv, dtype=bool)
+    ring = cells  # the cells around the collapsed vertices
 
     while cells.shape[0] > target_cells:
-        nxt = cells[:, [1, 2, 0]]  # each cell side as (corner, next corner)
-        side_key = np.minimum(cells, nxt) * np.int64(nv) + np.maximum(cells, nxt)
-        side_key = np.sort(side_key.ravel())
-        edge_key = side_key[np.r_[True, side_key[1:] != side_key[:-1]]]
-        u, v = np.divmod(edge_key, nv)
-        fresh = moved[u] | moved[v]
-        old = np.searchsorted(keys, edge_key[~fresh])
-        carried = costs[old], targets[old], rejected[old]
-        keys = edge_key
-        costs, targets = np.empty(keys.size), np.empty((keys.size, 3))
-        rejected = np.zeros(keys.size, dtype=bool)
-        costs[~fresh], targets[~fresh], rejected[~fresh] = carried
-        costs[fresh], targets[fresh] = _collapse_costs(positions, quadrics, u[fresh], v[fresh])
+        # a collapsed vertex's edges are exactly the sides at it of the cells
+        # around it; every other edge kept its cells
+        sides = np.sort(_side_keys(ring, nv).ravel())
+        first = np.ones(sides.size, dtype=bool)
+        first[1:] = sides[1:] != sides[:-1]
+        fu, fv = np.divmod(sides[first], nv)
+        at = collapsed[fu] | collapsed[fv]
+        fu, fv = fu[at], fv[at]
+        kept = ~(collapsed[u] | collapsed[v])
+        u = np.concatenate([u[kept], fu])
+        v = np.concatenate([v[kept], fv])
+        fresh_costs, fresh_choice = _collapse_costs(positions, quadrics, fu, fv)
+        costs = np.concatenate([costs[kept], fresh_costs])
+        choice = np.concatenate([choice[kept], fresh_choice])
+        rejected = np.concatenate([rejected[kept], np.zeros(fu.size, dtype=bool)])
+        # the kept edges are in order and the fresh ones in (u, v) order, so a
+        # stable sort on cost ranks them (and finds the kept run in one pass),
+        # unless a kept and a fresh cost tie; NaN costs, sorted last, count
+        # as tied
+        order = np.argsort(costs, kind="stable")
+        tied = ~(costs[order[1:]] > costs[order[:-1]])
+        fresh = order >= costs.size - fu.size
+        if (tied & (fresh[1:] != fresh[:-1])).any():
+            order = np.lexsort((v, u, costs))
+        u, v, costs, choice, rejected = (u[order], v[order], costs[order], choice[order],
+                                         rejected[order])
 
         live = np.flatnonzero(~rejected)
         if live.size == 0:
             raise DecimationError(
                 f"no valid collapses left at {cells.shape[0]} cells (target {target_cells})"
             )
-        # keys ascend in (u, v), so a stable sort on cost ranks (cost, u, v)
-        unranked = keys.size
-        rank = np.full(unranked, unranked)
-        rank[live[np.argsort(costs[live], kind="stable")]] = np.arange(live.size)
-        least = np.full(nv, unranked)
-        np.minimum.at(least, u, rank)
-        np.minimum.at(least, v, rank)
-        around = np.full(nv, unranked)
-        np.minimum.at(around, cells, least[cells].min(axis=1, keepdims=True))
-        picked = live[rank[live] == np.minimum(around[u[live]], around[v[live]])]
+        # an edge is taken when its rank is the least at any vertex of the
+        # cells around u or v
+        lu, lv = u[live], v[live]
+        least = np.full(nv, costs.size)
+        np.minimum.at(least, lu, live)
+        np.minimum.at(least, lv, live)
+        around = np.full(nv, costs.size)
+        np.minimum.at(around, cells.ravel(), np.repeat(_per_cell(np.minimum, least[cells]), 3))
+        picked = live[(around[lu] == live) & (around[lv] == live)]
 
         pu, pv = u[picked], v[picked]
         pick_of = np.full(nv, -1)
         pick_of[pu] = pick_of[pv] = np.arange(picked.size)
-        corner_pick = pick_of[cells].max(axis=1)
+        corner_pick = _per_cell(np.maximum, pick_of[cells])
         touched = np.flatnonzero(corner_pick >= 0)
         tp, tc = corner_pick[touched], cells[touched]
         is_u, is_v = tc == pu[tp, None], tc == pv[tp, None]
-        has_u, has_v = is_u.any(axis=1), is_v.any(axis=1)
+        has_u, has_v = _per_cell(np.logical_or, is_u), _per_cell(np.logical_or, is_v)
         shared = has_u & has_v
         # link condition: every common neighbor of u and v is on a shared cell
         other = ~(is_u | is_v)
@@ -349,8 +414,9 @@ def decimate(
         opposite = np.bincount(inv, np.repeat(shared, per_cell), groups.size) > 0
         bad = np.bincount(groups[near_u & near_v & ~opposite] // nv, minlength=picked.size) > 0
         # flip test over the cells that survive the collapse
+        targets = _collapse_targets(positions, pu, pv, choice[picked])
         corners = positions[tc]
-        after = np.where((is_u | is_v)[:, :, None], targets[picked][tp, None, :], corners)
+        after = np.where((is_u | is_v)[:, :, None], targets[tp, None, :], corners)
         old_n = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         new_n = _cross(after[:, 1] - after[:, 0], after[:, 2] - after[:, 0])
         flips = ~shared & ((np.einsum("ij,ij->i", old_n, new_n) <= 0.0)
@@ -358,12 +424,12 @@ def decimate(
         bad |= np.bincount(tp[flips], minlength=picked.size) > 0
         rejected[picked[bad]] = True
 
+        # picked ascends in rank, so ok runs cheapest first
         ok = np.flatnonzero(~bad)
-        ok = ok[np.argsort(rank[picked[ok]])]
         left = cells.shape[0] - np.cumsum(np.bincount(tp[shared], minlength=picked.size)[ok])
         if left.size and left[-1] <= target_cells:
             ok = ok[: np.argmax(left <= target_cells) + 1]
-        positions[pu[ok]] = targets[picked[ok]]
+        positions[pu[ok]] = targets[ok]
         quadrics[pu[ok]] += quadrics[pv[ok]]
         applied = np.zeros(picked.size, dtype=bool)
         applied[ok] = True
@@ -371,16 +437,15 @@ def decimate(
         alive[touched[shared & applied[tp]]] = False
         remap = np.arange(nv)
         remap[pv[ok]] = pu[ok]
+        ring = remap[tc[applied[tp] & ~shared]]
         cells = remap[cells[alive]]
-        moved = np.zeros(nv, dtype=bool)
-        moved[pu[ok]] = True
+        collapsed = np.zeros(nv, dtype=bool)
+        collapsed[pu[ok]] = collapsed[pv[ok]] = True
 
     used = np.unique(cells)
     remap = np.full(nv, -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
-    coarse = TriMesh(positions[used], remap[cells])
-    origin_map = nearest_rows(mesh.cell_barycenters, coarse.cell_barycenters)
-    return coarse, origin_map
+    return Decimation(TriMesh(positions[used], remap[cells]))
 
 
 def transfer_labels(

@@ -1,10 +1,12 @@
 """Triangle mesh type and all on-disk formats.
 
-Meshes load from OFF, OBJ, and ASCII STL. Loading always welds duplicate
-vertices (coordinates quantized to a 1e-9 mm grid) and drops degenerate
-cells, so an STL file (which stores per-facet vertices) comes back with
-shared connectivity. Coordinates are written with shortest round-trip
-precision, so save -> load reproduces float64 values bit-exactly.
+Meshes load from OFF, OBJ, and ASCII STL; an OFF file's vertex and face
+blocks are parsed in bulk, each number as float() or int() reads it.
+Loading always welds duplicate vertices (coordinates quantized to a 1e-9
+mm grid) and drops degenerate cells, so an STL file (which stores
+per-facet vertices) comes back with shared connectivity. Coordinates are
+written with shortest round-trip precision, so save -> load reproduces
+float64 values bit-exactly.
 
 Annotations are JSON: {"labels": [int per cell], "landmarks": {"UR1.DCP":
 [x, y, z], ...}}. Checkpoints and matrix dumps are little-endian binary
@@ -146,20 +148,26 @@ class Annotation:
 
 
 def _weld(vertices: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge vertices that coincide on the weld grid; reindex cells."""
+    """Merge vertices that coincide on the weld grid; reindex cells.
+
+    Each group keeps its first vertex, and the kept vertices stay in the
+    order of their first occurrence, so output indexing is deterministic.
+    """
     if vertices.shape[0] == 0:
         return vertices, cells
     quantized = np.round(vertices / WELD_RESOLUTION).astype(np.int64)
-    _, first, inverse = np.unique(
-        quantized, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    # keep first occurrence order so output indexing is deterministic
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    welded = vertices[np.sort(first)]
-    return welded, rank[inverse][cells]
+    # equal rows sort next to each other, lowest index first (lexsort is stable)
+    order = np.lexsort(quantized.T)
+    grid = quantized[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = ((grid[1:, 0] != grid[:-1, 0]) | (grid[1:, 1] != grid[:-1, 1])
+                | (grid[1:, 2] != grid[:-1, 2]))
+    first = order[lead]
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    index = np.empty(order.size, dtype=np.int64)
+    index[order] = rank[np.cumsum(lead) - 1]
+    return vertices[np.sort(first)], index[cells]
 
 
 def _drop_degenerate(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -195,7 +203,42 @@ def _parse_floats(tokens, count, path, lineno):
         raise MeshFormatError(f"{path}:{lineno}: {exc}") from None
 
 
+def _off_blocks(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertex and cell arrays of a well-formed OFF file, each block parsed in
+    bulk from the stripped rows (comment and blank lines already dropped);
+    None for anything else.
+
+    np.loadtxt reads each number as float() and int() do and takes only the
+    leading columns, so trailing per-row values (OFF colours) are skipped
+    as _off_rows skips them.
+    """
+    if len(rows) < 2 or rows[0] != "OFF":
+        return None
+    try:
+        nv, nf = (int(t) for t in rows[1].split()[:2])
+        if nv < 1 or nf < 1 or len(rows) < 2 + nv + nf:
+            return None
+        vertices = np.loadtxt(rows[2 : 2 + nv], usecols=(0, 1, 2), comments=None, ndmin=2)
+        faces = np.loadtxt(rows[2 + nv : 2 + nv + nf], dtype=np.int64, usecols=(0, 1, 2, 3),
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    cells = faces[:, 1:]
+    if (faces[:, 0] != 3).any() or cells.min() < 0 or cells.max() >= nv:
+        return None
+    return vertices, cells
+
+
 def _load_off(lines, path) -> TriMesh:
+    """The blocks in bulk; a file that does not parse that way is read row by
+    row, which takes what float() and int() take (digits with underscores,
+    rows of mixed width) and names the line at fault."""
+    rows = [row for row in map(str.strip, lines) if row and row[0] != "#"]
+    vertices, cells = _off_blocks(rows) or _off_rows(lines, path)
+    return _finish_mesh(vertices, cells, path)
+
+
+def _off_rows(lines, path) -> tuple[np.ndarray, np.ndarray]:
     body = [
         (i + 1, ln.strip()) for i, ln in enumerate(lines)
         if ln.strip() and not ln.lstrip().startswith("#")
@@ -234,7 +277,7 @@ def _load_off(lines, path) -> TriMesh:
         if min(idx) < 0 or max(idx) >= nv:
             raise MeshFormatError(f"{path}:{lineno}: vertex index out of range")
         cells[i] = idx
-    return _finish_mesh(vertices, cells, path)
+    return vertices, cells
 
 
 def _load_obj(lines, path) -> TriMesh:

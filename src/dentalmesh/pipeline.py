@@ -16,12 +16,13 @@ ROIs from both quadrants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import landmarks as lm
 from .config import RunConfig
-from .geometry import decimate, extract_roi, transfer_labels
+from .geometry import decimate, extract_roi, nearest_rows, transfer_labels
 from .mesh_io import Annotation, TriMesh
 from .postprocess import build_energy, refine_labels
 from .svm import LabelUpsampler
@@ -46,23 +47,32 @@ def heatmap_position_types() -> tuple[int, ...]:
 class PreprocessedScan:
     """Full-resolution mesh with its decimated counterpart.
 
-    coarse_labels are the fine labels carried down through the collapse map
-    by majority vote; None when the scan has no annotation.
+    origin_map maps every fine cell to one coarse cell, the one with the
+    nearest barycenter (nearest_rows; arange when decimation was an
+    identity pass). It is found the first time it is read, so a caller
+    that never reads it, such as `dentalmesh infer`, never pays for it.
+    coarse_labels are the fine labels carried down through origin_map by
+    majority vote; None when the scan has no annotation.
     """
 
     fine: TriMesh
     coarse: TriMesh
-    origin_map: np.ndarray
     coarse_labels: np.ndarray | None = None
+
+    @cached_property
+    def origin_map(self) -> np.ndarray:
+        if self.coarse is self.fine:
+            return np.arange(self.fine.num_cells, dtype=np.int64)
+        return nearest_rows(self.fine.cell_barycenters, self.coarse.cell_barycenters)
 
 
 def preprocess(mesh: TriMesh, ann: Annotation | None = None,
                target_cells: int = RunConfig.target_cells) -> PreprocessedScan:
-    coarse, origin_map = decimate(mesh, target_cells)
-    labels = None
+    scan = PreprocessedScan(mesh, decimate(mesh, target_cells).coarse)
     if ann is not None:
-        labels = transfer_labels(origin_map, ann.labels, coarse.num_cells)
-    return PreprocessedScan(mesh, coarse, origin_map, labels)
+        scan.coarse_labels = transfer_labels(scan.origin_map, ann.labels,
+                                             scan.coarse.num_cells)
+    return scan
 
 
 @dataclass

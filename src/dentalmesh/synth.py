@@ -382,26 +382,33 @@ def _grid_dims(spec: ArchSpec, curve: _ArchCurve) -> tuple[int, int]:
 
 
 def _refine_apex(teeth, start: np.ndarray) -> np.ndarray:
-    """Gradient-ascent the analytic height to the bump apex near `start`."""
+    """Gradient-ascent the analytic height to the bump apex near `start`.
+
+    The gradient is a central difference at the point, so it is taken again
+    only after a step that moved the point.
+    """
     point = start.astype(np.float64).copy()
     value = _point_height(teeth, point[0], point[1])
     step = 0.1
     h = 1e-6
+    moved = True
     for _ in range(300):
-        grad = np.array(
-            [
-                _point_height(teeth, point[0] + h, point[1])
-                - _point_height(teeth, point[0] - h, point[1]),
-                _point_height(teeth, point[0], point[1] + h)
-                - _point_height(teeth, point[0], point[1] - h),
-            ]
-        ) / (2.0 * h)
-        norm = float(np.linalg.norm(grad))
+        if moved:
+            grad = np.array(
+                [
+                    _point_height(teeth, point[0] + h, point[1])
+                    - _point_height(teeth, point[0] - h, point[1]),
+                    _point_height(teeth, point[0], point[1] + h)
+                    - _point_height(teeth, point[0], point[1] - h),
+                ]
+            ) / (2.0 * h)
+            norm = float(np.linalg.norm(grad))
         if norm < 1e-12 or step < 1e-10:
             break
         candidate = point + step * grad / norm
         cand_value = _point_height(teeth, candidate[0], candidate[1])
-        if cand_value > value:
+        moved = cand_value > value
+        if moved:
             point, value = candidate, cand_value
             step *= 1.2
         else:

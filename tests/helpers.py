@@ -614,7 +614,7 @@ def reference_decimate(mesh: TriMesh, target: int):
     edge that the flip test had rejected before.
     """
     from dentalmesh.errors import DecimationError
-    from dentalmesh.geometry import _collapse_costs, _face_quadrics
+    from dentalmesh.geometry import _collapse_costs, _collapse_targets, _face_quadrics
 
     positions = mesh.vertices.copy()
     quadrics = np.zeros((mesh.num_vertices, 4, 4))
@@ -643,8 +643,9 @@ def reference_decimate(mesh: TriMesh, target: int):
         live = [e for e in edges if e not in rejected]
         if not live:
             raise DecimationError("no valid collapses left")
-        costs, targets = _collapse_costs(positions, quadrics, np.array([e[0] for e in live]),
-                                         np.array([e[1] for e in live]))
+        a, b = np.array([e[0] for e in live]), np.array([e[1] for e in live])
+        costs, choice = _collapse_costs(positions, quadrics, a, b)
+        targets = _collapse_targets(positions, a, b, choice)
         ranked = sorted(range(len(live)), key=lambda i: (costs[i], live[i]))
         rank = {live[i]: r for r, i in enumerate(ranked)}
         target_of = dict(zip(live, targets))
@@ -696,6 +697,120 @@ def reference_decimate(mesh: TriMesh, target: int):
     remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
     return positions[used], remap[kept], stats
+
+
+def rebuilding_decimate(mesh: TriMesh, target: int) -> TriMesh:
+    """geometry.decimate as it rebuilt its edges every round: every round
+    sorts all cell sides into edges, carries the last round's costs,
+    choices and rejections over by searchsorted, ranks every live edge by a
+    stable argsort of its cost, and spreads the per-vertex least ranks to
+    the cells with a broadcast np.minimum.at. Returns the coarse mesh."""
+    from dentalmesh.errors import DecimationError
+    from dentalmesh.geometry import (
+        _collapse_costs, _collapse_targets, _cross, _face_quadrics,
+    )
+
+    if target >= mesh.num_cells:
+        return mesh
+    nv = mesh.num_vertices
+    positions = mesh.vertices.copy()
+    cells = mesh.cells
+    quadrics = np.zeros((nv, 4, 4), dtype=np.float64)
+    np.add.at(quadrics, cells.ravel(), np.repeat(_face_quadrics(mesh), 3, axis=0))
+    keys = np.empty(0, dtype=np.int64)
+    costs, choice = np.empty(0), np.empty(0, dtype=np.int8)
+    rejected = np.empty(0, dtype=bool)
+    moved = np.ones(nv, dtype=bool)
+
+    while cells.shape[0] > target:
+        nxt = cells[:, [1, 2, 0]]
+        side_key = np.minimum(cells, nxt) * np.int64(nv) + np.maximum(cells, nxt)
+        side_key = np.sort(side_key.ravel())
+        edge_key = side_key[np.r_[True, side_key[1:] != side_key[:-1]]]
+        u, v = np.divmod(edge_key, nv)
+        fresh = moved[u] | moved[v]
+        old = np.searchsorted(keys, edge_key[~fresh])
+        carried = costs[old], choice[old], rejected[old]
+        keys = edge_key
+        costs, choice = np.empty(keys.size), np.empty(keys.size, dtype=np.int8)
+        rejected = np.zeros(keys.size, dtype=bool)
+        costs[~fresh], choice[~fresh], rejected[~fresh] = carried
+        costs[fresh], choice[fresh] = _collapse_costs(positions, quadrics, u[fresh], v[fresh])
+
+        live = np.flatnonzero(~rejected)
+        if live.size == 0:
+            raise DecimationError(
+                f"no valid collapses left at {cells.shape[0]} cells (target {target})"
+            )
+        unranked = keys.size
+        rank = np.full(unranked, unranked)
+        rank[live[np.argsort(costs[live], kind="stable")]] = np.arange(live.size)
+        least = np.full(nv, unranked)
+        np.minimum.at(least, u, rank)
+        np.minimum.at(least, v, rank)
+        around = np.full(nv, unranked)
+        np.minimum.at(around, cells, least[cells].min(axis=1, keepdims=True))
+        picked = live[rank[live] == np.minimum(around[u[live]], around[v[live]])]
+
+        pu, pv = u[picked], v[picked]
+        targets = _collapse_targets(positions, pu, pv, choice[picked])
+        pick_of = np.full(nv, -1)
+        pick_of[pu] = pick_of[pv] = np.arange(picked.size)
+        corner_pick = pick_of[cells].max(axis=1)
+        touched = np.flatnonzero(corner_pick >= 0)
+        tp, tc = corner_pick[touched], cells[touched]
+        is_u, is_v = tc == pu[tp, None], tc == pv[tp, None]
+        has_u, has_v = is_u.any(axis=1), is_v.any(axis=1)
+        shared = has_u & has_v
+        other = ~(is_u | is_v)
+        per_cell = other.sum(axis=1)
+        groups, inv = np.unique(np.repeat(tp, per_cell) * nv + tc[other], return_inverse=True)
+        near_u = np.bincount(inv, np.repeat(has_u, per_cell), groups.size) > 0
+        near_v = np.bincount(inv, np.repeat(has_v, per_cell), groups.size) > 0
+        opposite = np.bincount(inv, np.repeat(shared, per_cell), groups.size) > 0
+        bad = np.bincount(groups[near_u & near_v & ~opposite] // nv, minlength=picked.size) > 0
+        corners = positions[tc]
+        after = np.where((is_u | is_v)[:, :, None], targets[tp, None, :], corners)
+        old_n = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        new_n = _cross(after[:, 1] - after[:, 0], after[:, 2] - after[:, 0])
+        flips = ~shared & ((np.einsum("ij,ij->i", old_n, new_n) <= 0.0)
+                           | (np.einsum("ij,ij->i", new_n, new_n) < 1e-24))
+        bad |= np.bincount(tp[flips], minlength=picked.size) > 0
+        rejected[picked[bad]] = True
+
+        ok = np.flatnonzero(~bad)
+        ok = ok[np.argsort(rank[picked[ok]])]
+        left = cells.shape[0] - np.cumsum(np.bincount(tp[shared], minlength=picked.size)[ok])
+        if left.size and left[-1] <= target:
+            ok = ok[: np.argmax(left <= target) + 1]
+        positions[pu[ok]] = targets[ok]
+        quadrics[pu[ok]] += quadrics[pv[ok]]
+        applied = np.zeros(picked.size, dtype=bool)
+        applied[ok] = True
+        alive = np.ones(cells.shape[0], dtype=bool)
+        alive[touched[shared & applied[tp]]] = False
+        remap = np.arange(nv)
+        remap[pv[ok]] = pu[ok]
+        cells = remap[cells[alive]]
+        moved = np.zeros(nv, dtype=bool)
+        moved[pu[ok]] = True
+
+    used = np.unique(cells)
+    remap = np.full(nv, -1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    return TriMesh(positions[used], remap[cells])
+
+
+def reference_weld(vertices: np.ndarray, cells: np.ndarray):
+    """mesh_io._weld by np.unique over the quantized rows."""
+    from dentalmesh.mesh_io import WELD_RESOLUTION
+
+    quantized = np.round(vertices / WELD_RESOLUTION).astype(np.int64)
+    _, first, inverse = np.unique(quantized, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return vertices[np.sort(first)], rank[inverse.reshape(-1)][cells]
 
 
 def torus7() -> TriMesh:

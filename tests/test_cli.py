@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from dentalmesh import __version__, cli
+from dentalmesh import __version__, cli, geometry, pipeline
 from dentalmesh.config import RunConfig, format_config, load_config
 from dentalmesh.errors import ConfigError, SchemaError, TrainingDivergenceError
 from dentalmesh.mesh_io import (
@@ -293,6 +293,17 @@ def test_infer_with_and_without_probs(trained_run):
     # refining the network's own probabilities reproduces the plain run
     assert cli.main(["infer", "--mesh", mesh, "--probs", str(probs)] + args) == 0
     assert (labeled.read_bytes(), landmarks.read_bytes()) == plain
+
+
+def test_infer_never_builds_the_origin_map(trained_run, monkeypatch):
+    root, args = trained_run
+
+    def no_origin_map(*args):
+        raise AssertionError("infer read the origin map")
+
+    monkeypatch.setattr(pipeline, "nearest_rows", no_origin_map)
+    monkeypatch.setattr(geometry, "nearest_rows", no_origin_map)
+    assert cli.main(["infer", "--mesh", str(root / "data" / "arch_001.off")] + args) == 0
 
 
 def test_infer_rejects_bad_probs_with_exit_2(trained_run, tmp_path, caplog):

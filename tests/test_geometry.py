@@ -1,5 +1,6 @@
 """Geometry: features, graphs, decimation, ROIs, augmentation."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -16,11 +17,14 @@ from dentalmesh.errors import (
 )
 
 from dentalmesh.mesh_io import TriMesh
+from dentalmesh.pipeline import preprocess
+from dentalmesh.synth import default_specs, generate
 
 from helpers import (
     dihedral_class,
     grid_mesh,
     hinge_mesh,
+    rebuilding_decimate,
     reference_decimate,
     shared_edge,
     sphere_mesh,
@@ -212,9 +216,14 @@ def test_dihedral_flat_and_fold_angle():
     assert kind == "convex"
 
 
+def _origin_map(fine: TriMesh, coarse: TriMesh) -> np.ndarray:
+    return geo.nearest_rows(fine.cell_barycenters, coarse.cell_barycenters)
+
+
 def test_decimate_reaches_target(small_arch):
     mesh, _ = small_arch
-    coarse, origin = geo.decimate(mesh, 1500)
+    coarse = geo.decimate(mesh, 1500).coarse
+    origin = _origin_map(mesh, coarse)
     assert coarse.num_cells <= 1500
     assert coarse.num_cells >= 1500 - 2
     assert origin.shape == (mesh.num_cells,)
@@ -232,7 +241,8 @@ DECIMATE_COLLAPSES = 2179
 
 def test_decimate_reproduces_recorded_collapse_sequence(small_arch):
     mesh, _ = small_arch
-    coarse, origin = geo.decimate(mesh, 400)
+    coarse = geo.decimate(mesh, 400).coarse
+    origin = _origin_map(mesh, coarse)
     assert mesh.num_vertices - coarse.num_vertices == DECIMATE_COLLAPSES
     assert coarse.cells.dtype == np.int64 and origin.dtype == np.int64
     assert coarse.vertices.dtype == np.float64
@@ -244,8 +254,9 @@ def test_decimate_reproduces_recorded_collapse_sequence(small_arch):
 @pytest.mark.parametrize("target", [400, 1500, 3000, 4499])
 def test_decimate_lands_on_target_deterministically(small_arch, target):
     mesh, _ = small_arch
-    coarse, origin = geo.decimate(mesh, target)
-    again, origin_again = geo.decimate(mesh, target)
+    coarse = geo.decimate(mesh, target).coarse
+    again = geo.decimate(mesh, target).coarse
+    origin, origin_again = _origin_map(mesh, coarse), _origin_map(mesh, again)
     assert np.array_equal(coarse.cells, again.cells)
     assert coarse.vertices.tobytes() == again.vertices.tobytes()
     assert np.array_equal(origin, origin_again)
@@ -281,15 +292,44 @@ def test_decimate_matches_edge_by_edge_rounds(case):
     mesh = {"open grid and torus": _with_torus(ROUGH_GRID),
             "non-manifold edge": _with_fin(grid_mesh(12, 12, seed=4)),
             "closed sphere": sphere_mesh(12, 16)}[case]
-    coarse, _ = geo.decimate(mesh, 100)
+    coarse = geo.decimate(mesh, 100).coarse
     vertices, cells, stats = reference_decimate(mesh, 100)
     assert np.array_equal(coarse.cells, cells)
     assert coarse.vertices.tobytes() == vertices.tobytes()
+    rebuilt = rebuilding_decimate(mesh, 100)
+    assert np.array_equal(coarse.cells, rebuilt.cells)
+    assert coarse.vertices.tobytes() == rebuilt.vertices.tobytes()
     assert 98 <= coarse.num_cells <= 100
     if case == "open grid and torus":
         # both checks reject edges, and a flip-rejected edge is collapsed
         # after one of its endpoints survived another collapse
         assert stats["link"] > 0 and stats["flip"] > 0 and stats["readmitted"] > 0
+
+
+def test_collapse_costs_are_einsums_bits_in_any_batch():
+    """The term-by-term QEM sum gives np.einsum's bits for every edge, on
+    exact and rounded inputs alike, and the same bits in a smaller batch."""
+    rng = np.random.default_rng(8)
+    for trial in range(6):
+        positions = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-6, 6)
+        if trial % 2:
+            positions = np.round(positions)  # exact terms and zero sums
+        factor = rng.standard_normal((300, 4, 4))
+        quadrics = factor @ factor.transpose(0, 2, 1)
+        a, b = rng.integers(0, 300, 2000), rng.integers(0, 300, 2000)
+        costs, choice = geo._collapse_costs(positions, quadrics, a, b)
+        pa, pb = positions[a], positions[b]
+        cand = np.ones((a.size, 3, 4))
+        cand[:, 0, :3], cand[:, 1, :3], cand[:, 2, :3] = 0.5 * (pa + pb), pa, pb
+        expected = np.einsum("nij,njk,nik->ni", cand, quadrics[a] + quadrics[b], cand)
+        assert np.array_equal(choice, np.argmin(expected, axis=1))
+        rows = np.arange(a.size)
+        assert costs.tobytes() == expected[rows, choice].tobytes()
+        targets = geo._collapse_targets(positions, a, b, choice)
+        assert targets.tobytes() == cand[rows, choice, :3].tobytes()
+        some = rng.choice(a.size, 77, replace=False)
+        assert geo._collapse_costs(positions, quadrics, a[some], b[some])[0].tobytes() == \
+            costs[some].tobytes()
 
 
 def test_decimate_raises_when_every_collapse_fails():
@@ -305,25 +345,62 @@ def test_decimate_sphere_keeps_area():
     # eat more than 5% of the total area
     sphere = sphere_mesh()
     fine_area = sphere.cell_areas.sum()
-    coarse, _ = geo.decimate(sphere, sphere.num_cells // 10)
+    coarse = geo.decimate(sphere, sphere.num_cells // 10).coarse
     coarse_area = coarse.cell_areas.sum()
     assert abs(coarse_area - fine_area) / fine_area < 0.05
 
 
 def test_decimate_identity_and_floor(small_arch):
     mesh, _ = small_arch
-    same, origin = geo.decimate(mesh, mesh.num_cells + 10)
+    same = geo.decimate(mesh, mesh.num_cells + 10).coarse
     assert same is mesh
-    assert np.array_equal(origin, np.arange(mesh.num_cells))
     with pytest.raises(DecimationError):
         geo.decimate(mesh, 50)
 
 
 def test_origin_map_is_nearest_coarse_barycenter(small_arch):
     mesh, _ = small_arch
-    coarse, origin = geo.decimate(mesh, 1500)
-    expected = geo.nearest_rows(mesh.cell_barycenters, coarse.cell_barycenters)
-    assert np.array_equal(origin, expected)
+    scan = preprocess(mesh, None, 1500)
+    expected = geo.nearest_rows(mesh.cell_barycenters, scan.coarse.cell_barycenters)
+    assert np.array_equal(scan.origin_map, expected)
+    assert scan.origin_map is scan.origin_map  # found once
+    # an identity pass maps every cell to itself
+    assert np.array_equal(preprocess(mesh, None, mesh.num_cells).origin_map,
+                          np.arange(mesh.num_cells))
+
+
+@functools.lru_cache(maxsize=None)
+def _default_arch(cells: int, seed: int) -> TriMesh:
+    """The arch of that seed in default_specs(base_seed=1), as the benchmark
+    draws them."""
+    return generate(default_specs(count=3, target_cells=cells, base_seed=1)[seed - 1])[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("cells, target", [(4500, 400), (9000, 400), (12000, 400),
+                                           (12000, 4500)])
+def test_decimate_matches_rebuilding_every_round(cells, target, seed):
+    """Edges kept from round to round give the coarse mesh, bit for bit,
+    that rebuilding every edge every round gave."""
+    mesh = _default_arch(cells, seed)
+    coarse = geo.decimate(mesh, target).coarse
+    rebuilt = rebuilding_decimate(mesh, target)
+    assert coarse.vertices.tobytes() == rebuilt.vertices.tobytes()
+    assert np.array_equal(coarse.cells, rebuilt.cells)
+    assert np.array_equal(_origin_map(mesh, coarse), _origin_map(mesh, rebuilt))
+
+
+def test_decimate_ranks_nan_costs_as_rebuilding_every_round(small_arch):
+    """Edges at NaN vertices cost NaN and rank last, in (u, v) order, kept
+    and fresh ones alike."""
+    mesh, _ = small_arch
+    vertices = mesh.vertices.copy()
+    vertices[np.random.default_rng(1).choice(mesh.num_vertices, 30, replace=False)] = np.nan
+    mesh = TriMesh(vertices, mesh.cells)
+    coarse = geo.decimate(mesh, 400).coarse
+    rebuilt = rebuilding_decimate(mesh, 400)
+    assert coarse.vertices.tobytes() == rebuilt.vertices.tobytes()
+    assert np.array_equal(coarse.cells, rebuilt.cells)
 
 
 def test_transfer_labels_majority_and_ties():

@@ -10,7 +10,12 @@ from dentalmesh import mesh_io as mio
 from dentalmesh.errors import CheckpointError, MeshFormatError, SchemaError
 from dentalmesh.mesh_io import Annotation, TriMesh
 
-from helpers import grid_mesh, reference_save_annotation, reference_save_mesh
+from helpers import (
+    grid_mesh,
+    reference_save_annotation,
+    reference_save_mesh,
+    reference_weld,
+)
 
 
 def _unit_triangle():
@@ -139,6 +144,26 @@ def test_loader_welds_duplicates_and_drops_degenerate(tmp_path):
     assert np.allclose(mesh.cell_areas, [0.5])
 
 
+def test_weld_matches_unique_rows():
+    """Grouping by a stable lexsort welds as np.unique over the rows does:
+    exact copies, copies within the weld grid, negative coordinates, and
+    rows that share one or two coordinates but not the third."""
+    rng = np.random.default_rng(6)
+    vertices = np.round(rng.normal(0.0, 20.0, (400, 3)), 3)
+    copies = rng.integers(0, 400, 300)
+    jitter = rng.choice([0.0, 1e-11, -1e-11], size=(300, 3))
+    near = vertices[rng.integers(0, 400, 200)]
+    near[np.arange(200), rng.integers(0, 3, 200)] += 1.0  # one coordinate moved
+    vertices = np.vstack([vertices, vertices[copies] + jitter, near, near[:50]])
+    vertices = vertices[rng.permutation(len(vertices))]
+    cells = rng.integers(0, len(vertices), (500, 3))
+    welded, index = mio._weld(vertices, cells)
+    expected, expected_index = reference_weld(vertices, cells)
+    assert welded.tobytes() == expected.tobytes()
+    assert np.array_equal(index, expected_index)
+    assert len(welded) < len(vertices)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -156,6 +181,75 @@ def test_off_errors(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(MeshFormatError, match=message):
         mio.load_mesh(path)
+
+
+def test_off_bad_rows_name_their_line(tmp_path):
+    """A malformed row fails with float()'s or the face row's message and
+    its line number, counted over comment and blank lines too."""
+    head = "OFF\n# a comment\n3 1 0\n\n0 0 0\n"
+    path = tmp_path / "bad.off"
+    path.write_text(head + "1 x 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(MeshFormatError) as err:
+        mio.load_mesh(path)
+    assert str(err.value) == f"{path}:6: could not convert string to float: 'x'"
+    path.write_text(head + "1 0 0\n0 1 0\n  # late comment\n3 0 q 2 255\n")
+    with pytest.raises(MeshFormatError) as err:
+        mio.load_mesh(path)
+    assert str(err.value) == f"{path}:9: bad face row '3 0 q 2 255'"
+
+
+def _off_text(mesh: TriMesh, vertex_tail: str = "", face_tail: str = "",
+              gap: str = "") -> str:
+    """mesh as OFF with extra text after each vertex and face row, and gap
+    after every data row."""
+    rows = [" ".join(repr(float(x)) for x in v) + vertex_tail for v in mesh.vertices]
+    rows += ["3 %d %d %d" % tuple(c) + face_tail for c in mesh.cells]
+    return f"OFF\n{mesh.num_vertices} {mesh.num_cells} 0\n" + "".join(
+        row + "\n" + gap for row in rows)
+
+
+@pytest.mark.parametrize("vertex_tail, face_tail, gap", [
+    ("", "", "\n  \n# comment between data rows\n"),
+    (" 255 128 0 255", " 255 0 0", ""),
+    (" 0.5 0.5 0.5", " 0.5 0.25 1.0", ""),
+    (" red", " 1_0", "\t\n"),
+])
+def test_off_comments_blank_lines_and_colours(tmp_path, vertex_tail, face_tail, gap):
+    mesh = grid_mesh(20, 20, seed=2)  # more vertices than a colour value
+    path = tmp_path / "m.off"
+    path.write_text(_off_text(mesh, vertex_tail, face_tail, gap))
+    back = mio.load_mesh(path)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    assert np.array_equal(back.cells, mesh.cells)
+
+
+def test_off_blocks_read_what_the_row_reader_reads(tmp_path, small_arch):
+    """The bulk parse gives float()'s bits, over many spellings of a number;
+    what it declines (digit underscores) the row reader still reads."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(900) * 10.0 ** rng.integers(-300, 300, 900)
+    spellings = [repr, "%.25g".__mod__, "%.3E".__mod__]
+    tokens = [spellings[i % 3](float(x)) for i, x in enumerate(values)]
+    tokens[:12] = ["-0", ".5", "5.", "+1e-400", "1e400", "-inf", "nan", "00012.50",
+                   "2.4703282292062328e-324", "1.7976931348623159e308", "0." + "1" * 40,
+                   "9" * 30]
+    vertices = [" ".join(tokens[i : i + 3]) for i in range(0, len(tokens), 3)]
+    cells = [f"3 {i} {i + 1} {i + 2}" for i in range(len(vertices) - 2)]
+    lines = ["OFF", f"{len(vertices)} {len(cells)} 0"] + vertices + cells
+    vs, cs = mio._off_blocks(lines)
+    vr, cr = mio._off_rows(lines, "m.off")
+    assert vs.tobytes() == vr.tobytes() and np.array_equal(cs, cr)
+    assert vs.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    lines[2] = "1_0 0 0"
+    assert mio._off_blocks(lines) is None
+    assert mio._off_rows(lines, "m.off")[0][0, 0] == 10.0
+    # a saved arch reads the same either way
+    path = tmp_path / "arch.off"
+    mio.save_mesh(small_arch[0], path)
+    lines = path.read_text().splitlines()
+    vs, cs = mio._off_blocks(lines)
+    vr, cr = mio._off_rows(lines, path)
+    assert vs.tobytes() == vr.tobytes() and np.array_equal(cs, cr)
 
 
 def test_obj_errors(tmp_path):

@@ -1,9 +1,12 @@
 """Two-stage inference plumbing with stub regressors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dentalmesh import autodiff as ad
+from dentalmesh import geometry as geo
 from dentalmesh import landmarks as lm
 from dentalmesh import pipeline as pl
 from dentalmesh.errors import SchemaError
@@ -47,6 +50,18 @@ def test_preprocess_carries_labels(small_arch):
     assert set(np.unique(scan.coarse_labels)) == set(np.unique(ann.labels))
     unlabeled = pl.preprocess(mesh, None, target_cells=1500)
     assert unlabeled.coarse_labels is None
+
+
+# coarse labels that preprocess(small_arch, 400) carried down when decimate
+# still built the origin map itself
+COARSE_LABELS_400_SHA256 = "73bdfd9e47d5415167f23c83f3af9a0fc2e338f299eb05d6173c249b79bd20cc"
+
+
+def test_preprocess_coarse_labels_unchanged(small_arch):
+    mesh, ann = small_arch
+    labels = pl.preprocess(mesh, ann, target_cells=400).coarse_labels
+    assert labels.dtype == np.int64
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == COARSE_LABELS_400_SHA256
 
 
 def _tooth_from_roi(roi_mesh, mesh, labels):
@@ -196,15 +211,23 @@ def test_segment_scan_refines_argmax_and_upsamples():
     assert np.array_equal(result.fine_labels, labels)
 
 
-def test_infer_two_stage_wires_everything(small_arch):
+def test_infer_two_stage_wires_everything(small_arch, monkeypatch):
     mesh, ann = small_arch
-    scan = pl.preprocess(mesh, ann, target_cells=1500)
+    labeled = pl.preprocess(mesh, ann, target_cells=1500)
+
+    def no_origin_map(*args):
+        raise AssertionError("inference read the origin map")
+
+    # inference never maps fine cells to coarse ones
+    monkeypatch.setattr(pl, "nearest_rows", no_origin_map)
+    monkeypatch.setattr(geo, "nearest_rows", no_origin_map)
+    scan = pl.preprocess(mesh, None, target_cells=1500)
 
     class OracleSegNet:
         def forward(self, x, g_small=None, g_large=None, training=False):
             n = x.data.shape[0]
             probs = np.full((n, 15), 1e-5)
-            probs[np.arange(n), scan.coarse_labels] = 1.0
+            probs[np.arange(n), labeled.coarse_labels] = 1.0
             probs /= probs.sum(axis=1, keepdims=True)
             return ad.Tensor(probs)
 
