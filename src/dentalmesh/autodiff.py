@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation on float32 or float64
 numpy arrays.
 
-Tensors form a DAG as ops run; backward(loss) walks it once in reverse
-topological order and accumulates gradients. A graph is backpropagated
+Ops are this module's functions (add, mul, matmul, ...); a Tensor has no
+arithmetic operators. Tensors form a DAG as ops run; backward(loss) walks
+it once in reverse topological order and accumulates gradients. A graph is backpropagated
 once: each interior node drops its gradient, its grad_fn and its parents
 as soon as its grad_fn has run, so saved activations and intermediate
 gradients free during the walk. Leaves (parameters and inputs) keep their
@@ -75,46 +76,11 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def gradient(self) -> np.ndarray:
         """Accumulated gradient; zeros when the tensor is unreachable."""
         if self.grad is None:
             return np.zeros_like(self.data)
         return self.grad
-
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class Parameter(Tensor):

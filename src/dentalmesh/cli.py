@@ -70,14 +70,12 @@ from .networks import (
     NUM_CLASSES,
     PointHeatmapNet,
     ToothSegNet,
-    make_graph_heatmap_net,
 )
 from .pipeline import (
     PreprocessedScan,
     heatmap_position_types,
     infer_two_stage,
     locate_landmarks,
-    position_type,
     preprocess,
     refine_and_upsample,
     segment_scan,
@@ -336,7 +334,7 @@ def _roi_samples(scans: list, indices) -> dict:
                 if (tooth, name) in ann.landmarks
             }
             if positions:
-                out[position_type(tooth)].append(
+                out[lm.position_type(tooth)].append(
                     HeatmapSample(roi.mesh, tooth, positions)
                 )
     return out
@@ -364,7 +362,8 @@ def _train_stage2(config: RunConfig, run: Path, scans: list, train_idx, val_idx,
             continue
         out_channels = len(lm.landmark_names(t))
         if graph_net:
-            net = make_graph_heatmap_net(config.seed + 100 + t, out_channels)
+            net = ToothSegNet(seed=config.seed + 100 + t, out_channels=out_channels,
+                              head="sigmoid")
         else:
             net = PointHeatmapNet(seed=config.seed + 100 + t,
                                   out_channels=out_channels)
@@ -385,16 +384,6 @@ def _pooled_mae(per_scan: list):
         for key, value in truth.items():
             truth_all[(i,) + key] = value
     return mae_metrics(pred_all, truth_all)
-
-
-def _result_payload(result) -> dict:
-    return {
-        "loss_curve": result.loss_curve,
-        "val_curve": result.val_curve,
-        "epochs_run": result.epochs_run,
-        "best_epoch": result.best_epoch,
-        "best_val": result.best_val,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +446,7 @@ def cmd_train_seg(args, config: RunConfig) -> int:
     save_checkpoint(run / "checkpoints" / "seg.ckpt", net.arch_tag(),
                     net.state_arrays(), meta)
     write_json_report(run / "reports" / "train_seg.json",
-                      _result_payload(result))
+                      dataclasses.asdict(result))
     log.info("segmentation checkpoint saved (%d epochs, best val %.4f)",
              result.epochs_run, result.best_val)
     return 0
@@ -480,7 +469,7 @@ def cmd_train_lmk(args, config: RunConfig) -> int:
         }
         save_checkpoint(run / "checkpoints" / f"lmk_pos{t}.ckpt",
                         net.arch_tag(), net.state_arrays(), meta)
-        report[f"pos{t}"] = _result_payload(result)
+        report[f"pos{t}"] = dataclasses.asdict(result)
     if not report:
         raise SchemaError("no landmark-bearing teeth found in the training data")
     write_json_report(run / "reports" / "train_lmk.json", report)
@@ -713,7 +702,7 @@ def cmd_ablate(args, config: RunConfig) -> int:
         ("single-stage-pointnet",
          PointHeatmapNet(seed=config.seed + 50, out_channels=layout_size)),
         ("single-stage-graphnet",
-         make_graph_heatmap_net(config.seed + 51, layout_size)),
+         ToothSegNet(seed=config.seed + 51, out_channels=layout_size, head="sigmoid")),
     ):
         _train_heatmap_net(config, run, net, whole_scan(train_idx),
                            whole_scan(val_idx), config.seg_subsample, name)

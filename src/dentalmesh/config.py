@@ -64,16 +64,28 @@ class RunConfig:
     run_dir: str = "runs/run0"
 
     def validate(self) -> None:
+        # each minimum is the one the consuming module enforces; those
+        # modules import this one, so they are imported here
+        from .evaluation import MIN_FOLDS
+        from .geometry import MIN_DECIMATION_TARGET
+        from .synth import MIN_TARGET_CELLS
+
         if self.lam < 0:
             raise ConfigError(f"lam must be nonnegative, got {self.lam}")
         for name in ("k_small", "k_large", "seg_subsample", "roi_subsample",
-                     "seg_epochs", "lmk_epochs", "val_every", "synth_count",
-                     "target_cells", "synth_cells"):
+                     "seg_epochs", "lmk_epochs", "val_every", "synth_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("augment_count", "patience"):
+        for name in ("augment_count", "patience", "val_count", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
+        for name, least in (("target_cells", MIN_DECIMATION_TARGET),
+                            ("synth_cells", MIN_TARGET_CELLS), ("folds", MIN_FOLDS)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.lr <= 0:

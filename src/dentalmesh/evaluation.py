@@ -21,18 +21,18 @@ from . import landmarks as lm
 from .errors import ConfigError
 
 TOOTH_CLASSES = tuple(range(1, lm.NUM_TEETH + 1))
+MIN_FOLDS = 2
 
 
 @dataclass
 class SegMetrics:
     """Per-class and mean segmentation scores; classes absent from both
-    pred and truth are excluded from the means."""
+    pred and truth are excluded from per_class and the means."""
 
     per_class: dict
     mean_dsc: float
     mean_sen: float
     mean_ppv: float
-    classes: tuple
 
 
 def seg_metrics(pred: np.ndarray, truth: np.ndarray) -> SegMetrics:
@@ -58,8 +58,7 @@ def seg_metrics(pred: np.ndarray, truth: np.ndarray) -> SegMetrics:
         means = arr.mean(axis=0)
     else:
         means = np.ones(3)
-    return SegMetrics(per_class, float(means[0]), float(means[1]),
-                      float(means[2]), tuple(per_class))
+    return SegMetrics(per_class, float(means[0]), float(means[1]), float(means[2]))
 
 
 @dataclass
@@ -138,8 +137,8 @@ def fold_splits(num_samples: int, folds: int, val_count: int,
     so fold sizes differ by at most one. The validation set is drawn from
     the remaining training samples, per fold, from the same stream.
     """
-    if folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {folds}")
+    if folds < MIN_FOLDS:
+        raise ConfigError(f"need at least {MIN_FOLDS} folds, got {folds}")
     if folds > num_samples:
         raise ConfigError(f"{folds} folds for {num_samples} samples")
     rng = np.random.default_rng(seed)

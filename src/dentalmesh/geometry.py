@@ -185,17 +185,15 @@ def nearest_rows(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CellFeatures:
-    """Z-scored (N, 15) feature matrix with the per-scan column statistics.
+    """Z-scored (N, 15) feature matrix, each column by its per-scan mean and
+    std (a constant column's std is taken as 1).
 
     Columns 0..8 are the three corner vertices flattened, 9..11 the unit
     cell normal, 12..14 the cell barycenter relative to the mesh barycenter
-    scaled by half the bounding-box diagonal. mean/std are the pre-scaling
-    statistics (std forced to 1 on constant columns).
+    scaled by half the bounding-box diagonal.
     """
 
     matrix: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
 
 
 def extract_features(mesh: TriMesh) -> CellFeatures:
@@ -213,7 +211,7 @@ def extract_features(mesh: TriMesh) -> CellFeatures:
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    return CellFeatures(matrix=(raw - mean) / std, mean=mean, std=std)
+    return CellFeatures(matrix=(raw - mean) / std)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +463,9 @@ def transfer_labels(
 
 @dataclass
 class Roi:
-    """Single-tooth submesh plus the original cell ids (ascending)."""
+    """Single-tooth submesh, its cells in ascending original id."""
 
     mesh: TriMesh
-    cell_ids: np.ndarray
-    tooth_id: int
 
 
 def extract_roi(mesh: TriMesh, labels: np.ndarray, tooth_id: int) -> Roi | None:
@@ -482,8 +478,7 @@ def extract_roi(mesh: TriMesh, labels: np.ndarray, tooth_id: int) -> Roi | None:
     cell_ids = np.nonzero(labels == tooth_id)[0]
     if cell_ids.size == 0:
         return None
-    sub, _ = mesh.submesh(cell_ids)
-    return Roi(mesh=sub, cell_ids=cell_ids.astype(np.int64), tooth_id=tooth_id)
+    return Roi(mesh=mesh.submesh(cell_ids))
 
 
 # ---------------------------------------------------------------------------

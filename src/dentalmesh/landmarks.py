@@ -35,12 +35,16 @@ _POSITION_SCHEMA = {
 LOW_CONFIDENCE = 0.1
 
 
-def tooth_name(tooth_id: int) -> str:
+def position_type(tooth_id: int) -> int:
+    """Position 1..7 of a tooth on its side; mirrored teeth share it (UR4
+    and UL4 are both 4)."""
     if not 1 <= tooth_id <= NUM_TEETH:
         raise SchemaError(f"tooth id {tooth_id} outside 1..{NUM_TEETH}")
-    if tooth_id <= 7:
-        return f"UR{tooth_id}"
-    return f"UL{tooth_id - 7}"
+    return (tooth_id - 1) % 7 + 1
+
+
+def tooth_name(tooth_id: int) -> str:
+    return f"{'UR' if tooth_id <= 7 else 'UL'}{position_type(tooth_id)}"
 
 
 def tooth_id_from_name(name: str) -> int:
@@ -58,9 +62,7 @@ def tooth_id_from_name(name: str) -> int:
 
 def landmark_names(tooth_id: int) -> tuple[str, ...]:
     """Landmark names for one tooth, in heatmap column order."""
-    if not 1 <= tooth_id <= NUM_TEETH:
-        raise SchemaError(f"tooth id {tooth_id} outside 1..{NUM_TEETH}")
-    return _POSITION_SCHEMA[tooth_id if tooth_id <= 7 else tooth_id - 7]
+    return _POSITION_SCHEMA[position_type(tooth_id)]
 
 
 def landmark_teeth() -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Triangle mesh type and all on-disk formats.
 
-Meshes load from OFF, OBJ, and ASCII STL; an OFF file's vertex and face
+Meshes load from OFF, OBJ, and ASCII STL, so a scan in any of the three
+can be read; the package writes OFF only. An OFF file's vertex and face
 blocks are parsed in bulk, each number as float() or int() reads it.
 Loading always welds duplicate vertices (coordinates quantized to a 1e-9
 mm grid) and drops degenerate cells, so an STL file (which stores
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,6 @@ class TriMesh:
             raise ValueError(f"cells must be (N, 3), got {self.cells.shape}")
         if self.num_cells and (self.cells.min() < 0 or self.cells.max() >= self.num_vertices):
             raise ValueError("cell indices out of vertex range")
-        self._cache: dict[str, np.ndarray] = {}
 
     @property
     def num_vertices(self) -> int:
@@ -65,49 +66,39 @@ class TriMesh:
         c = self.cells
         return v[c[:, 0]], v[c[:, 1]], v[c[:, 2]]
 
-    @property
+    @cached_property
     def cell_barycenters(self) -> np.ndarray:
-        if "bary" not in self._cache:
-            a, b, c = self._corners()
-            self._cache["bary"] = (a + b + c) / 3.0
-        return self._cache["bary"]
+        a, b, c = self._corners()
+        return (a + b + c) / 3.0
 
-    @property
+    @cached_property
     def cell_cross(self) -> np.ndarray:
-        if "cross" not in self._cache:
-            a, b, c = self._corners()
-            self._cache["cross"] = np.cross(b - a, c - a)
-        return self._cache["cross"]
+        a, b, c = self._corners()
+        return np.cross(b - a, c - a)
 
-    @property
+    @cached_property
     def cell_areas(self) -> np.ndarray:
-        if "area" not in self._cache:
-            self._cache["area"] = 0.5 * np.linalg.norm(self.cell_cross, axis=1)
-        return self._cache["area"]
+        return 0.5 * np.linalg.norm(self.cell_cross, axis=1)
 
-    @property
+    @cached_property
     def cell_normals(self) -> np.ndarray:
-        if "normal" not in self._cache:
-            cross = self.cell_cross
-            norm = np.linalg.norm(cross, axis=1, keepdims=True)
-            norm = np.where(norm == 0.0, 1.0, norm)
-            self._cache["normal"] = cross / norm
-        return self._cache["normal"]
+        cross = self.cell_cross
+        norm = np.linalg.norm(cross, axis=1, keepdims=True)
+        norm = np.where(norm == 0.0, 1.0, norm)
+        return cross / norm
 
-    @property
+    @cached_property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        if "bbox" not in self._cache:
-            self._cache["bbox"] = (self.vertices.min(axis=0), self.vertices.max(axis=0))
-        return self._cache["bbox"]
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def submesh(self, cell_ids: np.ndarray) -> tuple["TriMesh", np.ndarray]:
-        """Mesh restricted to `cell_ids`, plus the old->new vertex index map."""
+    def submesh(self, cell_ids: np.ndarray) -> TriMesh:
+        """Mesh restricted to `cell_ids`, its vertices in ascending old index."""
         cell_ids = np.asarray(cell_ids, dtype=np.int64)
         cells = self.cells[cell_ids]
         used = np.unique(cells)
         remap = np.full(self.num_vertices, -1, dtype=np.int64)
         remap[used] = np.arange(used.size)
-        return TriMesh(self.vertices[used], remap[cells]), remap
+        return TriMesh(self.vertices[used], remap[cells])
 
 
 @dataclass
@@ -365,43 +356,25 @@ def load_mesh(path) -> TriMesh:
     return _LOADERS[fmt](text.splitlines(), path)
 
 
-_STL_FACET = (
-    "facet normal %r %r %r\n  outer loop\n"
-    + "    vertex %r %r %r\n" * 3
-    + "  endloop\nendfacet\n"
-)
-
-
 def _values(array: np.ndarray) -> tuple:
     return tuple(array.ravel().tolist())
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
-    """Write a mesh in the format its extension names.
+    """Write a mesh as OFF; any other extension is a MeshFormatError.
 
     Each block of rows is one %-format over the block's values as Python
     floats and ints; %r is repr, the shortest string that reads back to the
     same float64.
     """
     path = Path(path)
-    fmt = _format_of(path)
-    nv, nf = mesh.num_vertices, mesh.num_cells
-    if fmt == "off":
-        text = (
-            f"OFF\n{nv} {nf} 0\n"
-            + "%r %r %r\n" * nv % _values(mesh.vertices)
-            + "3 %d %d %d\n" * nf % _values(mesh.cells)
-        )
-    elif fmt == "obj":
-        text = (
-            "v %r %r %r\n" * nv % _values(mesh.vertices)
-            + "f %d %d %d\n" * nf % _values(mesh.cells + 1)
-        ) or "\n"
-    else:  # stl-ascii
-        facets = np.concatenate(
-            [mesh.cell_normals, mesh.vertices[mesh.cells].reshape(nf, 9)], axis=1
-        )
-        text = "solid mesh\n" + _STL_FACET * nf % _values(facets) + "endsolid mesh\n"
+    if path.suffix.lower() != ".off":
+        raise MeshFormatError(f"{path}: meshes are written as .off only")
+    text = (
+        f"OFF\n{mesh.num_vertices} {mesh.num_cells} 0\n"
+        + "%r %r %r\n" * mesh.num_vertices % _values(mesh.vertices)
+        + "3 %d %d %d\n" * mesh.num_cells % _values(mesh.cells)
+    )
     path.write_text(text)
 
 

@@ -299,11 +299,6 @@ class PointHeatmapNet(Module):
     __call__ = forward
 
 
-def make_graph_heatmap_net(seed: int, out_channels: int) -> ToothSegNet:
-    """ToothSegNet with a sigmoid heatmap head (architecture ablation)."""
-    return ToothSegNet(seed=seed, out_channels=out_channels, head="sigmoid")
-
-
 # ---------------------------------------------------------------------------
 # losses
 

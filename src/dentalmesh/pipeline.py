@@ -23,19 +23,13 @@ import numpy as np
 from . import landmarks as lm
 from .config import RunConfig
 from .geometry import decimate, extract_roi, nearest_rows, transfer_labels
+from .landmarks import position_type  # heatmap nets are keyed by it
 from .mesh_io import Annotation, TriMesh
 from .postprocess import build_energy, refine_labels
 from .svm import LabelUpsampler
 from .training import network_output, segmentation_probabilities
 
 MIN_ROI_CELLS = 4  # smaller tooth crops are skipped in stage 2
-
-
-def position_type(tooth_id: int) -> int:
-    """Collapses mirrored tooth ids onto 1..7 (UR4 and UL4 are both 4)."""
-    if not 1 <= tooth_id <= lm.NUM_TEETH:
-        raise ValueError(f"tooth id {tooth_id} outside 1..{lm.NUM_TEETH}")
-    return (tooth_id - 1) % 7 + 1
 
 
 def heatmap_position_types() -> tuple[int, ...]:

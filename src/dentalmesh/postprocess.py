@@ -9,8 +9,11 @@ beta = 30 * (1 + |n_i . n_j|) when the hinge is convex. Cutting is cheap
 across concave creases, which is where tooth-gingiva boundaries live.
 
 Minimization is alpha expansion: labels are visited in ascending order,
-each expansion solving a binary min-cut whose result can only lower the
-energy, until a full cycle yields no improvement. The move's graph is the
+cycle after cycle, each expansion solving a binary min-cut whose result
+can only lower the energy. An accepted alpha move leaves a labeling that
+no alpha expansion improves, so once every other label has failed in a
+row after it (num_labels expansions when none was accepted yet) the
+labels have converged and the search stops. The move's graph is the
 symmetric Potts construction (Kolmogorov & Zabih, PAMI 2004), built from
 flat arrays: each cell's terminal arc carries the difference of its take
 and keep costs, and pairs that stay non-alpha become undirected n-links.
@@ -54,7 +57,6 @@ class CutEnergyModel:
     pairs: np.ndarray
     pair_cost: np.ndarray
     lam: float = RunConfig.lam
-    eps: float = DATA_EPS
     energy_trace: list = field(default_factory=list)
 
 
@@ -91,7 +93,7 @@ def build_energy(
 def labeling_energy(model: CutEnergyModel, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     n = model.probs.shape[0]
-    data = -np.log(model.probs[np.arange(n), labels] + model.eps)
+    data = -np.log(model.probs[np.arange(n), labels] + DATA_EPS)
     total = float(data.sum())
     if model.pairs.shape[0]:
         differs = labels[model.pairs[:, 0]] != labels[model.pairs[:, 1]]
@@ -258,29 +260,32 @@ def _expand_once(
 def refine_labels(model: CutEnergyModel) -> np.ndarray:
     """Alpha-expansion refinement; starts from the per-cell argmax labeling.
 
-    Labels are expanded in ascending id each cycle until a full cycle makes
-    no improvement, or warns after MAX_CYCLES cycles that all improved. The
-    per-move energies are recorded on model.energy_trace and are
-    monotonically nonincreasing.
+    Labels are expanded in ascending id, cycle after cycle, until
+    num_labels - 1 expansions in a row after an accepted move (num_labels
+    before the first) make no improvement; that proves convergence, since
+    the move just accepted cannot improve itself. Warns when MAX_CYCLES
+    cycles pass without that proof. The per-move energies are recorded on
+    model.energy_trace and are monotonically nonincreasing.
     """
     probs = model.probs
     labels = np.argmax(probs, axis=1).astype(np.int64)
     num_labels = probs.shape[1]
-    unary = -np.log(probs + model.eps)
+    unary = -np.log(probs + DATA_EPS)
     weight = model.lam * model.pair_cost
     energy = labeling_energy(model, labels)
     model.energy_trace = [energy]
-    for _ in range(MAX_CYCLES):
-        improved = False
-        for alpha in range(num_labels):
-            candidate = _expand_once(labels, alpha, unary, model.pairs, weight)
-            cand_energy = labeling_energy(model, candidate)
-            if cand_energy < energy - 1e-12:
-                labels = candidate
-                energy = cand_energy
-                improved = True
-            model.energy_trace.append(energy)
-        if not improved:
+    failed, needed = 0, num_labels  # expansions in a row without improvement
+    for step in range(MAX_CYCLES * num_labels):
+        candidate = _expand_once(labels, step % num_labels, unary, model.pairs, weight)
+        cand_energy = labeling_energy(model, candidate)
+        if cand_energy < energy - 1e-12:
+            labels = candidate
+            energy = cand_energy
+            failed, needed = 0, num_labels - 1
+        else:
+            failed += 1
+        model.energy_trace.append(energy)
+        if failed == needed:
             break
     else:
         warnings.warn(f"alpha expansion stopped after MAX_CYCLES={MAX_CYCLES} cycles "

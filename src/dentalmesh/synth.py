@@ -47,6 +47,9 @@ NOISE_MM = 0.02
 CONTACT_HEIGHT_FRACTION = 2.0 / 3.0
 GINGIVAL_POINT_FRACTION = 0.15
 LABEL_DILATION_MM = 0.8
+# below this many cells the grid undersamples cusp curvature and landmarks
+# drift past 0.5 mm from the triangulated surface
+MIN_TARGET_CELLS = 4500
 _CURVE_SAMPLES = 4001
 _MAX_ROTATION_DEG = 12.0
 
@@ -115,9 +118,7 @@ class ArchSpec:
             raise GenerationError(
                 f"rotation jitter {self.rotation_jitter} outside [0, {_MAX_ROTATION_DEG}] deg"
             )
-        # below ~4500 cells the grid undersamples cusp curvature and landmarks
-        # drift past 0.5 mm from the triangulated surface
-        if self.target_cells < 4500:
+        if self.target_cells < MIN_TARGET_CELLS:
             raise GenerationError(f"target of {self.target_cells} cells is too coarse")
         for tooth in self.missing:
             if not 1 <= tooth <= lm.NUM_TEETH:
@@ -197,7 +198,7 @@ def _place_teeth(spec: ArchSpec, curve: _ArchCurve, rng: np.random.Generator) ->
         cursor += slot_widths[pos - 1]
     teeth = []
     for tooth_id in range(1, lm.NUM_TEETH + 1):
-        pos = tooth_id if tooth_id <= 7 else tooth_id - 7
+        pos = lm.position_type(tooth_id)
         side = -1.0 if tooth_id <= 7 else 1.0  # UR = negative arc
         scale = 1.0 - spec.size_jitter * (1.0 + rng.uniform(-1.0, 1.0))
         rot = np.radians(spec.rotation_jitter) * rng.uniform(-1.0, 1.0)
@@ -418,7 +419,7 @@ def _refine_apex(teeth, start: np.ndarray) -> np.ndarray:
 
 def _tooth_landmarks(tooth: _ToothInstance, teeth) -> dict[str, np.ndarray]:
     """Band-coordinate (arc, cross) positions for one tooth's schema names."""
-    pos = tooth.tooth_id if tooth.tooth_id <= 7 else tooth.tooth_id - 7
+    pos = lm.position_type(tooth.tooth_id)
     s23 = (1.0 - CONTACT_HEIGHT_FRACTION) ** 0.25
     r23 = ((1.0 - CONTACT_HEIGHT_FRACTION) / 2.0) ** 0.25
     sg = (1.0 - GINGIVAL_POINT_FRACTION) ** 0.25
@@ -513,9 +514,7 @@ def generate(spec: ArchSpec) -> tuple[TriMesh, Annotation]:
     return mesh, ann
 
 
-def default_specs(
-    count: int = 36, target_cells: int = 12000, base_seed: int = 0
-) -> list[ArchSpec]:
+def default_specs(count: int, target_cells: int, base_seed: int = 0) -> list[ArchSpec]:
     """Dataset recipe: full dentitions with mild deterministic shape spread."""
     specs = []
     for i in range(count):

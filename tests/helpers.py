@@ -526,6 +526,29 @@ def reference_expand_once(
     return out
 
 
+def reference_refine_labels(model, max_cycles: int = 50) -> tuple[np.ndarray, list]:
+    """postprocess.refine_labels stopping only at the end of a whole cycle
+    that accepted no move: (labels, energy trace)."""
+    from dentalmesh import postprocess as pp
+
+    labels = np.argmax(model.probs, axis=1).astype(np.int64)
+    unary = -np.log(model.probs + pp.DATA_EPS)
+    weight = model.lam * model.pair_cost
+    energy = pp.labeling_energy(model, labels)
+    trace = [energy]
+    for _ in range(max_cycles):
+        improved = False
+        for alpha in range(model.probs.shape[1]):
+            candidate = pp._expand_once(labels, alpha, unary, model.pairs, weight)
+            cand_energy = pp.labeling_energy(model, candidate)
+            if cand_energy < energy - 1e-12:
+                labels, energy, improved = candidate, cand_energy, True
+            trace.append(energy)
+        if not improved:
+            break
+    return labels, trace
+
+
 # ---------------------------------------------------------------------------
 # the scalar hinge cost that postprocess.build_energy vectorises
 
@@ -915,7 +938,8 @@ def reference_absorb_gum_pockets(labels, pairs, teeth, arc, cross):
 # mesh_io's writers, one row at a time
 
 def reference_save_mesh(mesh: TriMesh, path) -> None:
-    """mesh_io.save_mesh building one string per row, joined at the end."""
+    """mesh_io.save_mesh building one string per row, joined at the end;
+    .obj and ASCII .stl files too, as fixtures for the loaders."""
     from pathlib import Path
 
     path = Path(path)

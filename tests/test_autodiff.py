@@ -28,8 +28,8 @@ def test_matmul_relu_chain_gradients(rng):
 
     def build():
         wp = ad.Parameter(w, name="w")
-        out = relu(ad.Tensor(x) @ wp)
-        return ad.reduce_sum(out * out), [wp]
+        out = relu(ad.matmul(ad.Tensor(x), wp))
+        return ad.reduce_sum(ad.mul(out, out)), [wp]
 
     check_grads(build, [w])
 
@@ -41,7 +41,7 @@ def test_sigmoid_div_gradients(rng):
     def build():
         ap = ad.Parameter(a, name="a")
         bp = ad.Parameter(b, name="b")
-        out = ad.div(1.0, ad.sigmoid(ap) / bp + 1.0)
+        out = ad.div(1.0, ad.add(ad.div(ad.sigmoid(ap), bp), 1.0))
         return ad.reduce_mean(out), [ap, bp]
 
     check_grads(build, [a, b])
@@ -53,10 +53,10 @@ def test_softmax_concat_gather_gradients(rng):
 
     def build():
         ap = ad.Parameter(a, name="a")
-        soft = ad.softmax_rows(ad.concat([ap, ap * 2.0], axis=1))
+        soft = ad.softmax_rows(ad.concat([ap, ad.mul(ap, 2.0)], axis=1))
         picked = gather_rows(soft, idx)
-        weights = np.linspace(1.0, 2.0, picked.data.size).reshape(picked.shape)
-        return ad.reduce_sum(picked * weights), [ap]
+        weights = np.linspace(1.0, 2.0, picked.data.size).reshape(picked.data.shape)
+        return ad.reduce_sum(ad.mul(picked, weights)), [ap]
 
     check_grads(build, [a])
 
@@ -68,9 +68,10 @@ def test_pooling_gradients(rng):
     def build():
         ap = ad.Parameter(a, name="a")
         pooled = max_over_axis(ap, axis=0)
-        m = max_over_axis(reshape(ap * 1.5, (2, 3, 4)), axis=1)
-        weights = np.arange(m.data.size, dtype=np.float64).reshape(m.shape)
-        return ad.reduce_sum(pooled * 6.0) + ad.reduce_sum(m * weights), [ap]
+        m = max_over_axis(reshape(ad.mul(ap, 1.5), (2, 3, 4)), axis=1)
+        weights = np.arange(m.data.size, dtype=np.float64).reshape(m.data.shape)
+        total = ad.add(ad.reduce_sum(ad.mul(pooled, 6.0)), ad.reduce_sum(ad.mul(m, weights)))
+        return total, [ap]
 
     check_grads(build, [a])
 
@@ -138,8 +139,8 @@ def test_conv_bn_relu_gradients(rng):
     def build():
         params = [ad.Parameter(a, name=n) for a, n in zip(arrays, names)]
         out = ad.conv_bn_relu(*params)
-        weights = np.sin(np.arange(out.data.size)).reshape(out.shape)
-        return ad.reduce_sum(out * weights), params
+        weights = np.sin(np.arange(out.data.size)).reshape(out.data.shape)
+        return ad.reduce_sum(ad.mul(out, weights)), params
 
     check_grads(build, arrays)
 
@@ -156,8 +157,8 @@ def test_conv_bn_relu_matches_unfused_composition_bitwise(rng, record):
             with ad.no_grad():
                 return op(*params).data, []
         out = op(*params)
-        weights = np.cos(np.arange(out.data.size)).reshape(out.shape)
-        ad.backward(ad.reduce_sum(out * weights))
+        weights = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
+        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
         return out.data, [p.grad for p in params]
 
     out, grads = run(ad.conv_bn_relu)
@@ -255,7 +256,7 @@ def test_amsgrad_rejects_non_finite_gradient():
 def test_no_grad_blocks_graph_building():
     p = ad.Parameter(np.array([[1.0, 2.0]]))
     with ad.no_grad():
-        out = ad.reduce_sum(p * 3.0)
+        out = ad.reduce_sum(ad.mul(p, 3.0))
     assert out._parents == ()
     ad.backward(out)
     assert p.grad is None
@@ -265,7 +266,7 @@ def test_no_grad_blocks_graph_building():
 def test_backward_requires_scalar():
     p = ad.Parameter(np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        ad.backward(p * 2.0)
+        ad.backward(ad.mul(p, 2.0))
 
 
 def test_rank_cap():
@@ -276,7 +277,7 @@ def test_rank_cap():
 def test_unreachable_parameter_has_zero_gradient():
     used = ad.Parameter(np.ones(3), name="used")
     unused = ad.Parameter(np.ones(3), name="unused")
-    loss = ad.reduce_sum(used * 2.0)
+    loss = ad.reduce_sum(ad.mul(used, 2.0))
     ad.backward(loss)
     assert np.array_equal(unused.gradient(), np.zeros(3))
     assert np.array_equal(used.gradient(), np.full(3, 2.0))
@@ -293,7 +294,8 @@ def test_shared_upstream_gradient_is_not_aliased(rng):
     z = ad.Parameter(rng.normal(size=(2, 3)))
     both = ad.add(x, y)
     flat = reshape(both, (2, 3))
-    loss = ad.reduce_sum(both * w) + ad.reduce_sum(ad.add(flat, z) * u.reshape(2, 3))
+    loss = ad.add(ad.reduce_sum(ad.mul(both, w)),
+                  ad.reduce_sum(ad.mul(ad.add(flat, z), u.reshape(2, 3))))
     ad.backward(loss)
     assert np.array_equal(x.grad, w + u)
     assert np.array_equal(y.grad, w + u)
@@ -308,9 +310,9 @@ def test_backward_releases_interior_nodes(rng):
     x = rng.normal(size=(5, 4))
     w = ad.Parameter(rng.normal(size=(4, 3)), name="w")
     b = ad.Parameter(rng.normal(size=3), name="b")
-    pre = ad.add(ad.Tensor(x) @ w, b)
+    pre = ad.add(ad.matmul(ad.Tensor(x), w), b)
     act = relu(pre)
-    loss = ad.reduce_sum(act * act)
+    loss = ad.reduce_sum(ad.mul(act, act))
     ad.backward(loss)
     for node in (pre, act, loss):
         assert node.grad is None and node._grad_fn is None and node._parents == ()
@@ -328,10 +330,10 @@ def test_saved_activation_dies_with_the_output(rng):
     drops the output, what the ops saved for the backward is freed."""
     w1 = ad.Parameter(rng.normal(size=(4, 6)))
     w2 = ad.Parameter(rng.normal(size=(6, 3)))
-    hidden = relu(ad.Tensor(rng.normal(size=(30, 4))) @ w1)
+    hidden = relu(ad.matmul(ad.Tensor(rng.normal(size=(30, 4))), w1))
     saved = weakref.ref(hidden.data)  # the matmul keeps it for w2's gradient
-    out = hidden @ w2
-    loss = ad.reduce_sum(out * out)
+    out = ad.matmul(hidden, w2)
+    loss = ad.reduce_sum(ad.mul(out, out))
     del hidden
     ad.backward(loss)
     del out
@@ -354,7 +356,7 @@ def test_forward_values_match_numpy(n, m, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, m))
     b = rng.normal(size=(m, n))
-    assert np.allclose((ad.Tensor(a) @ ad.Tensor(b)).data, a @ b)
+    assert np.allclose(ad.matmul(ad.Tensor(a), ad.Tensor(b)).data, a @ b)
     assert np.allclose(max_over_axis(ad.Tensor(a), axis=0).data, a.max(axis=0))
     assert np.allclose(ad.reduce_sum(ad.Tensor(a)).data, a.sum())
     assert np.allclose(relu(ad.Tensor(a)).data, np.maximum(a, 0.0))

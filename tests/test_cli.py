@@ -19,7 +19,7 @@ from dentalmesh.mesh_io import (
     save_mesh,
 )
 from dentalmesh.mesh_io import Annotation
-from dentalmesh.networks import PointHeatmapNet, make_graph_heatmap_net
+from dentalmesh.networks import PointHeatmapNet, ToothSegNet
 from dentalmesh.pipeline import preprocess
 
 from helpers import bump_scene
@@ -214,7 +214,8 @@ def test_resolved_config_precedence(tiny_dataset, tmp_path):
 
 def test_out_of_range_schedule_values_exit_1(tiny_dataset, tmp_path, caplog):
     base = ["train-seg", "--data", str(tiny_dataset), "--run", str(tmp_path / "r")]
-    for override, key in (("val_every=0", "val_every"), ("patience=-1", "patience")):
+    for override, key in (("val_every=0", "val_every"), ("patience=-1", "patience"),
+                          ("target_cells=50", "target_cells must be at least 100")):
         caplog.clear()
         assert cli.main(base + ["--set", override]) == 1
         assert key in caplog.text
@@ -409,7 +410,7 @@ def test_infer_rejects_mismatched_checkpoints_before_compute(trained_run, tmp_pa
 
     shutil.copy(root / "run" / "checkpoints" / "lmk_pos6.ckpt",
                 run / "checkpoints" / "lmk_pos6.ckpt")
-    sigmoid = make_graph_heatmap_net(0, 15)
+    sigmoid = ToothSegNet(seed=0, out_channels=15, head="sigmoid")
     save_checkpoint(run / "checkpoints" / "seg.ckpt", sigmoid.arch_tag(),
                     sigmoid.state_arrays(), {"out_channels": 15, "head": "sigmoid"})
     caplog.clear()

@@ -9,6 +9,7 @@ import pytest
 
 import dentalmesh
 from dentalmesh import config as cfg
+from dentalmesh import evaluation, geometry, synth
 from dentalmesh.config import RunConfig
 from dentalmesh.errors import ConfigError
 
@@ -98,6 +99,15 @@ def test_apply_overrides_errors():
         ("svm_c", -1.0, "svm_c must be positive and finite"),
         ("svm_c", float("nan"), "svm_c must be positive and finite"),
         ("svm_c", float("inf"), "svm_c must be positive and finite"),
+        ("target_cells", geometry.MIN_DECIMATION_TARGET - 1, "target_cells must be at least 100"),
+        ("synth_cells", synth.MIN_TARGET_CELLS - 1, "synth_cells must be at least 4500"),
+        ("seed", -1, "seed must be nonnegative"),
+        ("beta1", 1.0, r"beta1 must be in \[0, 1\)"),
+        ("beta1", -0.1, r"beta1 must be in \[0, 1\)"),
+        ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
+        ("beta2", float("nan"), r"beta2 must be in \[0, 1\)"),
+        ("val_count", -1, "val_count must be nonnegative"),
+        ("folds", evaluation.MIN_FOLDS - 1, "folds must be at least 2"),
     ],
 )
 def test_validate_rejects(field, value, message):
@@ -108,6 +118,12 @@ def test_validate_rejects(field, value, message):
 
 def test_augment_count_zero_is_allowed():
     dataclasses.replace(RunConfig(), augment_count=0).validate()
+
+
+def test_limits_are_inclusive():
+    dataclasses.replace(RunConfig(), target_cells=geometry.MIN_DECIMATION_TARGET,
+                        synth_cells=synth.MIN_TARGET_CELLS, folds=evaluation.MIN_FOLDS,
+                        seed=0, val_count=0, beta1=0.0, beta2=0.0).validate()
 
 
 def test_format_config_lists_every_field():
@@ -219,6 +235,41 @@ def test_every_public_definition_is_used():
     unused += [f"{m}.{cls}.{name}" for m, cls, name in methods
                if name not in attributes and (m, name) not in used]
     assert sorted(set(unused) - KEPT_FOR_TESTS) == []
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple."""
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def test_every_record_field_is_read():
+    """A dataclass or NamedTuple field that nothing reads is carried for tests.
+
+    A field is read when some attribute load in the package or the benchmark
+    scripts, or a getattr with a literal name, carries its name. Another
+    object's attribute of the same name counts too, so a field that shares
+    a common name can slip through.
+    """
+    package, trees = _sources()
+    read, fields = set(), []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+        if path.parent == package:
+            fields += [(path.stem, node.name, item.target.id)
+                       for node in tree.body if isinstance(node, ast.ClassDef) and _is_record(node)
+                       for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    assert sorted(f"{m}.{cls}.{name}" for m, cls, name in fields if name not in read) == []
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:

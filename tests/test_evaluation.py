@@ -18,14 +18,14 @@ def test_seg_metrics_confusion_oracle():
     assert m.mean_dsc == pytest.approx((2 / 3 + 0.8) / 2)
     assert m.mean_sen == pytest.approx((2 / 3 + 1.0) / 2)
     assert m.mean_ppv == pytest.approx(2 / 3)
-    assert m.classes == (1, 2)
+    assert tuple(m.per_class) == (1, 2)
 
 
 def test_seg_metrics_perfect_prediction():
     truth = np.array([0, 3, 3, 7, 0])
     m = ev.seg_metrics(truth.copy(), truth)
     assert m.mean_dsc == 1.0 and m.mean_sen == 1.0 and m.mean_ppv == 1.0
-    assert set(m.classes) == {3, 7}
+    assert set(m.per_class) == {3, 7}
 
 
 def test_seg_metrics_excludes_absent_classes():
@@ -33,7 +33,7 @@ def test_seg_metrics_excludes_absent_classes():
     pred = np.array([0, 1, 1])
     m = ev.seg_metrics(pred, truth)
     assert 5 not in m.per_class  # class 5 appears nowhere
-    assert m.classes == (1,)
+    assert tuple(m.per_class) == (1,)
     # a class present only in the prediction still counts (as pure FP)
     m2 = ev.seg_metrics(np.array([5, 1, 1]), truth)
     assert m2.per_class[5] == (0.0, 0.0, 0.0)

@@ -49,22 +49,21 @@ def test_derived_geometry_on_unit_triangle():
 def test_submesh_preserves_geometry():
     mesh = grid_mesh(4, 4, seed=1)
     keep = np.array([0, 5, 7, 11])
-    sub, remap = mesh.submesh(keep)
+    sub = mesh.submesh(keep)
     assert sub.num_cells == keep.size
     assert np.allclose(sub.cell_barycenters, mesh.cell_barycenters[keep])
     assert np.allclose(sub.cell_areas, mesh.cell_areas[keep])
-    # remap sends every used old vertex to its new index, unused to -1
-    used = np.unique(mesh.cells[keep])
-    assert np.array_equal(remap[used], np.arange(used.size))
-    unused = np.setdiff1d(np.arange(mesh.num_vertices), used)
-    assert np.all(remap[unused] == -1)
+    # only the used vertices, in ascending old index, and the same corners
+    assert np.array_equal(sub.vertices, mesh.vertices[np.unique(mesh.cells[keep])])
+    assert np.array_equal(sub.vertices[sub.cells], mesh.vertices[mesh.cells[keep]])
 
 
 @pytest.mark.parametrize("ext", [".off", ".obj"])
 def test_save_load_round_trip_exact(tmp_path, ext):
+    """The package writes OFF; an OBJ scan is written by the reference writer."""
     mesh = grid_mesh(5, 4, spacing=0.7, seed=3)
     path = tmp_path / f"mesh{ext}"
-    mio.save_mesh(mesh, path)
+    (mio.save_mesh if ext == ".off" else reference_save_mesh)(mesh, path)
     back = mio.load_mesh(path)
     # repr() of a float round-trips, so the files are lossless
     assert np.array_equal(back.vertices, mesh.vertices)
@@ -83,7 +82,7 @@ def _awkward_mesh():
     return TriMesh(verts, np.array([[0, 1, 2], [1, 3, 2], [0, 2, 3]]))
 
 
-@pytest.mark.parametrize("ext", [".off", ".obj", ".stl"])
+@pytest.mark.parametrize("ext", [".off"])
 def test_save_mesh_bytes_match_row_writer(tmp_path, ext, small_arch):
     empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     for i, mesh in enumerate([_awkward_mesh(), small_arch[0], empty]):
@@ -95,7 +94,7 @@ def test_save_mesh_bytes_match_row_writer(tmp_path, ext, small_arch):
 def test_stl_round_trip_welds_back_to_shared_vertices(tmp_path):
     mesh = grid_mesh(4, 3, seed=2)
     path = tmp_path / "mesh.stl"
-    mio.save_mesh(mesh, path)
+    reference_save_mesh(mesh, path)
     back = mio.load_mesh(path)
     # STL stores three loose corners per facet; the loader welds them again
     assert back.num_cells == mesh.num_cells
@@ -288,8 +287,10 @@ def test_format_dispatch_errors(tmp_path):
         mio.load_mesh(tmp_path / "mesh.ply")
     with pytest.raises(MeshFormatError):
         mio.load_mesh(tmp_path / "missing.off")  # OSError is wrapped
-    with pytest.raises(MeshFormatError, match="unknown extension"):
-        mio.save_mesh(_unit_triangle(), tmp_path / "mesh.ply")
+    for ext in (".ply", ".obj", ".stl"):
+        with pytest.raises(MeshFormatError, match="written as .off only"):
+            mio.save_mesh(_unit_triangle(), tmp_path / f"mesh{ext}")
+        assert not (tmp_path / f"mesh{ext}").exists()
 
 
 def test_annotation_round_trip(tmp_path):

@@ -42,8 +42,7 @@ def test_seg_net_softmax_rows(rng):
 
 def test_seg_net_sigmoid_head():
     feats, g6, g12, _ = _features_and_graphs(n=18, seed=2)
-    net = nets.make_graph_heatmap_net(seed=3, out_channels=5)
-    assert isinstance(net, nets.ToothSegNet)
+    net = nets.ToothSegNet(seed=3, out_channels=5, head="sigmoid")
     assert net.head == "sigmoid"
     out = net(Tensor(feats), g6, g12)
     assert out.data.shape == (18, 5)
@@ -253,7 +252,7 @@ def test_seg_net_layers_and_size():
 
 def test_arch_tags_encode_configuration():
     assert "head=softmax" in nets.ToothSegNet().arch_tag()
-    assert "head=sigmoid" in nets.make_graph_heatmap_net(0, 4).arch_tag()
+    assert "head=sigmoid" in nets.ToothSegNet(seed=0, out_channels=4, head="sigmoid").arch_tag()
     assert "out=7" in nets.PointHeatmapNet(out_channels=7).arch_tag()
     assert nets.ToothSegNet().arch_tag().startswith("tooth-seg-net/")
     assert nets.PointHeatmapNet().arch_tag().startswith("point-heatmap-net/")
@@ -268,7 +267,8 @@ def test_training_flag_only_switches_graph_recording(kind):
         net = nets.PointHeatmapNet(seed=23, out_channels=3)
         graphs = ()
     else:
-        net = nets.ToothSegNet(seed=23) if kind == "seg" else nets.make_graph_heatmap_net(23, 3)
+        net = (nets.ToothSegNet(seed=23) if kind == "seg"
+               else nets.ToothSegNet(seed=23, out_channels=3, head="sigmoid"))
         graphs = (g6, g12)
     before = copy.deepcopy(net.state_arrays())
     eval_out = net(Tensor(feats), *graphs, training=False)
@@ -298,7 +298,7 @@ def test_edge_conv_gradients_in_training_mode():
     def build():
         xp = ad.Parameter(x, name="x")
         out = conv(xp, graph)
-        return ad.reduce_sum(out * weights), [xp] + params
+        return ad.reduce_sum(ad.mul(out, weights)), [xp] + params
 
     check_grads(build, [x] + [p.data for p in params])
 
@@ -325,7 +325,7 @@ def _edge_conv_run(conv, x, nbrs, record, op):
             return conv, op(conv, xp, nbrs).data, None
     out = op(conv, xp, nbrs)
     weights = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
-    ad.backward(ad.reduce_sum(out * weights))
+    ad.backward(ad.reduce_sum(ad.mul(out, weights)))
     return conv, out.data, xp.gradient()
 
 
@@ -459,7 +459,8 @@ def test_input_features_get_no_gradient():
                          [edge.weight, edge.bn.gamma, edge.bn.beta])):
         x = Tensor(feats)
         out = run(x)
-        ad.backward(ad.reduce_sum(out * np.cos(np.arange(out.data.size)).reshape(out.shape)))
+        weights = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
+        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
         assert x.grad is None
         assert all(p.grad is not None for p in params)
 
@@ -479,13 +480,13 @@ def test_reduced_nets_equal_the_full_nets_they_came_from(kind):
         ref, ref_params = reference_heatmap_forward(net, feats, rng)
     else:
         net = widened(nets.ToothSegNet(seed=52) if kind == "seg"
-                      else nets.make_graph_heatmap_net(52, 3))
+                      else nets.ToothSegNet(seed=52, out_channels=3, head="sigmoid"))
         out = net(Tensor(feats), g6, g12, training=True)
         ref, ref_params = reference_seg_forward(net, feats, g6, g12, rng)
     assert _rel(out.data, ref.data) < 1e-10
     weights = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
-    ad.backward(ad.reduce_sum(out * weights))
-    ad.backward(ad.reduce_sum(ref * weights))
+    ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+    ad.backward(ad.reduce_sum(ad.mul(ref, weights)))
     params = dict(net.named_parameters())
     assert params.keys() <= ref_params.keys()
     for name, p in params.items():

@@ -22,9 +22,9 @@ def test_position_type_folds_mirrored_teeth():
         # UR<t> and its mirror UL<t> share one position type
         assert lm.tooth_name(t)[2:] == lm.tooth_name(t + 7)[2:]
         assert pl.position_type(t) == pl.position_type(t + 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         pl.position_type(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         pl.position_type(15)
 
 

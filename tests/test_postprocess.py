@@ -17,6 +17,7 @@ from helpers import (
     grid_mesh,
     hinge_mesh,
     reference_expand_once,
+    reference_refine_labels,
     smoothness_cost,
 )
 
@@ -122,7 +123,7 @@ def test_labeling_energy_hand_oracle():
     cost = np.array([2.0, 5.0])
     model = CutEnergyModel(probs, pairs, cost, lam=3.0)
     labels = np.array([0, 1, 0])
-    eps = model.eps
+    eps = pp.DATA_EPS
     expected = -(
         math.log(0.9 + eps) + math.log(0.6 + eps) + math.log(0.7 + eps)
     ) + 3.0 * (2.0 + 5.0)
@@ -212,7 +213,7 @@ def _variant(model, rng, kind):
 
 
 def _expansions_agree(model, labels):
-    unary = -np.log(model.probs + model.eps)
+    unary = -np.log(model.probs + pp.DATA_EPS)
     weight = model.lam * model.pair_cost
     for alpha in range(model.probs.shape[1]):
         got = pp._expand_once(labels, alpha, unary, model.pairs, weight)
@@ -274,7 +275,7 @@ def test_expand_once_is_the_largest_minimising_move(seed):
     pairs = _random_model(rng, n).pairs
     cost = rng.integers(0, 3, size=pairs.shape[0]).astype(np.float64)
     model = CutEnergyModel(probs, pairs, cost, lam=float(rng.choice([0.0, 0.5, 1.0])))
-    unary = -np.log(probs + model.eps)
+    unary = -np.log(probs + pp.DATA_EPS)
     labels = rng.integers(0, num_labels, size=n)
     moves = np.array(list(itertools.product([False, True], repeat=n)))
     for alpha in range(num_labels):
@@ -290,13 +291,42 @@ def test_expand_once_is_the_largest_minimising_move(seed):
 
 
 def test_refine_warns_when_cycles_run_out(monkeypatch):
-    # the first cycle flips the contrarian, the second confirms it
-    model = _contrarian_model(lam=1.0)
+    # with the majority on label 1 the contrarian flips at the first cycle's
+    # last expansion, and only the next cycle's first proves convergence
+    contrarian = _contrarian_model(lam=1.0)
+    model = CutEnergyModel(contrarian.probs[:, ::-1], contrarian.pairs,
+                           contrarian.pair_cost, contrarian.lam)
     monkeypatch.setattr(pp, "MAX_CYCLES", 1)
     with pytest.warns(UserWarning, match="MAX_CYCLES=1"):
         labels = pp.refine_labels(model)
-    assert np.all(labels == 0)
+    assert np.all(labels == 1)
     monkeypatch.setattr(pp, "MAX_CYCLES", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(pp.refine_labels(model) == 0)
+        assert np.all(pp.refine_labels(model) == 1)
+    assert len(model.energy_trace) == 4
+
+
+def test_refine_stops_once_converged_with_the_full_cycle_labels(coarse_arch_model):
+    """Against the loop that stops only after a whole cycle without a move:
+    the same labels, a trace that is a prefix of its trace, and the rest of
+    its trace only repeats the last energy."""
+    rng = np.random.default_rng(11)
+    models = [coarse_arch_model, _contrarian_model(lam=1.0)] + [
+        _random_model(rng, n=n, num_labels=c) for n, c in ((30, 4), (40, 2), (25, 5), (8, 1))]
+    shorter = 0
+    for model in models:
+        ref_labels, ref_trace = reference_refine_labels(model)
+        labels = pp.refine_labels(model)
+        trace = model.energy_trace
+        assert np.array_equal(labels, ref_labels)
+        assert trace == ref_trace[:len(trace)]
+        assert all(e == trace[-1] for e in ref_trace[len(trace):])
+        # the last accepted move is followed by num_labels - 1 failures, the
+        # start by num_labels when no move is accepted
+        num_labels = model.probs.shape[1]
+        accepted = [i for i in range(1, len(trace)) if trace[i] < trace[i - 1]]
+        tail = len(trace) - 1 - max(accepted, default=0)
+        assert tail == (num_labels - 1 if accepted else num_labels)
+        shorter += len(trace) < len(ref_trace)
+    assert shorter > 0

@@ -79,7 +79,7 @@ def seg_samples():
 def roi_sample():
     mesh, labels, landmarks = bump_scene(12, 0)
     keep = np.nonzero(labels == 3)[0]
-    roi, _ = mesh.submesh(keep)
+    roi = mesh.submesh(keep)
     positions = {name: pos for (t, name), pos in landmarks.items() if t == 3}
     return HeatmapSample(roi, 3, positions)
 
