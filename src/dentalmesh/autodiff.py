@@ -45,6 +45,7 @@ from .errors import NonFiniteGradientError, ShapeError
 _MAX_RANK = 3
 _FLOATS = (np.float32, np.float64)  # the dtypes a Tensor keeps as given
 BN_EPS = 1e-5  # variance floor of conv_bn_relu and edge_conv
+MIN_BN_ROWS = 2  # rows (or edges) a batch norm needs for a variance
 _state = threading.local()
 
 
@@ -63,16 +64,15 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         if self.data.ndim > _MAX_RANK:
             raise ShapeError(f"rank {self.data.ndim} exceeds maximum {_MAX_RANK}")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn = None
 
@@ -86,8 +86,8 @@ class Tensor:
 class Parameter(Tensor):
     __slots__ = ()
 
-    def __init__(self, data, name: str | None = None):
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 def _as_tensor(value, like=None) -> Tensor:
@@ -349,8 +349,8 @@ def conv_bn_relu(x, weight: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise ShapeError(f"conv_bn_relu of x {x.data.shape} with weight {weight.data.shape}")
-    if x.data.shape[0] < 2:
-        raise ShapeError("conv_bn_relu needs at least 2 rows")
+    if x.data.shape[0] < MIN_BN_ROWS:
+        raise ShapeError(f"conv_bn_relu needs at least {MIN_BN_ROWS} rows")
     parents = (x, weight, gamma, beta)
     x_hat = x.data @ weight.data
     x_hat -= x_hat.mean(axis=0)
@@ -415,8 +415,8 @@ def edge_conv(x, weight: Tensor, gamma: Tensor, beta: Tensor,
         )
     n, k = nbrs.shape
     m = n * k
-    if m < 2:
-        raise ShapeError("edge_conv needs at least 2 edges")
+    if m < MIN_BN_ROWS:
+        raise ShapeError(f"edge_conv needs at least {MIN_BN_ROWS} edges")
     w_diff, w_center = weight.data[:cin], weight.data[cin:]
     p = x.data @ w_diff
     a = p + x.data @ w_center
@@ -535,16 +535,19 @@ def _scatter_columns(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # optimizer
 
 class AmsGrad:
-    """AMSGrad optimizer (bias-corrected, running max of the second moment).
+    """AMSGrad optimizer (bias-corrected, running max of the second moment)
+    over (path, parameter) pairs, as Module.named_parameters yields them.
 
     The caller supplies all four hyperparameters (RunConfig lr, beta1,
     beta2, adam_eps). step() refuses to apply a non-finite gradient and
-    names the offending parameter. The moments and their running maximum
-    are updated in place, with one scratch buffer per parameter.
+    names the offending parameter by its path. The moments and their
+    running maximum are updated in place, with one scratch buffer per
+    parameter.
     """
 
-    def __init__(self, params, lr: float, beta1: float, beta2: float, eps: float):
-        self.params: list[Tensor] = list(params)
+    def __init__(self, named_params, lr: float, beta1: float, beta2: float, eps: float):
+        self.named = list(named_params)
+        self.params: list[Tensor] = [p for _, p in self.named]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -559,12 +562,9 @@ class AmsGrad:
             p.grad = None
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
-            g = p.gradient()
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(
-                    f"non-finite gradient in parameter {p.name or i}"
-                )
+        for path, p in self.named:
+            if not np.all(np.isfinite(p.gradient())):
+                raise NonFiniteGradientError(f"non-finite gradient in parameter {path}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t

@@ -8,8 +8,9 @@ directory so a finished run can be reproduced from its artifacts alone.
 Exit codes:
   0  success;
   1  usage or configuration problems: unknown keys, unparsable values, and
-     values out of range (e.g. val_every below 1 or a negative patience),
-     each named in the message; also a missed evaluation threshold;
+     values out of range (e.g. val_every below 1, a negative patience or a
+     non-finite lam), each named in the message, all before any work runs;
+     also a missed evaluation threshold;
   2  data errors: unreadable meshes, schema violations (including an
      `infer --probs` matrix that is not (cells, 15), finite and
      non-negative), missing or incompatible checkpoints, including one
@@ -167,15 +168,16 @@ LMK_ARCH = "point-heatmap-net"
 
 
 def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
-                         knn: tuple[int, int] | None = None):
-    """The net saved at path, checked before any compute runs on it.
+                         knn: tuple[int, int] | None = None, held_out: bool = False):
+    """The net saved at path and its meta, checked before any compute runs on it.
 
     It must be a `family` net of the current ARCH_VERSION with out_channels
     outputs, and a segmentation net must end in a softmax and have been
-    trained with the (k_small, k_large) of knn. A net of an earlier version
-    cannot load: v1 nets kept batch-norm running buffers and the layers
-    that batch norm cancels, and v2 segmentation nets carried the feature
-    transform. Anything else is a CheckpointError.
+    trained with the (k_small, k_large) of knn. With held_out, the meta
+    must list the stems of the scans the net was not trained on. A net of
+    an earlier version cannot load: v1 nets kept batch-norm running buffers
+    and the layers that batch norm cancels, and v2 segmentation nets
+    carried the feature transform. Anything else is a CheckpointError.
     """
     if not Path(path).exists():
         raise CheckpointError(
@@ -208,6 +210,8 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
                     f"{path}: trained with k_small={trained[0]}, k_large={trained[1]}; "
                     f"this run uses k_small={knn[0]}, k_large={knn[1]}"
                 )
+        if held_out and not isinstance(meta["held_out"], list):
+            raise CheckpointError(f"{path}: meta held_out must list scan names")
     except KeyError as err:
         raise CheckpointError(f"{path}: checkpoint meta has no {err} entry") from err
     if family == SEG_ARCH:
@@ -215,24 +219,27 @@ def _net_from_checkpoint(path: Path, stage: str, family: str, out_channels: int,
     else:
         net = PointHeatmapNet(seed=0, out_channels=width)
     net.load_state_arrays(arrays)
-    return net
+    return net, meta
 
 
-def _load_seg_net(run: Path, config: RunConfig):
+def _load_seg_net(run: Path, config: RunConfig, held_out: bool = False):
     return _net_from_checkpoint(run / "checkpoints" / "seg.ckpt", "segmentation",
                                 SEG_ARCH, NUM_CLASSES,
-                                knn=(config.k_small, config.k_large))
+                                knn=(config.k_small, config.k_large),
+                                held_out=held_out)
 
 
-def _load_heatmap_nets(run: Path) -> dict:
-    """Per-position-type regressors; absent types are logged and skipped."""
-    nets = {}
-    missing = []
+def _load_heatmap_nets(run: Path, held_out: bool = False) -> tuple[dict, list]:
+    """Per-position-type regressors and their checkpoint metas; absent types
+    are logged and skipped."""
+    nets, metas, missing = {}, [], []
     for t in heatmap_position_types():
         path = run / "checkpoints" / f"lmk_pos{t}.ckpt"
         if path.exists():
-            nets[t] = _net_from_checkpoint(path, f"landmark type {t}", LMK_ARCH,
-                                           len(lm.landmark_names(t)))
+            nets[t], meta = _net_from_checkpoint(path, f"landmark type {t}", LMK_ARCH,
+                                                 len(lm.landmark_names(t)),
+                                                 held_out=held_out)
+            metas.append(meta)
         else:
             missing.append(t)
     if not nets:
@@ -245,7 +252,7 @@ def _load_heatmap_nets(run: Path) -> dict:
             "no checkpoints for position types %s; their teeth will be skipped",
             missing,
         )
-    return nets
+    return nets, metas
 
 
 def _save_diverged(run: Path, name: str, net, err: TrainingDivergenceError) -> None:
@@ -433,8 +440,8 @@ def cmd_preprocess(args, config: RunConfig) -> int:
 
 def cmd_train_seg(args, config: RunConfig) -> int:
     run = _ensure_run_dir(config)
-    scans = [_load_preprocessed(m, a, config.target_cells)
-             for m, a in _discover_scans(config.data_dir)]
+    pairs = _discover_scans(config.data_dir)
+    scans = [_load_preprocessed(m, a, config.target_cells) for m, a in pairs]
     train_idx, val_idx = _train_val_split(len(scans), config.val_count,
                                           config.seed)
     log.info("training segmentation on %d scans (%d validation)",
@@ -442,7 +449,7 @@ def cmd_train_seg(args, config: RunConfig) -> int:
     net, result = _train_stage1(config, run, scans, train_idx, val_idx)
     meta = _seg_meta(config)
     meta.update(epochs_run=result.epochs_run, best_epoch=result.best_epoch,
-                best_val=result.best_val)
+                best_val=result.best_val, held_out=[pairs[i][0].stem for i in val_idx])
     save_checkpoint(run / "checkpoints" / "seg.ckpt", net.arch_tag(),
                     net.state_arrays(), meta)
     write_json_report(run / "reports" / "train_seg.json",
@@ -454,7 +461,8 @@ def cmd_train_seg(args, config: RunConfig) -> int:
 
 def cmd_train_lmk(args, config: RunConfig) -> int:
     run = _ensure_run_dir(config)
-    scans = [_load_scan(m, a) for m, a in _discover_scans(config.data_dir)]
+    pairs = _discover_scans(config.data_dir)
+    scans = [_load_scan(m, a) for m, a in pairs]
     train_idx, val_idx = _train_val_split(len(scans), config.val_count,
                                           config.seed)
     report: dict = {}
@@ -466,6 +474,7 @@ def cmd_train_lmk(args, config: RunConfig) -> int:
             "landmarks": list(lm.landmark_names(t)),
             "epochs_run": result.epochs_run,
             "best_val": result.best_val,
+            "held_out": [pairs[i][0].stem for i in val_idx],
         }
         save_checkpoint(run / "checkpoints" / f"lmk_pos{t}.ckpt",
                         net.arch_tag(), net.state_arrays(), meta)
@@ -501,8 +510,8 @@ def cmd_infer(args, config: RunConfig) -> int:
     run = _ensure_run_dir(config)
     mesh = load_mesh(args.mesh)
     stem = Path(args.mesh).stem
-    heatmap_nets = _load_heatmap_nets(run)
-    seg_net = None if args.probs else _load_seg_net(run, config)
+    heatmap_nets, _ = _load_heatmap_nets(run)
+    seg_net = None if args.probs else _load_seg_net(run, config)[0]
     scan = preprocess(mesh, None, config.target_cells)
 
     if args.probs:
@@ -557,28 +566,30 @@ def _parse_indices(text: str, n: int) -> list[int]:
 def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
     """Landmark error with predicted vs ground-truth segmentation.
 
-    By default it scores the scans that train-seg and train-lmk held out
-    for validation, the only ones the checkpoints did not train on.
-    --indices picks other scans; the training scans among them are logged
-    and listed under trained_on in the report.
+    By default it scores the scans that every loaded checkpoint held out
+    of training, by the stems train-seg and train-lmk record in each
+    checkpoint's held_out entry. --indices picks other scans; a scan that
+    any checkpoint did not hold out counts as trained on, is logged and is
+    listed under trained_on in the report.
     """
-    train_idx, held_out = _train_val_split(len(pairs), config.val_count, config.seed)
+    seg_net, seg_meta = _load_seg_net(run, config, held_out=True)
+    heatmap_nets, metas = _load_heatmap_nets(run, held_out=True)
+    trained = {i for i, (mesh_path, _) in enumerate(pairs)
+               if any(mesh_path.stem not in m["held_out"] for m in [seg_meta] + metas)}
     if args.indices:
         test_idx = _parse_indices(args.indices, len(pairs))
-    elif held_out:
-        test_idx = held_out
+    elif len(trained) < len(pairs):
+        test_idx = sorted(set(range(len(pairs))) - trained)
     else:
         raise ConfigError(
-            f"val_count={config.val_count} holds no scan out of training on "
-            f"{len(pairs)} scans; name the scans to score with --indices"
+            f"no scan under {config.data_dir} was held out of training by every "
+            f"checkpoint; name the scans to score with --indices"
         )
-    trained_on = sorted(set(test_idx) & set(train_idx))
+    trained_on = sorted(set(test_idx) & trained)
     if trained_on:
-        log.warning("scans %s are training scans of train-seg and train-lmk; "
+        log.warning("scans %s are training scans of train-seg or train-lmk; "
                     "their errors are training-set errors",
                     ", ".join(map(str, trained_on)))
-    seg_net = _load_seg_net(run, config)
-    heatmap_nets = _load_heatmap_nets(run)
     full_pairs = []
     oracle_pairs = []
     for i in test_idx:
@@ -606,6 +617,8 @@ def _eval_ceiling(args, config: RunConfig, run: Path, pairs: list) -> int:
 
 
 def cmd_eval(args, config: RunConfig) -> int:
+    if args.indices and not args.ceiling:
+        raise ConfigError("--indices selects the scans of eval --ceiling; add --ceiling")
     run = _ensure_run_dir(config)
     pairs = _discover_scans(config.data_dir)
     if args.ceiling:
@@ -783,7 +796,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="compare full-pipeline vs oracle-segmentation landmarks "
                         "on the scans train-seg and train-lmk held out")
     p.add_argument("--indices", help="comma-separated test scan indices "
-                                     "(ceiling mode)")
+                                     "(with --ceiling only)")
 
     add("ablate", cmd_ablate, "landmark strategy comparison")
     return parser

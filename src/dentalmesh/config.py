@@ -66,32 +66,37 @@ class RunConfig:
     def validate(self) -> None:
         # each minimum is the one the consuming module enforces; those
         # modules import this one, so they are imported here
+        from .autodiff import MIN_BN_ROWS
         from .evaluation import MIN_FOLDS
         from .geometry import MIN_DECIMATION_TARGET
         from .synth import MIN_TARGET_CELLS
 
-        if self.lam < 0:
-            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
-        for name in ("k_small", "k_large", "seg_subsample", "roi_subsample",
-                     "seg_epochs", "lmk_epochs", "val_every", "synth_count"):
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be nonnegative and finite, got {self.lam}")
+        for name in ("peak", "min_dsc"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        # a nonpositive adam_eps lets AMSGrad's denominator reach zero
+        for name in ("sigma", "lr", "adam_eps", "svm_c"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if math.isnan(self.max_mae):
+            raise ConfigError("max_mae must be a number (inf turns it off), got nan")
+        for name in ("k_small", "k_large", "seg_epochs", "lmk_epochs", "val_every",
+                     "synth_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         for name in ("augment_count", "patience", "val_count", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         for name, least in (("target_cells", MIN_DECIMATION_TARGET),
-                            ("synth_cells", MIN_TARGET_CELLS), ("folds", MIN_FOLDS)):
+                            ("synth_cells", MIN_TARGET_CELLS), ("folds", MIN_FOLDS),
+                            ("seg_subsample", MIN_BN_ROWS), ("roi_subsample", MIN_BN_ROWS)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not (math.isfinite(self.svm_c) and self.svm_c > 0):
-            raise ConfigError(f"svm_c must be positive and finite, got {self.svm_c}")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -5,8 +5,9 @@ collapses that keep their edges, costs and rejections from one round to
 the next; the fine-to-coarse cell map (each fine cell's nearest coarse
 barycenter, nearest_rows) and majority-vote label transfer through it;
 edge-sharing cell pairs; 15-column per-cell feature extraction, kNN graph
-construction, per-tooth ROI extraction, and the random rigid augmentation
-the training loops draw from.
+construction, per-tooth ROI extraction, and the random translation and
+per-axis scaling the training loops draw from (no rotation, since every
+scan comes in the same pose).
 
 The kNN graphs and the fine-to-coarse map are exhaustive searches over
 dense distance blocks of at most DISTANCE_BLOCK entries (or one row), so
@@ -489,58 +490,37 @@ class RigidAugmentation:
     """Sampled transform; inactive components sit at their identity values."""
 
     translation: np.ndarray  # (3,) mm
-    rotation: np.ndarray  # (3,) radians about x, y, z
     scale: np.ndarray  # (3,)
-
-    def linear(self) -> np.ndarray:
-        """The map applied before translation: scale in the object frame, rotate."""
-        return rotation_matrix(self.rotation) * self.scale[None, :]
 
     def move_landmarks(self, positions: dict) -> dict:
         """Landmark positions carried along with the vertices (see apply_augmentation)."""
-        linear = self.linear()
-        return {key: linear @ np.asarray(p, dtype=np.float64) + self.translation
+        return {key: np.asarray(p, dtype=np.float64) * self.scale + self.translation
                 for key, p in positions.items()}
 
 
 def sample_augmentation(rng: np.random.Generator) -> RigidAugmentation:
-    """Each of the nine components is active independently with p = 0.5.
+    """Each of the six components is active independently with p = 0.5.
 
-    Active components draw translation from [-10, 10] mm, rotation from
-    [-pi, pi], and scale from [0.8, 1.2].
+    The three translation components are drawn first, then the three scale
+    factors. Active components draw translation from [-10, 10] mm and scale
+    from [0.8, 1.2]. There is no rotation: every scan comes in one pose.
     """
     translation = np.zeros(3)
-    rotation = np.zeros(3)
     scale = np.ones(3)
     for axis in range(3):
         if rng.random() < AUGMENT_ACTIVE_PROB:
             translation[axis] = rng.uniform(-TRANSLATION_RANGE, TRANSLATION_RANGE)
     for axis in range(3):
         if rng.random() < AUGMENT_ACTIVE_PROB:
-            rotation[axis] = rng.uniform(-np.pi, np.pi)
-    for axis in range(3):
-        if rng.random() < AUGMENT_ACTIVE_PROB:
             scale[axis] = rng.uniform(*SCALE_RANGE)
-    return RigidAugmentation(translation, rotation, scale)
-
-
-def rotation_matrix(rotation: np.ndarray) -> np.ndarray:
-    """Composed rotation Rz @ Ry @ Rx for per-axis angles."""
-    rx, ry, rz = (float(a) for a in rotation)
-    cx, sx = np.cos(rx), np.sin(rx)
-    cy, sy = np.cos(ry), np.sin(ry)
-    cz, sz = np.cos(rz), np.sin(rz)
-    mx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    my = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    mz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    return mz @ my @ mx
+    return RigidAugmentation(translation, scale)
 
 
 def apply_augmentation(mesh: TriMesh, aug: RigidAugmentation) -> TriMesh:
-    """Scale in the object frame, rotate, then translate.
+    """Scale per axis, then translate.
 
     All scale factors are positive, so winding and outward normals survive.
     Landmarks follow through RigidAugmentation.move_landmarks.
     """
-    vertices = mesh.vertices @ aug.linear().T + aug.translation
+    vertices = mesh.vertices * aug.scale + aug.translation
     return TriMesh(vertices, mesh.cells.copy())

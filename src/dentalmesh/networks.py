@@ -134,9 +134,9 @@ class Conv1x1(Module):
     """Shared pointwise linear layer with a bias: an output head, the one
     pointwise conv that no batch norm follows."""
 
-    def __init__(self, rng, cin: int, cout: int, name: str = "conv"):
-        self.weight = Parameter(_glorot(rng, cin, cout), f"{name}.weight")
-        self.bias = Parameter(np.zeros(cout), f"{name}.bias")
+    def __init__(self, rng, cin: int, cout: int):
+        self.weight = Parameter(_glorot(rng, cin, cout))
+        self.bias = Parameter(np.zeros(cout))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add(ad.matmul(x, self.weight), self.bias)
@@ -146,18 +146,18 @@ class BatchNorm(Module):
     """Scale and shift of one batch norm; the fused op that owns it
     (conv_bn_relu or edge_conv) applies it."""
 
-    def __init__(self, channels: int, name: str = "bn"):
-        self.gamma = Parameter(np.ones(channels), f"{name}.gamma")
-        self.beta = Parameter(np.zeros(channels), f"{name}.beta")
+    def __init__(self, channels: int):
+        self.gamma = Parameter(np.ones(channels))
+        self.beta = Parameter(np.zeros(channels))
 
 
 class ConvBlock(Module):
     """Pointwise conv (no bias) + batch norm + ReLU, one fused op
     (autodiff.conv_bn_relu)."""
 
-    def __init__(self, rng, cin: int, cout: int, name: str = "block"):
-        self.weight = Parameter(_glorot(rng, cin, cout), f"{name}.weight")
-        self.bn = BatchNorm(cout, name)
+    def __init__(self, rng, cin: int, cout: int):
+        self.weight = Parameter(_glorot(rng, cin, cout))
+        self.bn = BatchNorm(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv_bn_relu(x, self.weight, self.bn.gamma, self.bn.beta)
@@ -178,10 +178,10 @@ class EdgeConv(Module):
     no bias, since BN over the edges would cancel it.
     """
 
-    def __init__(self, rng, cin: int, cout: int, name: str = "edgeconv"):
+    def __init__(self, rng, cin: int, cout: int):
         # rows 0..cin-1 act on the difference, rows cin..2cin-1 on the center
-        self.weight = Parameter(_glorot(rng, 2 * cin, cout), f"{name}.weight")
-        self.bn = BatchNorm(cout, name)
+        self.weight = Parameter(_glorot(rng, 2 * cin, cout))
+        self.bn = BatchNorm(cout)
 
     def __call__(self, x: Tensor, graph) -> Tensor:
         nbrs = getattr(graph, "neighbors", graph)
@@ -214,18 +214,18 @@ class ToothSegNet(Module):
         rng = np.random.default_rng(seed)
         self.out_channels = out_channels
         self.head = head
-        self.mlp1 = [ConvBlock(rng, geometry.FEATURE_DIM, 64, "mlp1.0"),
-                     ConvBlock(rng, 64, 64, "mlp1.1")]
-        self.glm1 = EdgeConv(rng, 64, 64, name="glm1")
-        self.mlp2 = [ConvBlock(rng, 64, 64, "mlp2.0"),
-                     ConvBlock(rng, 64, 128, "mlp2.1"),
-                     ConvBlock(rng, 128, 512, "mlp2.2")]
-        self.glm2_k6 = EdgeConv(rng, 512, 512, name="glm2.k6")
-        self.glm2_k12 = EdgeConv(rng, 512, 512, name="glm2.k12")
-        self.glm2_fuse = ConvBlock(rng, 1024, 512, "glm2.fuse")
-        self.mlp3 = [ConvBlock(rng, 640, 256, "mlp3.0"),
-                     ConvBlock(rng, 256, 128, "mlp3.1")]
-        self.head_conv = Conv1x1(rng, 128, out_channels, "head")
+        self.mlp1 = [ConvBlock(rng, geometry.FEATURE_DIM, 64),
+                     ConvBlock(rng, 64, 64)]
+        self.glm1 = EdgeConv(rng, 64, 64)
+        self.mlp2 = [ConvBlock(rng, 64, 64),
+                     ConvBlock(rng, 64, 128),
+                     ConvBlock(rng, 128, 512)]
+        self.glm2_k6 = EdgeConv(rng, 512, 512)
+        self.glm2_k12 = EdgeConv(rng, 512, 512)
+        self.glm2_fuse = ConvBlock(rng, 1024, 512)
+        self.mlp3 = [ConvBlock(rng, 640, 256),
+                     ConvBlock(rng, 256, 128)]
+        self.head_conv = Conv1x1(rng, 128, out_channels)
         _round_parameters(self)
 
     def arch_tag(self) -> str:
@@ -268,7 +268,7 @@ class PointHeatmapNet(Module):
     Local convs (64, 64), head convs (512, 256, 128) and a final conv with
     sigmoid, one column per landmark of the tooth the model serves.
     PointNet's global branch (convs to 1,024 channels, max pool, tiled
-    back onto the cells) is left out, because head.0's batch norm cancels
+    back onto the cells) is left out, because headc.0's batch norm cancels
     it.
     """
 
@@ -277,12 +277,12 @@ class PointHeatmapNet(Module):
     def __init__(self, seed: int = 0, out_channels: int = 1):
         rng = np.random.default_rng(seed)
         self.out_channels = out_channels
-        self.local = [ConvBlock(rng, geometry.FEATURE_DIM, 64, "local.0"),
-                      ConvBlock(rng, 64, 64, "local.1")]
-        self.headc = [ConvBlock(rng, 64, 512, "head.0"),
-                      ConvBlock(rng, 512, 256, "head.1"),
-                      ConvBlock(rng, 256, 128, "head.2")]
-        self.out = Conv1x1(rng, 128, out_channels, "out")
+        self.local = [ConvBlock(rng, geometry.FEATURE_DIM, 64),
+                      ConvBlock(rng, 64, 64)]
+        self.headc = [ConvBlock(rng, 64, 512),
+                      ConvBlock(rng, 512, 256),
+                      ConvBlock(rng, 256, 128)]
+        self.out = Conv1x1(rng, 128, out_channels)
         _round_parameters(self)
 
     def arch_tag(self) -> str:

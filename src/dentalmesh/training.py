@@ -161,7 +161,7 @@ def _train(net, samples: list, step_loss, val_score, larger_is_better: bool, *,
         raise ValueError("no training samples")
     rng = np.random.default_rng(seed)
     augs = _make_augmentations(rng, len(samples), augment_count)
-    opt = ad.AmsGrad(net.parameters(), lr=lr, beta1=betas[0], beta2=betas[1],
+    opt = ad.AmsGrad(net.named_parameters(), lr=lr, beta1=betas[0], beta2=betas[1],
                      eps=adam_eps)
     sign = 1.0 if larger_is_better else -1.0
     result = TrainResult()

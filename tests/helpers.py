@@ -154,11 +154,11 @@ def check_grads(build_loss, arrays):
     """
     loss, params = build_loss()
     ad.backward(loss)
-    for p, arr in zip(params, arrays):
+    for i, (p, arr) in enumerate(zip(params, arrays)):
         coords = list(range(arr.size))
         numeric = numeric_grad(lambda: float(build_loss()[0].data), arr, coords, FD_STEP)
         analytic = p.gradient().ravel()[coords]
-        assert relative_error(analytic, numeric) < FD_TOL, p.name
+        assert relative_error(analytic, numeric) < FD_TOL, f"params[{i}]"
 
 
 def sample_coords(rng: np.random.Generator, size: int, count: int):

@@ -27,7 +27,7 @@ def test_matmul_relu_chain_gradients(rng):
     x = rng.normal(size=(5, 4))
 
     def build():
-        wp = ad.Parameter(w, name="w")
+        wp = ad.Parameter(w)
         out = relu(ad.matmul(ad.Tensor(x), wp))
         return ad.reduce_sum(ad.mul(out, out)), [wp]
 
@@ -39,8 +39,8 @@ def test_sigmoid_div_gradients(rng):
     b = rng.uniform(0.5, 2.0, size=(4, 4))
 
     def build():
-        ap = ad.Parameter(a, name="a")
-        bp = ad.Parameter(b, name="b")
+        ap = ad.Parameter(a)
+        bp = ad.Parameter(b)
         out = ad.div(1.0, ad.add(ad.div(ad.sigmoid(ap), bp), 1.0))
         return ad.reduce_mean(out), [ap, bp]
 
@@ -52,7 +52,7 @@ def test_softmax_concat_gather_gradients(rng):
     idx = np.array([0, 2, 2, 5, 1])
 
     def build():
-        ap = ad.Parameter(a, name="a")
+        ap = ad.Parameter(a)
         soft = ad.softmax_rows(ad.concat([ap, ad.mul(ap, 2.0)], axis=1))
         picked = gather_rows(soft, idx)
         weights = np.linspace(1.0, 2.0, picked.data.size).reshape(picked.data.shape)
@@ -66,7 +66,7 @@ def test_pooling_gradients(rng):
     a = rng.permutation(24).astype(np.float64).reshape(6, 4) * 0.37
 
     def build():
-        ap = ad.Parameter(a, name="a")
+        ap = ad.Parameter(a)
         pooled = max_over_axis(ap, axis=0)
         m = max_over_axis(reshape(ad.mul(ap, 1.5), (2, 3, 4)), axis=1)
         weights = np.arange(m.data.size, dtype=np.float64).reshape(m.data.shape)
@@ -134,10 +134,9 @@ def _conv_bn_relu_arrays(rng, n=9, cin=4, cout=5):
 
 def test_conv_bn_relu_gradients(rng):
     arrays = _conv_bn_relu_arrays(rng)
-    names = ("x", "weight", "gamma", "beta")
 
     def build():
-        params = [ad.Parameter(a, name=n) for a, n in zip(arrays, names)]
+        params = [ad.Parameter(a) for a in arrays]
         out = ad.conv_bn_relu(*params)
         weights = np.sin(np.arange(out.data.size)).reshape(out.data.shape)
         return ad.reduce_sum(ad.mul(out, weights)), params
@@ -214,7 +213,7 @@ def test_amsgrad_matches_hand_rolled_recurrence():
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     grads = [3.0, -1.0, 0.5, 0.5, -2.0]
     p = ad.Parameter(np.array([1.0]))
-    opt = ad.AmsGrad([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = ad.AmsGrad([("p", p)], lr=lr, beta1=b1, beta2=b2, eps=eps)
 
     theta, m, v, vhat = 1.0, 0.0, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
@@ -230,7 +229,7 @@ def test_amsgrad_matches_hand_rolled_recurrence():
 
 def test_amsgrad_vhat_never_decreases(rng):
     p = ad.Parameter(rng.normal(size=(3,)))
-    opt = ad.AmsGrad([p], lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = ad.AmsGrad([("p", p)], lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     prev = opt.v_hat[0].copy()
     for _ in range(30):
         p.grad = rng.normal(size=3) * rng.uniform(0.01, 5.0)
@@ -240,9 +239,9 @@ def test_amsgrad_vhat_never_decreases(rng):
 
 
 def test_amsgrad_rejects_non_finite_gradient():
-    p = ad.Parameter(np.zeros(2), name="w1")
-    q = ad.Parameter(np.zeros(2), name="w2")
-    opt = ad.AmsGrad([p, q], lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+    p = ad.Parameter(np.zeros(2))
+    q = ad.Parameter(np.zeros(2))
+    opt = ad.AmsGrad([("w1", p), ("w2", q)], lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     p.grad = np.array([0.1, 0.2])
     q.grad = np.array([np.nan, 0.0])
     before = p.data.copy()
@@ -275,8 +274,8 @@ def test_rank_cap():
 
 
 def test_unreachable_parameter_has_zero_gradient():
-    used = ad.Parameter(np.ones(3), name="used")
-    unused = ad.Parameter(np.ones(3), name="unused")
+    used = ad.Parameter(np.ones(3))
+    unused = ad.Parameter(np.ones(3))
     loss = ad.reduce_sum(ad.mul(used, 2.0))
     ad.backward(loss)
     assert np.array_equal(unused.gradient(), np.zeros(3))
@@ -308,8 +307,8 @@ def test_shared_upstream_gradient_is_not_aliased(rng):
 
 def test_backward_releases_interior_nodes(rng):
     x = rng.normal(size=(5, 4))
-    w = ad.Parameter(rng.normal(size=(4, 3)), name="w")
-    b = ad.Parameter(rng.normal(size=3), name="b")
+    w = ad.Parameter(rng.normal(size=(4, 3)))
+    b = ad.Parameter(rng.normal(size=3))
     pre = ad.add(ad.matmul(ad.Tensor(x), w), b)
     act = relu(pre)
     loss = ad.reduce_sum(ad.mul(act, act))

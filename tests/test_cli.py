@@ -56,6 +56,17 @@ def test_bad_overrides_exit_1(tmp_path):
     assert cli.main(base + ["--config", str(tmp_path / "missing.cfg")]) == 1
 
 
+def test_non_finite_override_exits_1_before_any_work(tmp_path, caplog, capsys):
+    run = tmp_path / "r"
+    rc = cli.main(["eval", "--data", str(tmp_path), "--run", str(run),
+                   "--set", "lam=nan"])
+    assert rc == 1
+    assert "lam must be nonnegative and finite" in caplog.text
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err + caplog.text
+    assert not run.exists()
+
+
 def test_missing_data_dir_exits_2(tmp_path):
     rc = cli.main([
         "train-seg", "--data", str(tmp_path / "nowhere"),
@@ -373,9 +384,53 @@ def test_eval_ceiling(trained_run, caplog):
     assert report["test_scans"] == report["trained_on"] == [train[0]]
     assert f"scans {train[0]} are training scans" in caplog.text
 
-    caplog.clear()
-    assert cli.main(["eval", "--ceiling"] + args + ["--set", "val_count=0"]) == 1
+
+def test_eval_ceiling_reads_held_out_scans_from_the_checkpoints(trained_run, tmp_path):
+    """Checkpoints trained at seed 0 and a ceiling run at seed 1, whose own
+    split would hold out another scan: the ceiling scores the scan the
+    checkpoints held out."""
+    root, args = trained_run
+    _, held_out = cli._train_val_split(4, 1, 0)
+    _, other = cli._train_val_split(4, 1, 1)
+    assert other != held_out
+    stems = [f"arch_{i:03d}" for i in held_out]
+    for path in (root / "run" / "checkpoints").glob("*.ckpt"):
+        assert load_checkpoint(path)[2]["held_out"] == stems
+    run = tmp_path / "run"
+    shutil.copytree(root / "run" / "checkpoints", run / "checkpoints")
+    args = args + ["--run", str(run)]
+    assert cli.main(["eval", "--ceiling", "--set", "seed=1"] + args) == 0
+    report = json.loads((run / "reports" / "ceiling.json").read_text())
+    assert report["test_scans"] == held_out
+    assert report["trained_on"] == []
+
+
+def test_eval_ceiling_needs_held_out_records(trained_run, tmp_path, caplog):
+    """Checkpoints that hold out no scan in common exit 1 and ask for
+    --indices; a checkpoint that records none exits 2."""
+    root, args = trained_run
+    run = tmp_path / "run"
+    shutil.copytree(root / "run" / "checkpoints", run / "checkpoints")
+    args = args + ["--run", str(run)]
+    seg = run / "checkpoints" / "seg.ckpt"
+    arch, arrays, meta = load_checkpoint(seg)
+    other = [f"arch_{i:03d}" for i in range(4) if f"arch_{i:03d}" not in meta["held_out"]]
+    save_checkpoint(seg, arch, arrays, dict(meta, held_out=other))
+    assert cli.main(["eval", "--ceiling"] + args) == 1
     assert "--indices" in caplog.text
+    del meta["held_out"]
+    save_checkpoint(seg, arch, arrays, meta)
+    caplog.clear()
+    assert cli.main(["eval", "--ceiling"] + args) == 2
+    assert "seg.ckpt: checkpoint meta has no 'held_out' entry" in caplog.text
+
+
+def test_eval_indices_without_ceiling_exits_1(trained_run, tmp_path, caplog):
+    _, args = trained_run
+    run = tmp_path / "run"
+    assert cli.main(["eval", "--indices", "0"] + args + ["--run", str(run)]) == 1
+    assert "--ceiling" in caplog.text
+    assert not run.exists()
 
 
 def test_ablate_table(trained_run):

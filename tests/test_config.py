@@ -9,7 +9,7 @@ import pytest
 
 import dentalmesh
 from dentalmesh import config as cfg
-from dentalmesh import evaluation, geometry, synth
+from dentalmesh import autodiff, evaluation, geometry, synth
 from dentalmesh.config import RunConfig
 from dentalmesh.errors import ConfigError
 
@@ -108,6 +108,23 @@ def test_apply_overrides_errors():
         ("beta2", float("nan"), r"beta2 must be in \[0, 1\)"),
         ("val_count", -1, "val_count must be nonnegative"),
         ("folds", evaluation.MIN_FOLDS - 1, "folds must be at least 2"),
+        ("lam", float("nan"), "lam must be nonnegative and finite"),
+        ("lam", float("inf"), "lam must be nonnegative and finite"),
+        ("sigma", float("nan"), "sigma must be positive and finite"),
+        ("sigma", float("inf"), "sigma must be positive and finite"),
+        ("peak", float("nan"), "peak must be finite"),
+        ("peak", float("-inf"), "peak must be finite"),
+        ("lr", float("nan"), "lr must be positive and finite"),
+        ("lr", float("inf"), "lr must be positive and finite"),
+        ("adam_eps", float("nan"), "adam_eps must be positive and finite"),
+        ("adam_eps", float("inf"), "adam_eps must be positive and finite"),
+        ("adam_eps", 0.0, "adam_eps must be positive and finite"),
+        ("adam_eps", -1.0, "adam_eps must be positive and finite"),
+        ("min_dsc", float("nan"), "min_dsc must be finite"),
+        ("min_dsc", float("inf"), "min_dsc must be finite"),
+        ("max_mae", float("nan"), "max_mae must be a number"),
+        ("seg_subsample", autodiff.MIN_BN_ROWS - 1, "seg_subsample must be at least 2"),
+        ("roi_subsample", autodiff.MIN_BN_ROWS - 1, "roi_subsample must be at least 2"),
     ],
 )
 def test_validate_rejects(field, value, message):
@@ -119,11 +136,12 @@ def test_validate_rejects(field, value, message):
 def test_augment_count_zero_is_allowed():
     dataclasses.replace(RunConfig(), augment_count=0).validate()
 
-
 def test_limits_are_inclusive():
     dataclasses.replace(RunConfig(), target_cells=geometry.MIN_DECIMATION_TARGET,
                         synth_cells=synth.MIN_TARGET_CELLS, folds=evaluation.MIN_FOLDS,
-                        seed=0, val_count=0, beta1=0.0, beta2=0.0).validate()
+                        seed=0, val_count=0, beta1=0.0, beta2=0.0,
+                        seg_subsample=autodiff.MIN_BN_ROWS,
+                        roi_subsample=autodiff.MIN_BN_ROWS).validate()
 
 
 def test_format_config_lists_every_field():
@@ -158,8 +176,6 @@ KEPT_FOR_TESTS: set[str] = set()
 UNSET_ALLOWED = {
     # the test seam: console runs parse sys.argv
     "cli.main(argv)",
-    # Parameter sets it through super().__init__
-    "autodiff.Tensor.__init__(name)",
 }
 
 

@@ -436,34 +436,20 @@ def test_extract_roi_rejects_label_count_with_schema_error(bump_fixture):
         geo.extract_roi(mesh, extra, 3)
 
 
-def test_rotation_matrix_properties():
-    angles = np.array([0.3, -1.1, 2.0])
-    r = geo.rotation_matrix(angles)
-    assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-    assert np.linalg.det(r) == pytest.approx(1.0)
-    # axis order is z after y after x
-    rx = geo.rotation_matrix([angles[0], 0, 0])
-    ry = geo.rotation_matrix([0, angles[1], 0])
-    rz = geo.rotation_matrix([0, 0, angles[2]])
-    assert np.allclose(r, rz @ ry @ rx)
-
-
 def test_augmentation_moves_landmarks_with_vertices(bump_fixture):
     mesh, labels, landmarks = bump_fixture
     aug = geo.RigidAugmentation(
         translation=np.array([4.0, -2.0, 1.0]),
-        rotation=np.array([0.2, 0.5, -0.4]),
         scale=np.array([1.1, 0.9, 1.05]),
     )
     out_mesh = geo.apply_augmentation(mesh, aug)
     # a landmark on vertex 5 lands on the augmented vertex 5 through the
     # transform the heatmap training step applies to its targets
     moved = aug.move_landmarks({(3, "CCT"): mesh.vertices[5].copy()})
-    assert np.allclose(moved[(3, "CCT")], out_mesh.vertices[5])
+    assert np.array_equal(moved[(3, "CCT")], out_mesh.vertices[5])
     assert np.array_equal(out_mesh.cells, mesh.cells)
-    # scale happens in the object frame, before rotation
-    linear = geo.rotation_matrix(aug.rotation) * aug.scale[None, :]
-    assert np.allclose(out_mesh.vertices, mesh.vertices @ linear.T + aug.translation)
+    # scale per axis, then translate
+    assert np.array_equal(out_mesh.vertices, mesh.vertices * aug.scale + aug.translation)
 
 
 @settings(max_examples=30, deadline=None)
@@ -471,7 +457,6 @@ def test_augmentation_moves_landmarks_with_vertices(bump_fixture):
 def test_sample_augmentation_bounds(seed):
     aug = geo.sample_augmentation(np.random.default_rng(seed))
     assert np.all(np.abs(aug.translation) <= 10.0)
-    assert np.all(np.abs(aug.rotation) <= np.pi)
     assert np.all((aug.scale >= 0.8) & (aug.scale <= 1.2))
 
 

@@ -11,7 +11,12 @@ from dentalmesh import geometry as geo
 from dentalmesh import landmarks as lm
 from dentalmesh import networks as nets
 from dentalmesh.autodiff import Tensor
-from dentalmesh.errors import CheckpointError, DentalMeshError, ShapeError
+from dentalmesh.errors import (
+    CheckpointError,
+    DentalMeshError,
+    NonFiniteGradientError,
+    ShapeError,
+)
 from dentalmesh.mesh_io import load_checkpoint, save_checkpoint
 from dentalmesh.training import network_output
 
@@ -242,12 +247,26 @@ def test_seg_net_layers_and_size():
     mlp3 and the head, with no feature transform between mlp1 and glm1."""
     net = nets.ToothSegNet()
     prefixes = []
-    for p in net.parameters():
-        top = p.name.split(".")[0]
+    for path, _ in net.named_parameters():
+        top = path.split(".")[0]
         if top not in prefixes:
             prefixes.append(top)
-    assert prefixes == ["mlp1", "glm1", "mlp2", "glm2", "mlp3", "head"]
+    assert prefixes == ["mlp1", "glm1", "mlp2", "glm2_k6", "glm2_k12", "glm2_fuse",
+                        "mlp3", "head_conv"]
     assert sum(p.data.size for p in net.parameters()) == 1_868_111
+
+
+def test_non_finite_gradient_names_a_checkpoint_key():
+    """AmsGrad names an offending parameter by the path a checkpoint stores
+    it under."""
+    net = nets.PointHeatmapNet(seed=0, out_channels=2)
+    opt = ad.AmsGrad(net.named_parameters(), lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+    for p in net.parameters():
+        p.grad = np.zeros_like(p.data)
+    net.headc[0].weight.grad[0, 0] = np.nan
+    with pytest.raises(NonFiniteGradientError, match=r"parameter headc\.0\.weight$"):
+        opt.step()
+    assert "headc.0.weight" in net.state_arrays()
 
 
 def test_arch_tags_encode_configuration():
@@ -287,7 +306,7 @@ def test_training_flag_only_switches_graph_recording(kind):
 def test_edge_conv_gradients_in_training_mode():
     """Finite differences through gather, subtract, BN, ReLU and max."""
     rng = np.random.default_rng(4)
-    conv = nets.EdgeConv(rng, cin=3, cout=4, name="ec")
+    conv = nets.EdgeConv(rng, cin=3, cout=4)
     conv.bn.gamma.data[:] = [1.3, -0.7, 0.4, -1.1]  # both signs of the max
     conv.bn.beta.data[:] = rng.normal(size=4)
     x = rng.normal(size=(6, 3))
@@ -296,7 +315,7 @@ def test_edge_conv_gradients_in_training_mode():
     weights = np.cos(np.arange(6 * 4)).reshape(6, 4)
 
     def build():
-        xp = ad.Parameter(x, name="x")
+        xp = ad.Parameter(x)
         out = conv(xp, graph)
         return ad.reduce_sum(ad.mul(out, weights)), [xp] + params
 
@@ -306,7 +325,7 @@ def test_edge_conv_gradients_in_training_mode():
 def _random_edge_conv(rng, cin, cout):
     """EdgeConv with gamma of both signs, one gamma == 0 channel and a
     non-trivial beta."""
-    conv = nets.EdgeConv(rng, cin=cin, cout=cout, name="ec")
+    conv = nets.EdgeConv(rng, cin=cin, cout=cout)
     conv.bn.gamma.data[:] = rng.uniform(0.3, 1.5, size=cout) * rng.choice([-1.0, 1.0], cout)
     conv.bn.beta.data[:] = rng.normal(size=cout)
     # gamma == 0 with beta > 0: the response is flat and the gradient must
@@ -319,7 +338,7 @@ def _edge_conv_run(conv, x, nbrs, record, op):
     """Forward, and with record the backward, of a copy of conv; returns the
     copy, the output and the x gradient (None without record)."""
     conv = copy.deepcopy(conv)
-    xp = ad.Parameter(x, name="x")
+    xp = ad.Parameter(x)
     if not record:
         with ad.no_grad():
             return conv, op(conv, xp, nbrs).data, None
@@ -374,9 +393,9 @@ def test_fused_edge_conv_matches_per_edge_reference(case, record, small_arch):
     assert _rel(out, ref_out) < 1e-12
     if record:
         assert _rel(gx, ref_gx) < 1e-9
-        for p_new, p_old in ((new.weight, old.weight), (new.bn.gamma, old.bn.gamma),
-                             (new.bn.beta, old.bn.beta)):
-            assert _rel(p_new.grad, p_old.grad) < 1e-9, p_new.name
+        for (path, p_new), (_, p_old) in zip(new.named_parameters(),
+                                             old.named_parameters()):
+            assert _rel(p_new.grad, p_old.grad) < 1e-9, path
 
 
 def test_edge_conv_no_grad_path_is_the_autodiff_path():

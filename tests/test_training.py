@@ -27,13 +27,13 @@ class _TinyNet:
 
     def __init__(self, nan_after=None, seed=0, heat=None):
         rng = np.random.default_rng(seed)
-        self.w = ad.Parameter(rng.normal(scale=0.2, size=(15, heat or 15)), name="w")
+        self.w = ad.Parameter(rng.normal(scale=0.2, size=(15, heat or 15)))
         self.heat = heat
         self.calls = 0
         self.nan_after = nan_after
 
-    def parameters(self):
-        return [self.w]
+    def named_parameters(self):
+        return [("w", self.w)]
 
     def state_arrays(self):
         return {"w": self.w.data}
@@ -59,7 +59,7 @@ class _ConstHeatNet:
     def __init__(self, value, out_channels):
         self.value = value
         self.out_channels = out_channels
-        self.w = ad.Parameter(np.zeros(1), name="w")
+        self.w = ad.Parameter(np.zeros(1))
 
     def parameters(self):
         return [self.w]
